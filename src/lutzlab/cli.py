@@ -11,7 +11,7 @@ Subcommands mirror the library modules:
 Every run writes its artifacts plus a run-manifest JSON (input hashes,
 package/library versions, tolerances) into --out.  Exit status: 0 when all
 checks pass, 1 on assertion failures, 2 on input errors.  All numbers are
-printed with 17 significant digits; LUTZLAB_THREADS caps worker fan-out.
+printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, distance, family, persistence, profile, reeb
 from .errors import LutzLabError
@@ -70,12 +72,13 @@ class RunContext:
             "inputs_sha256": self.inputs,
             "outputs": self.outputs,
             "tolerances": {"simpson_abs": SIMPSON_TOL,
-                           "contact_pass": 1e-8,
-                           "round_trip_l": 1e-8,
-                           "round_trip_volume": 1e-7},
+                           "contact_pass": profile.CONTACT_PASS,
+                           "round_trip_l": family.L_ROUND_TRIP,
+                           "round_trip_volume": family.VOLUME_ROUND_TRIP},
             "versions": {"lutzlab": __version__,
-                         "numpy": np.__version__},
-            "threads": os.environ.get("LUTZLAB_THREADS", "1"),
+                         "numpy": np.__version__,
+                         "scipy": scipy.__version__,
+                         "python": platform.python_version()},
         }
         with open(os.path.join(self.outdir, "run_manifest.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)

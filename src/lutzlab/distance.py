@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,6 +81,11 @@ def _require_certified(*specs: FormSpec):
                 "bound certificates require certified family members")
 
 
+def _channels(s1: FormSpec, s2: FormSpec) -> tuple:
+    """(volume channel |ln(V1/V2)|/n, action channel |ln(l1/l2)|)."""
+    return abs(math.log(s1.k / s2.k)) / s1.n, abs(math.log(s1.l / s2.l))
+
+
 def lower_bound(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     """max of the volume channel |ln(V1/V2)|/n and the action channel
     |ln(l1/l2)|; both quantities only grow under admissible interleavings,
@@ -90,8 +93,7 @@ def lower_bound(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     _require_certified(s1, s2)
     if s1.n != s2.n:
         raise PreconditionFailed("members live in different dimensions")
-    vol_channel = abs(math.log(s1.k / s2.k)) / s1.n
-    l_channel = abs(math.log(s1.l / s2.l))
+    vol_channel, l_channel = _channels(s1, s2)
     lower = max(vol_channel, l_channel)
     method = "volume" if vol_channel >= l_channel else "l_invariant"
     if vol_channel == l_channel:
@@ -191,14 +193,17 @@ def folding_bounds(a1: float, a2: float, ball: float,
 # the Gray-stability integral
 # ---------------------------------------------------------------------------
 
+# Radius grid of the Gray sup scan, and amplitudes checked along a leg.
+_R_GRID = 2048
+_U_GRID = 9
+
+
 @dataclass
 class GrayPathSpec:
     """Deformation leg through the amplitude family, h1 held fixed."""
     family: TwistedPathFamily
     u_start: float
     u_end: float
-    r_grid: int = 2048
-    u_grid: int = 9
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,7 @@ class _GrayIntegrand:
         self.pair2 = fam.pair(u2)
         self.u1, self.u2 = u1, u2
         eps = self.pair1.epsilon
-        self.rs = np.linspace(1e-9, eps * (1.0 - 1e-12), spec.r_grid)
+        self.rs = np.linspace(1e-9, eps * (1.0 - 1e-12), _R_GRID)
         self._h1p = self.pair1.h1.deriv(self.rs)
         h2a = self.pair1.h2.value(self.rs)
         h2b = self.pair2.h2.value(self.rs)
@@ -237,34 +242,24 @@ class _GrayIntegrand:
         self._DB = (d2 - d1) / (u2 - u1)
         self._DA = d1 - u1 * self._DB
 
-    def _values_on(self, rs: np.ndarray, u: float) -> np.ndarray:
-        """|B h1' / D_u| on an array of radii (full piecewise evaluation)."""
-        h2a = self.pair1.h2.value(rs)
-        h2b = self.pair2.h2.value(rs)
-        b = (h2b - h2a) / (self.u2 - self.u1)
-        d1 = self.pair1.wronskian(rs)
-        d2 = self.pair2.wronskian(rs)
-        db = (d2 - d1) / (self.u2 - self.u1)
-        den = (d1 - self.u1 * db) + u * db
-        return np.abs(b * self.pair1.h1.deriv(rs) / den)
+    def _values(self, rs: np.ndarray, u: float) -> np.ndarray:
+        """|B h1' / D_u| on a bracket of radii.
 
-    def _values_fast(self, rs: np.ndarray, u: float):
-        """Same, via direct segment access when the bracket avoids joints."""
+        Each profile is evaluated through its own segment when the bracket
+        lies inside that segment's span, else piecewise.
+        """
         mid = float(rs[len(rs) // 2])
-        segs = []
-        for prof in (self.pair1.h1, self.pair1.h2, self.pair2.h2):
+
+        def local(prof):
             seg, lo, hi = prof.segment_span(mid)
-            if not (lo <= rs[0] and rs[-1] <= hi):
-                return None
-            segs.append(seg)
-        s_h1, s_h2a, s_h2b = segs
-        h1 = s_h1.value(rs)
-        h1p = s_h1.deriv(rs)
-        h2a, h2ap = s_h2a.value(rs), s_h2a.deriv(rs)
-        h2b, h2bp = s_h2b.value(rs), s_h2b.deriv(rs)
-        d1 = h1 * h2ap - h1p * h2a
-        d2 = h1 * h2bp - h1p * h2b
-        b = (h2b - h2a) / (self.u2 - self.u1)
+            return seg if lo <= rs[0] and rs[-1] <= hi else prof
+        h1 = local(self.pair1.h1)
+        h2a, h2b = local(self.pair1.h2), local(self.pair2.h2)
+        h1v, h1p = h1.value(rs), h1.deriv(rs)
+        h2av, h2bv = h2a.value(rs), h2b.value(rs)
+        d1 = h1v * h2a.deriv(rs) - h1p * h2av
+        d2 = h1v * h2b.deriv(rs) - h1p * h2bv
+        b = (h2bv - h2av) / (self.u2 - self.u1)
         db = (d2 - d1) / (self.u2 - self.u1)
         den = (d1 - self.u1 * db) + u * db
         return np.abs(b * h1p / den)
@@ -284,9 +279,7 @@ class _GrayIntegrand:
         # four rounds of 33-point bracket shrinking: width drops 16x each
         for _ in range(4):
             rs = np.linspace(lo, hi, 33)
-            vv = self._values_fast(rs, u)
-            if vv is None:
-                vv = self._values_on(rs, u)
+            vv = self._values(rs, u)
             j = int(np.argmax(vv))
             if vv[j] > best_v:
                 best_r, best_v = float(rs[j]), float(vv[j])
@@ -306,7 +299,7 @@ def gray_integral(spec: GrayPathSpec, tol: float = 1e-12) -> GrayResult:
         return GrayResult(0.0, ((u_lo, math.nan),), spec.u_start, spec.u_end)
     integrand = _GrayIntegrand(spec)
 
-    us = np.linspace(u_lo, u_hi, spec.u_grid)
+    us = np.linspace(u_lo, u_hi, _U_GRID)
     for u in us:
         report = check_contact_condition(spec.family.pair(float(u)),
                                          grid_size=2000)
@@ -338,14 +331,14 @@ def gray_integral(spec: GrayPathSpec, tol: float = 1e-12) -> GrayResult:
 # two-leg upper bound and the sandwich sweep
 # ---------------------------------------------------------------------------
 
-def _leg_family(model_or_spec, u_max: float) -> TwistedPathFamily:
-    defaults = model_or_spec.defaults
-    return TwistedPathFamily(defaults.twist, defaults.u_ref,
-                           max(u_max, defaults.u_ref))
+def _gray_leg(s1: FormSpec, s2: FormSpec) -> GrayResult:
+    """Gray integral from s1's amplitude to s2's, in the upper member's
+    family (the family whose depth covers both amplitudes)."""
+    upper = s1 if s1.u >= s2.u else s2
+    return gray_integral(GrayPathSpec(upper.family, s1.u, s2.u))
 
 
-def triangle_ub(s1: FormSpec, s2: FormSpec,
-                model: Optional[FamilyModel] = None) -> BoundCertificate:
+def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     """Scaling leg plus deformation leg through (k2, (k2/k1)^(1/n) l1).
 
     The scaling leg costs |ln k2^(1/n) - ln k1^(1/n)| exactly; the
@@ -369,8 +362,7 @@ def triangle_ub(s1: FormSpec, s2: FormSpec,
         gray_val = 0.0
         locations = ()
     else:
-        fam = _leg_family(s1, max(u_mid, u2))
-        res = gray_integral(GrayPathSpec(fam, u_mid, u2))
+        res = _gray_leg(s1, s2)
         gray_val = res.value
         locations = res.sup_locations
     upper = a_leg + gray_val
@@ -420,14 +412,6 @@ class SweepReport:
                     str(r.passed).lower()]) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LUTZLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
                       compensator_floor_b: float = 1.0,
                       n: int = 2,
@@ -436,50 +420,31 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
 
     Asserts d_inf <= lower <= upper <= 2 d_inf (the two interior links get
     a 1e-9 numerical slack, the outer one 1e-6) and reports the worst
-    slack across the grid.  Work fans out over LUTZLAB_THREADS; rows are
-    assembled in deterministic pair order.
+    slack across the grid.  Rows come in pair order; each Gray leg is
+    integrated once per amplitude pair.
     """
     if model is None:
         model = FamilyModel(ambient_floor_a, compensator_floor_b, n=n)
     specs = [model.embed_point(p) for p in points]
-    pairs = [(i, j) for i in range(len(specs)) for j in range(i + 1,
-                                                              len(specs))]
-    leg_cache = {}
-
-    def leg_value(u_a, u_b):
-        key = (min(u_a, u_b), max(u_a, u_b))
-        if key not in leg_cache:
-            if abs(key[1] - key[0]) < 1e-15:
-                leg_cache[key] = 0.0
-            else:
-                fam = _leg_family(model, key[1])
-                leg_cache[key] = gray_integral(
-                    GrayPathSpec(fam, key[0], key[1])).value
-        return leg_cache[key]
-
-    # warm the leg cache serially (deterministic), then rows are pure
-    for i, j in pairs:
-        leg_value(specs[i].u, specs[j].u)
-
-    def row(idx):
-        i, j = pairs[idx]
-        s1, s2 = specs[i], specs[j]
-        dinf = max(abs(s1.a - s2.a), abs(s1.b - s2.b))
-        low = lower_bound(s1, s2).lower
-        a_leg = abs(s1.a - s2.a)
-        up = a_leg + leg_value(s1.u, s2.u)
-        ok = (dinf <= low + 1e-12 and low <= up + 1e-9
-              and up <= 2.0 * dinf + 1e-6)
-        slack = max(dinf - low, low - up, up - 2.0 * dinf)
-        return SweepRow(a1=s1.a, b1=s1.b, a2=s2.a, b2=s2.b, dinf=dinf,
-                        lower=low, upper=up, slack=slack, passed=ok)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(len(pairs))))
-    else:
-        rows = [row(i) for i in range(len(pairs))]
+    _require_certified(*specs)
+    legs = {}
+    rows = []
+    for i, s1 in enumerate(specs):
+        for s2 in specs[i + 1:]:
+            lo, hi = sorted((s1, s2), key=lambda s: s.u)
+            key = (lo.u, hi.u)
+            if key not in legs:
+                legs[key] = (0.0 if hi.u - lo.u < 1e-15
+                             else _gray_leg(lo, hi).value)
+            dinf = max(abs(s1.a - s2.a), abs(s1.b - s2.b))
+            low = max(_channels(s1, s2))
+            up = abs(s1.a - s2.a) + legs[key]
+            ok = (dinf <= low + 1e-12 and low <= up + 1e-9
+                  and up <= 2.0 * dinf + 1e-6)
+            slack = max(dinf - low, low - up, up - 2.0 * dinf)
+            rows.append(SweepRow(a1=s1.a, b1=s1.b, a2=s2.a, b2=s2.b,
+                                 dinf=dinf, lower=low, upper=up,
+                                 slack=slack, passed=ok))
     worst = max((r.slack for r in rows), default=-math.inf)
     return SweepReport(rows=tuple(rows), worst_slack=worst,
                        all_passed=all(r.passed for r in rows))

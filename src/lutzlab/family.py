@@ -87,12 +87,6 @@ def tube_volume(pair: ProfilePair, n: int = 2) -> float:
     return abs(val)
 
 
-def tube_volume_oriented(pair: ProfilePair, n: int = 2) -> tuple:
-    """(|volume|, orientation sign)."""
-    val = 4.0 * math.pi ** 2 * _integrate_profile_product(pair, n)
-    return abs(val), (1 if val >= 0 else -1)
-
-
 def tube_volume_montecarlo(pair: ProfilePair, n_samples: int = 2_000_000,
                            seed: int = 0) -> float:
     """Monte-Carlo integral of the tube volume form (3-d), for cross-checks."""
@@ -235,6 +229,11 @@ def compensator_solve(v0: float, tube: CompensatorSpec, floor_b: float,
 # the family model
 # ---------------------------------------------------------------------------
 
+# Relative tolerances of a member's recomputed l-invariant and volume.
+L_ROUND_TRIP = 1e-8
+VOLUME_ROUND_TRIP = 1e-7
+
+
 @dataclass(frozen=True)
 class FamilyDefaults:
     """Fixed construction data shared by every member of one family."""
@@ -267,6 +266,7 @@ class FormSpec:
     compensator_floor_b: float
     defaults: FamilyDefaults
     pair: ProfilePair = field(repr=False)
+    family: TwistedPathFamily = field(repr=False)  # the family `pair` is from
     compensator: CompensatorSpec
     tube_volume_normalized: float
     reservoir_volume: float
@@ -327,22 +327,15 @@ class FamilyModel:
         self.defaults = defaults or FamilyDefaults()
         self.eps_bound = epsilon_bound(ambient_floor_a, compensator_floor_b)
         self.domain = ParamDomain(self.eps_bound)
-        self._family_cache = {}
-        base_family = self._family(self.defaults.u_ref)
-        base_pair = base_family.pair(self.defaults.u_ref)
+        u_ref = self.defaults.u_ref
+        base_pair = TwistedPathFamily(self.defaults.twist, u_ref,
+                                      u_ref).pair(u_ref)
         eps_p = self.defaults.tube_phys_radius
         self.base_tube_volume = eps_p ** 2 * tube_volume(base_pair, self.n)
         v_k1 = self.defaults.compensator.tube_volume()
         self.reservoir_volume = 1.0 - self.base_tube_volume - v_k1
         if self.reservoir_volume <= 0.0:
             raise InvalidGeometry("model tubes exceed the unit total volume")
-
-    def _family(self, u_max: float) -> TwistedPathFamily:
-        key = round(float(u_max), 15)
-        if key not in self._family_cache:
-            self._family_cache[key] = TwistedPathFamily(
-                self.defaults.twist, self.defaults.u_ref, u_max)
-        return self._family_cache[key]
 
     def amplitude_for(self, k: float, l: float) -> float:
         """Invert l = k^(1/n) (1 + delta2) u for the member amplitude."""
@@ -364,7 +357,8 @@ class FamilyModel:
                 f"controllable floor k^(1/n) L0 = "
                 f"{k ** (1.0 / self.n) * self.defaults.l_base:.4g}; "
                 "a thinner twist region (smaller epsilon0) is required")
-        family = self._family(u)
+        family = TwistedPathFamily(self.defaults.twist, self.defaults.u_ref,
+                                   max(u, self.defaults.u_ref))
         pair = family.pair(u)
         twist = replace(family.params, u=u)
 
@@ -377,15 +371,17 @@ class FamilyModel:
         spec = FormSpec(n=self.n, k=k, l=l, a=a, b=b, u=u, twist=twist,
                         ambient_floor_a=self.ambient_floor_a,
                         compensator_floor_b=self.compensator_floor_b,
-                        defaults=self.defaults, pair=pair, compensator=comp,
+                        defaults=self.defaults, pair=pair, family=family,
+                        compensator=comp,
                         tube_volume_normalized=v_tube,
                         reservoir_volume=self.reservoir_volume)
         if verify:
             flags = {}
             l_re = spec.l_invariant()
-            flags["l_round_trip"] = bool(abs(l_re - l) / l <= 1e-8)
+            flags["l_round_trip"] = bool(abs(l_re - l) / l <= L_ROUND_TRIP)
             vol = spec.total_volume()
-            flags["volume_round_trip"] = bool(abs(vol - k) / k <= 1e-7)
+            flags["volume_round_trip"] = bool(
+                abs(vol - k) / k <= VOLUME_ROUND_TRIP)
             cla = reeb.claction_check(spec.scaled_pair(), twist,
                                       spec.scale * self.ambient_floor_a)
             flags["claction"] = bool(cla["passed"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,21 +50,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fa, fb = f(a), f(b)
     m, fm, whole = _simp(a, b, fa, fb)
     return _rec(a, b, fa, fb, whole, m, fm, tol, 0)
-
-
-def integrate_piecewise(f: Callable[[float], float], knots: Sequence[float],
-                        tol: float = SIMPSON_TOL) -> float:
-    """Adaptive Simpson split at every interior knot (integrand kinks).
-
-    Panels are nudged inward by a relative 1e-13 so endpoint samples never
-    land on a kink where one-sided segment evaluation would disagree.
-    """
-    knots = sorted(set(float(k) for k in knots))
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        eta = 1e-13 * (b - a)
-        total += adaptive_simpson(f, a + eta, b - eta, tol=tol)
-    return total
 
 
 @lru_cache(maxsize=16)

@@ -332,21 +332,11 @@ def _boundary_columns(dga: FilteredDGA, basis: List[Word]):
     return cols
 
 
-def barcode(dga: FilteredDGA) -> Barcode:
-    """Persistence pairing by sparse filtered elimination over Q.
-
-    Columns are reduced left to right against recorded pivots (pivot = the
-    largest remaining row index); a column that reduces to zero births a
-    class at its own action, and a pivot pair (i, j) closes the bar of
-    basis element i at the action of j.
-    """
-    if not d_squared_check(dga):
-        raise PreconditionFailed("differential does not square to zero")
-    basis = dga.basis()
-    cols = _boundary_columns(dga, basis)
+def _eliminate(cols):
+    """Yield each column reduced left to right against recorded pivots
+    (pivot = the largest remaining row index), in column order."""
     pivot_of_row: Dict[int, int] = {}
     reduced: List[Dict[int, Fraction]] = []
-    death_of: Dict[int, int] = {}
     for j, col in enumerate(cols):
         col = dict(col)
         while col:
@@ -363,9 +353,21 @@ def barcode(dga: FilteredDGA) -> Barcode:
                     col[i] = new
         reduced.append(col)
         if col:
-            low = max(col)
-            pivot_of_row[low] = j
-            death_of[low] = j
+            pivot_of_row[max(col)] = j
+        yield col
+
+
+def barcode(dga: FilteredDGA) -> Barcode:
+    """Persistence pairing by sparse filtered elimination over Q.
+
+    A column that reduces to zero births a class at its own action, and a
+    pivot pair (i, j) closes the bar of basis element i at the action of j.
+    """
+    if not d_squared_check(dga):
+        raise PreconditionFailed("differential does not square to zero")
+    basis = dga.basis()
+    reduced = list(_eliminate(_boundary_columns(dga, basis)))
+    death_of = {max(col): j for j, col in enumerate(reduced) if col}
     bars = []
     for i, w in enumerate(basis):
         if i in death_of:
@@ -439,28 +441,9 @@ def unit_vanishing_level(dga: FilteredDGA):
     if not d_squared_check(dga):
         raise PreconditionFailed("differential does not square to zero")
     basis = dga.basis()
-    cols = _boundary_columns(dga, basis)
-    pivot_of_row: Dict[int, int] = {}
-    reduced: List[Dict[int, Fraction]] = []
-    for j, col in enumerate(cols):
-        col = dict(col)
-        while col:
-            low = max(col)
-            owner = pivot_of_row.get(low)
-            if owner is None:
-                break
-            factor = col[low] / reduced[owner][low]
-            for i, c in reduced[owner].items():
-                new = col.get(i, Fraction(0)) - factor * c
-                if new == 0:
-                    col.pop(i, None)
-                else:
-                    col[i] = new
-        reduced.append(col)
-        if col:
-            if max(col) == 0:  # the unit's row
-                return dga.word_action(basis[j])
-            pivot_of_row[max(col)] = j
+    for j, col in enumerate(_eliminate(_boundary_columns(dga, basis))):
+        if col and max(col) == 0:  # the unit's row
+            return dga.word_action(basis[j])
     return INF
 
 

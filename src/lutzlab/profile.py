@@ -516,6 +516,10 @@ def build_twisted_path(params: TwistParams) -> ProfilePair:
 # contact condition
 # ---------------------------------------------------------------------------
 
+# |D/r| must stay above this on the grid for the contact check to pass.
+CONTACT_PASS = 1e-8
+
+
 @dataclass(frozen=True)
 class ContactReport:
     min_abs_d_over_r: float
@@ -548,7 +552,7 @@ def check_contact_condition(pair: ProfilePair,
     sign = 1 if all_pos else (-1 if all_neg else 0)
     min_abs = float(np.abs(d[i]))
     return ContactReport(min_abs_d_over_r=min_abs, argmin_r=float(rs[i]),
-                         sign=sign, passed=min_abs > 1e-8,
+                         sign=sign, passed=min_abs > CONTACT_PASS,
                          grid_size=grid_size)
 
 
@@ -587,34 +591,32 @@ def _convolve_against_kernel(profile: PiecewiseProfile,
     return out
 
 
-def _mollify_profile(profile: PiecewiseProfile,
-                     window: SmoothingWindow) -> PiecewiseProfile:
+def _blend(profile: PiecewiseProfile, window: SmoothingWindow) -> tuple:
+    """(rs, (1 - w) raw + w conv) on the window's table grid.
+
+    A doubled-order recomputation on a subsample guards the quadrature.
+    """
     rs = np.linspace(window.lo, window.hi, window.n_table)
     conv = _convolve_against_kernel(profile, window, rs, _GL_ORDER)
-    # quadrature guard: a doubled-order recomputation on a subsample
-    sub = rs[:: max(window.n_table // 64, 1)]
-    conv_hi = _convolve_against_kernel(profile, window, sub, 2 * _GL_ORDER)
-    err = np.max(np.abs(conv[:: max(window.n_table // 64, 1)][: len(sub)]
-                        - conv_hi))
+    step = max(window.n_table // 64, 1)
+    conv_hi = _convolve_against_kernel(profile, window, rs[::step],
+                                       2 * _GL_ORDER)
+    err = np.max(np.abs(conv[::step] - conv_hi))
     scale = max(1.0, float(np.max(np.abs(conv))))
     if err > 1e-11 * scale:
         raise QuadratureFailure(
             f"convolution panels disagree by {err:.3g} on the window")
     w = window.blend_weight(rs)
-    raw = profile.value(rs)
-    table = TableSegment(rs, (1.0 - w) * raw + w * conv)
+    return rs, (1.0 - w) * profile.value(rs) + w * conv
 
+
+def _splice_window(profile: PiecewiseProfile, window: SmoothingWindow,
+                   table: TableSegment) -> PiecewiseProfile:
+    """`profile` with `table` in place of its pieces on the window."""
     new_bps = [b for b in profile.breakpoints
                if b < window.lo - 1e-15 or b > window.hi + 1e-15]
-    new_segs = []
-    src = list(profile.breakpoints)
-    for i, seg in enumerate(profile.segments):
-        lo_b, hi_b = src[i], src[i + 1]
-        if hi_b <= window.lo + 1e-15 or lo_b >= window.hi - 1e-15:
-            new_segs.append((lo_b if lo_b < window.lo else max(lo_b, window.hi),
-                             seg))
-    pieces = sorted(new_segs, key=lambda t: t[0])
     bps = sorted(set(new_bps + [window.lo, window.hi]))
+    src = list(profile.breakpoints)
     segments = []
     for lo_b, hi_b in zip(bps[:-1], bps[1:]):
         if abs(lo_b - window.lo) < 1e-15 and abs(hi_b - window.hi) < 1e-15:
@@ -630,6 +632,12 @@ def _mollify_profile(profile: PiecewiseProfile,
             raise InvalidGeometry("window does not sit inside the profile")
         segments.append(owner)
     return PiecewiseProfile(bps, segments)
+
+
+def _mollify_profile(profile: PiecewiseProfile,
+                     window: SmoothingWindow) -> PiecewiseProfile:
+    return _splice_window(profile, window,
+                          TableSegment(*_blend(profile, window)))
 
 
 def mollify(pair: ProfilePair, window: SmoothingWindow) -> ProfilePair:
@@ -689,8 +697,7 @@ class TwistedPathFamily:
     u, so members assemble cheaply and d(h2)/du is exact.
     """
 
-    def __init__(self, base: TwistParams, u_ref: float, u_max: float,
-                 n_table: int = 4096):
+    def __init__(self, base: TwistParams, u_ref: float, u_max: float):
         if u_max < u_ref:
             raise InvalidGeometry("u_max must be at least u_ref")
         self.params = replace(base, u=u_ref).solved()
@@ -702,7 +709,6 @@ class TwistedPathFamily:
         self.params = replace(self.params,
                               extension=ExtensionSpec(h2_depth=depth))
         self.window = default_window(self.params)
-        self._n_table = n_table
         self._h1_moll = None
         self._h2_tables = None
 
@@ -710,8 +716,7 @@ class TwistedPathFamily:
         if self._h1_moll is not None:
             return
         pair0 = build_twisted_path(replace(self.params, u=self.u_ref))
-        window = replace(self.window, n_table=self._n_table)
-        self._h1_moll = _mollify_profile(pair0.h1, window)
+        self._h1_moll = _mollify_profile(pair0.h1, self.window)
 
         # h2 on the window neighbourhood splits as cap + u * (unit arc);
         # mollification is linear, so two tables cover every member.
@@ -722,12 +727,8 @@ class TwistedPathFamily:
         unit_arc = PiecewiseProfile([0.0, eps0, 0.5],
                                     [PolySegment(0.0, (0.0,)),
                                      TrigSegment("sin", self.amp_per_u)])
-        rs = np.linspace(window.lo, window.hi, window.n_table)
-        w = window.blend_weight(rs)
-        conv_cap = _convolve_against_kernel(cap, window, rs, _GL_ORDER)
-        conv_arc = _convolve_against_kernel(unit_arc, window, rs, _GL_ORDER)
-        t_cap = (1.0 - w) * cap.value(rs) + w * conv_cap
-        t_arc = (1.0 - w) * unit_arc.value(rs) + w * conv_arc
+        rs, t_cap = _blend(cap, self.window)
+        _, t_arc = _blend(unit_arc, self.window)
         self._h2_tables = (rs, t_cap, t_arc)
 
     def pair(self, u: float) -> ProfilePair:
@@ -738,52 +739,10 @@ class TwistedPathFamily:
                 "the junction bridge would violate the contact condition")
         self._ensure_tables()
         raw = build_twisted_path(replace(self.params, u=u))
-        window = replace(self.window, n_table=self._n_table)
-        h2_raw = _mollify_non_window_splice(raw.h2, window)
         rs, t_cap, t_arc = self._h2_tables
-        table = TableSegment(rs, t_cap + u * t_arc)
-        segs = [table if isinstance(s, _WindowPlaceholder) else s
-                for s in h2_raw.segments]
-        h2 = PiecewiseProfile(h2_raw.breakpoints, segs)
+        h2 = _splice_window(raw.h2, self.window,
+                            TableSegment(rs, t_cap + u * t_arc))
         return ProfilePair(self._h1_moll, h2, self.params.epsilon)
-
-    def dh2_du(self, rs: np.ndarray, u: float, step: Optional[float] = None
-               ) -> np.ndarray:
-        """d h2 / du, exact because members are affine in u."""
-        if step is None:
-            step = max(1e-4 * max(u, self.u_ref), 1e-7)
-        hi = self.pair(u + step)
-        lo = self.pair(max(u - step, self.u_ref))
-        denom = (u + step) - max(u - step, self.u_ref)
-        return (hi.h2.value(rs) - lo.h2.value(rs)) / denom
-
-
-class _WindowPlaceholder:
-    kind = "window-placeholder"
-
-
-def _mollify_non_window_splice(profile: PiecewiseProfile,
-                               window: SmoothingWindow) -> PiecewiseProfile:
-    """Splice breakpoints for the window without computing its table."""
-    new_bps = [b for b in profile.breakpoints
-               if b < window.lo - 1e-15 or b > window.hi + 1e-15]
-    bps = sorted(set(new_bps + [window.lo, window.hi]))
-    src = list(profile.breakpoints)
-    segments = []
-    for lo_b, hi_b in zip(bps[:-1], bps[1:]):
-        if abs(lo_b - window.lo) < 1e-15 and abs(hi_b - window.hi) < 1e-15:
-            segments.append(_WindowPlaceholder())
-            continue
-        mid = 0.5 * (lo_b + hi_b)
-        owner = None
-        for j in range(len(profile.segments)):
-            if src[j] - 1e-15 <= mid <= src[j + 1] + 1e-15:
-                owner = profile.segments[j]
-                break
-        if owner is None:
-            raise InvalidGeometry("window does not sit inside the profile")
-        segments.append(owner)
-    return PiecewiseProfile(bps, segments)
 
 
 def build_mollified_path(params: TwistParams) -> ProfilePair:

@@ -190,6 +190,7 @@ def test_criterion_09_persistence_oracle_equivalence():
         oracle = ps.brute_force_oracle(dga)
         assert bars.bars == oracle.bars
         level = ps.unit_vanishing_level(dga)
+        assert bars.unit_bar().death == level
         finite = bars.finite_bars()
         if not math.isinf(level):
             finite_cases += 1

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -110,13 +109,6 @@ def test_sandwich_determinism(tmp_path):
     _, out2 = run(tmp_path / "r2", *args)
     assert (out1 / "sandwich.csv").read_bytes() \
         == (out2 / "sandwich.csv").read_bytes()
-    os.environ["LUTZLAB_THREADS"] = "4"
-    try:
-        _, out3 = run(tmp_path / "r3", *args)
-    finally:
-        os.environ.pop("LUTZLAB_THREADS")
-    assert (out1 / "sandwich.csv").read_bytes() \
-        == (out3 / "sandwich.csv").read_bytes()
 
 
 def test_scaling_command(tmp_path):

@@ -122,11 +122,36 @@ def test_gray_integral_additive(gray_family):
 
 
 def test_gray_du_affine(gray_family):
-    # members are affine in u, so two different steps agree exactly
-    rs = np.linspace(0.1, 0.45, 11)
-    d1 = gray_family.dh2_du(rs, 0.05, step=1e-3)
-    d2 = gray_family.dh2_du(rs, 0.05, step=1e-5)
-    assert np.max(np.abs(d1 - d2)) < 1e-9
+    # members are affine in u: h2 at three amplitudes is collinear
+    window = gray_family.window
+    rs = np.concatenate([np.linspace(0.01, 0.99, 197),
+                         np.linspace(window.lo, window.hi, 41)])
+    us = (0.04, 0.045, 0.06)
+    h_a, h_b, h_c = (gray_family.pair(u).h2.value(rs) for u in us)
+    slope_ab = (h_b - h_a) / (us[1] - us[0])
+    slope_ac = (h_c - h_a) / (us[2] - us[0])
+    assert np.max(np.abs(slope_ab - slope_ac)) < 1e-9
+
+
+def test_gray_values_straddling_breakpoints(gray_family):
+    # brackets across h2's joint at 1/2 and the h1/h2 joint at 3/4 take the
+    # piecewise route for the profiles whose segment does not cover them
+    integrand = dist._GrayIntegrand(
+        dist.GrayPathSpec(gray_family, 0.04, 0.06))
+    p1, p2 = integrand.pair1, integrand.pair2
+    du = integrand.u2 - integrand.u1
+    for joint in (0.5, 0.75):
+        rs = np.linspace(joint - 1e-3, joint + 1e-3, 33)
+        _, lo, hi = p1.h2.segment_span(float(rs[16]))
+        assert not (lo <= rs[0] and rs[-1] <= hi)
+        for u in (0.04, 0.05, 0.06):
+            b = (p2.h2.value(rs) - p1.h2.value(rs)) / du
+            d1, d2 = p1.wronskian(rs), p2.wronskian(rs)
+            db = (d2 - d1) / du
+            den = (d1 - integrand.u1 * db) + u * db
+            want = np.abs(b * p1.h1.deriv(rs) / den)
+            got = integrand._values(rs, u)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 # --- certificates ------------------------------------------------------------

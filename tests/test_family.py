@@ -50,12 +50,12 @@ def test_tube_volume_montecarlo_crosscheck(smooth_pair):
 
 
 def test_tube_volume_orientation():
-    # reversed-orientation pair: same magnitude, negative sign
+    # reversed-orientation pair: the volume is still the positive magnitude
     bps = [0.0, 1.0]
     h1 = prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, (1.0,))])
     h2 = prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, (0.0, 0.0, -1.0))])
-    vol, sign = fam.tube_volume_oriented(prof.ProfilePair(h1, h2, 1.0))
-    assert sign == -1 and vol == pytest.approx(FOUR_PI2, rel=1e-13)
+    vol = fam.tube_volume(prof.ProfilePair(h1, h2, 1.0))
+    assert vol == pytest.approx(FOUR_PI2, rel=1e-13)
 
 
 # --- compensator ------------------------------------------------------------

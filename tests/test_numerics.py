@@ -20,11 +20,6 @@ def test_adaptive_simpson_empty_interval():
     assert num.adaptive_simpson(math.sin, 1.0, 1.0) == 0.0
 
 
-def test_integrate_piecewise_kinked():
-    val = num.integrate_piecewise(lambda x: abs(x), [-1.0, 0.0, 1.0])
-    assert val == pytest.approx(1.0, abs=1e-10)
-
-
 def test_gl_panels_match_simpson():
     f = lambda x: math.exp(-x * x) * math.cos(3 * x)
     ref = num.adaptive_simpson(f, -0.8, 1.1, tol=1e-13)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ def test_mollify_idempotent_on_smooth_pair(cap_pair, solved_params):
     rs = np.linspace(w.lo, w.hi, 500)
     assert np.max(np.abs(once.h2.value(rs)
                          - cap_pair.h2.value(rs))) < 1e-6
+
+
+def test_family_pair_matches_mollified_member():
+    # the family splices its affine-in-u table into the raw member exactly
+    # where mollify would put the member's own blend
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    fam = prof.TwistedPathFamily(base, 0.04, 0.06)
+    w = fam.window
+    rs = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                         np.linspace(w.lo, w.hi, 2001)])
+    for u in (fam.u_ref, 0.05, fam.u_max):
+        got = fam.pair(u)
+        want = prof.mollify(
+            prof.build_twisted_path(replace(fam.params, u=u)), w)
+        for g, m in ((got.h1, want.h1), (got.h2, want.h2)):
+            assert np.array_equal(g.breakpoints, m.breakpoints)
+            assert np.max(np.abs(g.value(rs) - m.value(rs))) <= 1e-15
+        assert np.max(np.abs(got.h2.deriv(rs) - want.h2.deriv(rs))) <= 1e-10
 
 
 def test_mollified_second_differences_bounded(smooth_pair):
