@@ -143,7 +143,7 @@ def cmd_profile_mollify(args, ctx: RunContext) -> int:
     ratio, ok = profile.verify_smoothing_bound(smooth, params.u)
     print(f"window sup |-H1'/D| = {format_float(ratio)}; "
           f"1/u = {format_float(1.0 / params.u)}; pass = {ok}")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_ASSERT
 
 
 # ---------------------------------------------------------------------------

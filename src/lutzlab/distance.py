@@ -227,6 +227,8 @@ class _GrayIntegrand:
         u1 = max(spec.u_start, fam.u_ref)
         u2 = max(spec.u_end, fam.u_ref)
         if u2 == u1:
+            # a degenerate leg takes its slope from the next member up,
+            # which `pair` builds only while u1 sits below the family's cap
             u2 = u1 * (1.0 + 1e-6) + 1e-12
         self.pair1 = fam.pair(u1)
         self.pair2 = fam.pair(u2)
@@ -299,18 +301,24 @@ def gray_integral(spec: GrayPathSpec, tol: float = 1e-12) -> GrayResult:
         return GrayResult(0.0, ((u_lo, math.nan),), spec.u_start, spec.u_end)
     integrand = _GrayIntegrand(spec)
 
+    # the integrand already holds the members at both ends of the leg
+    if spec.u_start <= spec.u_end:
+        pair_lo, pair_hi = integrand.pair1, integrand.pair2
+    else:
+        pair_lo, pair_hi = integrand.pair2, integrand.pair1
     us = np.linspace(u_lo, u_hi, _U_GRID)
-    for u in us:
-        report = check_contact_condition(spec.family.pair(float(u)),
-                                         grid_size=2000)
+    pairs = ([pair_lo] + [spec.family.pair(float(u)) for u in us[1:-1]]
+             + [pair_hi])
+    for u, pair in zip(us, pairs):
+        report = check_contact_condition(pair, grid_size=2000)
         if not report.passed:
             raise SingularLocus(
                 f"contact condition fails at u = {u}: {report}")
     # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
     probe = np.linspace(0.01, integrand.pair1.epsilon * 0.99, 257)
-    h_lo = spec.family.pair(u_lo).h2.value(probe)
+    h_lo = pair_lo.h2.value(probe)
     h_mid = spec.family.pair(0.5 * (u_lo + u_hi)).h2.value(probe)
-    h_hi = spec.family.pair(u_hi).h2.value(probe)
+    h_hi = pair_hi.h2.value(probe)
     between = ((h_mid - h_lo) * (h_hi - h_mid)) >= -1e-13
     if not bool(np.all(between)):
         raise SingularLocus("family is not monotone in u at some radius")
@@ -332,10 +340,12 @@ def gray_integral(spec: GrayPathSpec, tol: float = 1e-12) -> GrayResult:
 # ---------------------------------------------------------------------------
 
 def _gray_leg(s1: FormSpec, s2: FormSpec) -> GrayResult:
-    """Gray integral from s1's amplitude to s2's, in the upper member's
-    family (the family whose depth covers both amplitudes)."""
-    upper = s1 if s1.u >= s2.u else s2
-    return gray_integral(GrayPathSpec(upper.family, s1.u, s2.u))
+    """Gray integral from s1's amplitude to s2's in the family both members
+    come from, so the leg starts at s1 and ends at s2."""
+    if s1.family is not s2.family:
+        raise PreconditionFailed(
+            "a deformation leg needs members of one amplitude family")
+    return gray_integral(GrayPathSpec(s1.family, s1.u, s2.u))
 
 
 def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
@@ -420,25 +430,39 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
 
     Asserts d_inf <= lower <= upper <= 2 d_inf (the two interior links get
     a 1e-9 numerical slack, the outer one 1e-6) and reports the worst
-    slack across the grid.  Rows come in pair order; each Gray leg is
-    integrated once per amplitude pair.
+    slack across the grid.  Rows come in pair order.  Every member lives in
+    the model's one amplitude family, where Gray legs are additive, so the
+    sweep runs one Gray integral per adjacent amplitude step and each
+    pair's leg is the difference of two prefix sums.
     """
     if model is None:
         model = FamilyModel(ambient_floor_a, compensator_floor_b, n=n)
+    elif (model.ambient_floor_a, model.compensator_floor_b, model.n) != (
+            float(ambient_floor_a), float(compensator_floor_b), int(n)):
+        raise PreconditionFailed(
+            f"model has floors ({model.ambient_floor_a}, "
+            f"{model.compensator_floor_b}) and n = {model.n}; the sweep "
+            f"was asked for ({ambient_floor_a}, {compensator_floor_b}) and "
+            f"n = {n}")
     specs = [model.embed_point(p) for p in points]
     _require_certified(*specs)
-    legs = {}
+    # Gray integral from the smallest amplitude to each member's; members
+    # whose amplitudes are equal within 1e-15 share one value
+    prefix = {}
+    level = None
+    for u in sorted(s.u for s in specs):
+        if level is not None and u - level < 1e-15:
+            prefix[u] = prefix[level]
+            continue
+        prefix[u] = 0.0 if level is None else prefix[level] + gray_integral(
+            GrayPathSpec(model.family, level, u)).value
+        level = u
     rows = []
     for i, s1 in enumerate(specs):
         for s2 in specs[i + 1:]:
-            lo, hi = sorted((s1, s2), key=lambda s: s.u)
-            key = (lo.u, hi.u)
-            if key not in legs:
-                legs[key] = (0.0 if hi.u - lo.u < 1e-15
-                             else _gray_leg(lo, hi).value)
             dinf = max(abs(s1.a - s2.a), abs(s1.b - s2.b))
             low = max(_channels(s1, s2))
-            up = abs(s1.a - s2.a) + legs[key]
+            up = abs(s1.a - s2.a) + abs(prefix[s1.u] - prefix[s2.u])
             ok = (dinf <= low + 1e-12 and low <= up + 1e-9
                   and up <= 2.0 * dinf + 1e-6)
             slack = max(dinf - low, low - up, up - 2.0 * dinf)

@@ -8,10 +8,13 @@ reservoir carrying the remaining volume and the ambient action floor A.
 Total volume is normalised to one at the base point (k, l) = (1, L0), so a
 member's volume is exactly k and its lowest certified action is l.
 
-Amplitudes live in the linear family of `profile.TwistedPathFamily`; the
-admissible region is b < eps_bound = min(ln A, ln B) together with the
-geometric floor l >= k^(1/n) * L0 (smaller targets need a thinner twist
-region, i.e. a smaller epsilon0).
+Every member of one model lives in the model's single amplitude family, a
+`profile.TwistedPathFamily` spanning [u_ref, U_CAP], so the Gray
+deformation leg between two members starts and ends at the members
+themselves.  The admissible region is b < eps_bound = min(ln A, ln B)
+together with the geometric floor l >= k^(1/n) * L0 (smaller targets need
+a thinner twist region, i.e. a smaller epsilon0) and the amplitude cap
+u <= U_CAP.
 """
 
 from __future__ import annotations
@@ -233,6 +236,12 @@ def compensator_solve(v0: float, tube: CompensatorSpec, floor_b: float,
 L_ROUND_TRIP = 1e-8
 VOLUME_ROUND_TRIP = 1e-7
 
+# Largest member amplitude of a model; the extension depth of the model's
+# one family is sized for it.  It sits just above u = 0.146, the largest
+# amplitude whose compensator is feasible (n = 2, unit floors) when each
+# member is sized for its own amplitude instead.
+U_CAP = 0.15
+
 
 @dataclass(frozen=True)
 class FamilyDefaults:
@@ -316,7 +325,8 @@ class FormSpec:
 
 
 class FamilyModel:
-    """Shared geometry plus cached base volumes for embedding points."""
+    """Shared geometry, the one amplitude family every member is built
+    from, and the base volumes for embedding points."""
 
     def __init__(self, ambient_floor_a: float = 1.0,
                  compensator_floor_b: float = 1.0, n: int = 2,
@@ -327,9 +337,9 @@ class FamilyModel:
         self.defaults = defaults or FamilyDefaults()
         self.eps_bound = epsilon_bound(ambient_floor_a, compensator_floor_b)
         self.domain = ParamDomain(self.eps_bound)
-        u_ref = self.defaults.u_ref
-        base_pair = TwistedPathFamily(self.defaults.twist, u_ref,
-                                      u_ref).pair(u_ref)
+        self.family = TwistedPathFamily(self.defaults.twist,
+                                        self.defaults.u_ref, U_CAP)
+        base_pair = self.family.pair(self.defaults.u_ref)
         eps_p = self.defaults.tube_phys_radius
         self.base_tube_volume = eps_p ** 2 * tube_volume(base_pair, self.n)
         v_k1 = self.defaults.compensator.tube_volume()
@@ -357,10 +367,12 @@ class FamilyModel:
                 f"controllable floor k^(1/n) L0 = "
                 f"{k ** (1.0 / self.n) * self.defaults.l_base:.4g}; "
                 "a thinner twist region (smaller epsilon0) is required")
-        family = TwistedPathFamily(self.defaults.twist, self.defaults.u_ref,
-                                   max(u, self.defaults.u_ref))
-        pair = family.pair(u)
-        twist = replace(family.params, u=u)
+        if u > U_CAP:
+            raise DomainViolation(
+                f"target l = {l:.4g} at k = {k:.4g} needs amplitude "
+                f"{u:.4g}, above the model's cap U_CAP = {U_CAP}")
+        pair = self.family.pair(u)
+        twist = replace(self.family.params, u=u)
 
         eps_p = self.defaults.tube_phys_radius
         v_tube = eps_p ** 2 * tube_volume(pair, self.n)
@@ -371,7 +383,7 @@ class FamilyModel:
         spec = FormSpec(n=self.n, k=k, l=l, a=a, b=b, u=u, twist=twist,
                         ambient_floor_a=self.ambient_floor_a,
                         compensator_floor_b=self.compensator_floor_b,
-                        defaults=self.defaults, pair=pair, family=family,
+                        defaults=self.defaults, pair=pair, family=self.family,
                         compensator=comp,
                         tube_volume_normalized=v_tube,
                         reservoir_volume=self.reservoir_volume)

@@ -694,7 +694,8 @@ class TwistedPathFamily:
     which the mollifier bridges while keeping the contact condition (a
     downward jump would force the smoothed path to rotate backwards, so
     amplitudes below u_ref are rejected).  Every h2 ingredient is affine in
-    u, so members assemble cheaply and d(h2)/du is exact.
+    u, so members assemble cheaply and d(h2)/du is exact.  The extension
+    depth is fixed by `u_max`, so amplitudes above it are rejected too.
     """
 
     def __init__(self, base: TwistParams, u_ref: float, u_max: float):
@@ -732,11 +733,15 @@ class TwistedPathFamily:
         self._h2_tables = (rs, t_cap, t_arc)
 
     def pair(self, u: float) -> ProfilePair:
-        """Mollified member at amplitude u (requires u >= u_ref)."""
+        """Mollified member at amplitude u (requires u_ref <= u <= u_max)."""
         if u < self.u_ref - 1e-12:
             raise InvalidGeometry(
                 f"amplitude {u} below the family reference {self.u_ref}; "
                 "the junction bridge would violate the contact condition")
+        if u > self.u_max + 1e-12:
+            raise InvalidGeometry(
+                f"amplitude {u} above the family cap {self.u_max}; "
+                "the extension depth is sized for amplitudes up to the cap")
         self._ensure_tables()
         raw = build_twisted_path(replace(self.params, u=u))
         rs, t_cap, t_arc = self._h2_tables

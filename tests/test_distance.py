@@ -5,7 +5,8 @@ import pytest
 
 from lutzlab import distance as dist
 from lutzlab import profile as prof
-from lutzlab.errors import DomainViolation, PreconditionFailed
+from lutzlab.errors import (DomainViolation, InvalidGeometry,
+                            PreconditionFailed)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,16 @@ def test_gray_values_straddling_breakpoints(gray_family):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
+def test_gray_degenerate_leg_needs_room_above(gray_family):
+    # a leg that clamps to u_ref at both ends takes its slope from the next
+    # member up, which exists only when the family reaches above u_ref
+    integrand = dist._GrayIntegrand(dist.GrayPathSpec(gray_family, 0.04, 0.04))
+    assert integrand.u1 < integrand.u2 <= gray_family.u_max
+    flat = prof.TwistedPathFamily(gray_family.params, 0.04, 0.04)
+    with pytest.raises(InvalidGeometry):
+        dist._GrayIntegrand(dist.GrayPathSpec(flat, 0.04, 0.04))
+
+
 # --- certificates ------------------------------------------------------------
 
 def test_lower_bound_example(model):
@@ -249,6 +260,28 @@ def test_bilipschitz_sweep_small(model):
             assert row.lower == pytest.approx(abs(row.b1 - row.b2),
                                               abs=1e-12)
             assert row.upper == pytest.approx(row.lower, abs=1e-9)
+    # the cumulative legs agree with one direct leg per pair
+    specs = {p: model.embed_point(p) for p in pts}
+    for row in rep.rows:
+        direct = dist.triangle_ub(specs[(row.a1, row.b1)],
+                                  specs[(row.a2, row.b2)])
+        assert abs(row.upper - direct.upper) <= 1e-10
+
+
+def test_bilipschitz_sweep_rejects_mismatched_model(model):
+    pts = [(0.0, math.log(0.05)), (0.1, math.log(0.05))]
+    for floors, n in (((0.5, 1.0), 2), ((1.0, 0.5), 2), ((1.0, 1.0), 3)):
+        with pytest.raises(PreconditionFailed):
+            dist.bilipschitz_sweep(pts, *floors, n=n, model=model)
+
+
+def test_triangle_ub_needs_one_family(model):
+    from lutzlab.family import FamilyModel
+    other = FamilyModel(1.0, 1.0, n=2)
+    s1 = model.embed_point((0.0, math.log(0.04)))
+    s2 = other.embed_point((0.1, math.log(0.05)))
+    with pytest.raises(PreconditionFailed):
+        dist.triangle_ub(s1, s2)
 
 
 def test_sweep_csv_format(tmp_path, model):

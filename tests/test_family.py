@@ -141,6 +141,37 @@ def test_embed_below_floor_rejected(model):
         model.embed_point((math.log(4.0) / 2, math.log(0.005)))
 
 
+def test_embed_amplitude_cap(model):
+    # (-1, ln 0.06) needs u = 0.165, above the cap of the model's family
+    assert model.amplitude_for(math.exp(-2.0), 0.06) > fam.U_CAP
+    with pytest.raises(DomainViolation):
+        model.embed_point((-1.0, math.log(0.06)))
+    # the point at amplitude 0.149, just below the cap, certifies
+    b = math.log(0.149 * math.exp(-1.0) * model.defaults.l_base
+                 / model.defaults.u_ref)
+    spec = model.embed_point((-1.0, b))
+    assert spec.u == pytest.approx(0.149, rel=1e-12)
+    assert spec.certified
+
+
+def test_members_share_one_family(model):
+    # a Gray leg runs in one member's family, so that family's member at the
+    # other amplitude must be the other member
+    specs = [model.embed_point(p) for p in
+             ((0.0, math.log(0.03)), (0.1, math.log(0.05)),
+              (0.0, math.log(0.06)))]
+    rs = np.linspace(0.0, 1.0, 4001)
+    for lo in specs:
+        for hi in specs:
+            if hi.u <= lo.u:
+                continue
+            rebuilt = hi.family.pair(lo.u)
+            for got, want in ((rebuilt.h1, lo.pair.h1),
+                              (rebuilt.h2, lo.pair.h2)):
+                assert np.max(np.abs(got.value(rs) - want.value(rs))) \
+                    <= 1e-15
+
+
 def test_compensation_neutrality(model):
     # moving l at fixed k leaves the total volume at k
     vols = [model.embed_point((0.1, math.log(l))).total_volume()

@@ -198,6 +198,17 @@ def test_family_pair_matches_mollified_member():
         assert np.max(np.abs(got.h2.deriv(rs) - want.h2.deriv(rs))) <= 1e-10
 
 
+def test_family_pair_rejects_amplitudes_above_cap():
+    # the extension depth is sized for u_max, so members above it are refused
+    # with the same 1e-12 slack as the floor at u_ref
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    fam = prof.TwistedPathFamily(base, 0.04, 0.06)
+    fam.pair(fam.u_max + 5e-13)
+    for u in (fam.u_max + 1e-9, 2.0 * fam.u_max):
+        with pytest.raises(InvalidGeometry):
+            fam.pair(u)
+
+
 def test_mollified_second_differences_bounded(smooth_pair):
     h = 1e-4
     rs = np.linspace(0.0495 + 2 * h, 0.0505 - 2 * h, 101)
