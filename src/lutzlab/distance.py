@@ -433,8 +433,13 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
     slack across the grid.  Rows come in pair order.  Every member lives in
     the model's one amplitude family, where Gray legs are additive, so the
     sweep runs one Gray integral per adjacent amplitude step and each
-    pair's leg is the difference of two prefix sums.
+    pair's leg is the difference of two prefix sums.  Fewer than two points
+    give no pair to certify and raise PreconditionFailed.
     """
+    points = list(points)
+    if len(points) < 2:
+        raise PreconditionFailed(
+            f"the sandwich needs at least two points, got {len(points)}")
     if model is None:
         model = FamilyModel(ambient_floor_a, compensator_floor_b, n=n)
     elif (model.ambient_floor_a, model.compensator_floor_b, model.n) != (

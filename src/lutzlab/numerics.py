@@ -117,33 +117,6 @@ def grid_argmax_refined(f_grid: Callable[[np.ndarray], np.ndarray],
     return x, fx
 
 
-def find_roots_bracketed(f: Callable[[float], float], a: float, b: float,
-                         n_grid: int, xtol: float = 1e-10) -> list:
-    """All sign-change roots of f on (a, b) located on an n_grid scan.
-
-    Bisection-style bracketing refinement (Brent) on each sign change.
-    """
-    from scipy.optimize import brentq
-
-    xs = np.linspace(a, b, n_grid)
-    fs = np.array([f(x) for x in xs])
-    roots = []
-    for i in range(len(xs) - 1):
-        f0, f1 = fs[i], fs[i + 1]
-        if f0 == 0.0:
-            roots.append(xs[i])
-        elif f0 * f1 < 0.0:
-            roots.append(brentq(f, xs[i], xs[i + 1], xtol=xtol))
-    if fs[-1] == 0.0:
-        roots.append(xs[-1])
-    # dedupe near-coincident roots
-    out = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 10 * xtol:
-            out.append(float(r))
-    return out
-
-
 def format_float(x: float) -> str:
     """17-significant-digit, locale-free float formatting for artifacts."""
     if x == math.inf:

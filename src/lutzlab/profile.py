@@ -196,9 +196,7 @@ class PiecewiseProfile:
     def segment_span(self, r: float) -> tuple:
         """(segment, lo, hi) of the piece containing r; direct evaluation on
         the returned segment is valid only inside [lo, hi]."""
-        idx = int(np.clip(np.searchsorted(self.breakpoints[1:-1], r,
-                                          side="left"),
-                          0, len(self.segments) - 1))
+        idx = int(self._segment_index(r))
         return (self.segments[idx], float(self.breakpoints[idx]),
                 float(self.breakpoints[idx + 1]))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,8 +23,7 @@ from scipy.optimize import brentq
 
 from .errors import (InvalidGeometry, NotSymplectic, PreconditionFailed,
                      SingularLocus)
-from .numerics import (adaptive_simpson, find_roots_bracketed,
-                       format_float)
+from .numerics import adaptive_simpson, format_float
 from .profile import TWO_PI, ProfilePair, TwistParams
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -103,29 +101,32 @@ def resonance_scan(pair: ProfilePair, pq_max: int,
                    grid: int = 4000) -> list:
     """All rational-slope tori with |p|, |q| <= pq_max.
 
-    Roots of q h1' = 2 pi p h2' are bracketed on the grid and refined to
-    1e-10; loci where one derivative vanishes identically over an interval
-    are reported once as a continuum family.
+    h1' and h2' are sampled once on the grid, shared by every (p, q).
+    Roots of q h1' = 2 pi p h2' are bracketed by sign changes on the grid
+    and polished by Brent to 1e-15; loci where the defining function
+    vanishes over a span of the grid are reported once as a continuum
+    family.
     """
     if pq_max < 1:
         raise ValueError("pq_max must be at least 1")
+    if grid < 2:
+        raise ValueError("grid must have at least two points")
     eps = pair.epsilon
     out = []
-    seen = []
 
-    def register(r0, p_unsigned, q_unsigned):
+    def register(r0, p_unsigned, q_unsigned, continuum):
         h1p = float(pair.h1.deriv(r0))
         h2p = float(pair.h2.deriv(r0))
         if abs(h1p) < 1e-12 and abs(h2p) < 1e-12:
             return
         p = int(math.copysign(p_unsigned, h1p)) if p_unsigned else 0
         q = int(math.copysign(q_unsigned, h2p)) if q_unsigned else 0
-        for r_prev, p_prev, q_prev in seen:
-            if abs(r0 - r_prev) < 1e-9 and (p, q) == (p_prev, q_prev):
-                return
-        seen.append((r0, p, q))
-        out.append(_family_at(pair, r0, p, q,
-                              morse_bott_check(pair, r0)))
+        if any(f.continuum == continuum and abs(f.r0 - r0) < 1e-9
+               and (f.p, f.q) == (p, q) for f in out):
+            return
+        morse_bott = not continuum and morse_bott_check(pair, r0)
+        out.append(_family_at(pair, r0, p, q, morse_bott,
+                              continuum=continuum))
 
     pairs = [(0, 1), (1, 0)]
     for q_un in range(1, pq_max + 1):
@@ -135,6 +136,8 @@ def resonance_scan(pair: ProfilePair, pq_max: int,
 
     lo_r, hi_r = 1e-6 * eps, eps * (1.0 - 1e-12)
     rs = np.linspace(lo_r, hi_r, grid)
+    h1p = pair.h1.deriv(rs)
+    h2p = pair.h2.deriv(rs)
     for p_un, q_un in pairs:
         for sp in ((1,) if p_un == 0 else (1, -1)):
             p_signed = sp * p_un
@@ -143,33 +146,27 @@ def resonance_scan(pair: ProfilePair, pq_max: int,
                 return (q_un * float(pair.h1.deriv(r))
                         - TWO_PI * p_signed * float(pair.h2.deriv(r)))
 
-            gs = np.array([g(r) for r in rs])
+            gs = q_un * h1p - TWO_PI * p_signed * h2p
             # continuum: the defining function vanishes on a whole span
             flat = np.abs(gs) < 1e-13
-            if np.any(flat):
-                spans = _flat_spans(rs, flat)
-                for a, b in spans:
-                    mid = 0.5 * (a + b)
-                    h1p = float(pair.h1.deriv(mid))
-                    h2p = float(pair.h2.deriv(mid))
-                    if abs(h1p) < 1e-12 and abs(h2p) < 1e-12:
-                        continue
-                    p = int(math.copysign(p_un, h1p)) if p_un else 0
-                    q = int(math.copysign(q_un, h2p)) if q_un else 0
-                    fam = _family_at(pair, mid, p, q, False, continuum=True)
-                    if not any(f.continuum and abs(f.r0 - mid) < 1e-9
-                               and (f.p, f.q) == (p, q) for f in out):
-                        out.append(fam)
-            for i in range(len(rs) - 1):
-                if flat[i] or flat[i + 1]:
-                    continue
-                if gs[i] * gs[i + 1] < 0.0:
-                    # polish well past the 1e-10 target: the period
-                    # cross-check is first order in the root residual
-                    r0 = brentq(g, rs[i], rs[i + 1], xtol=1e-15)
-                    register(r0, p_un, q_un)
+            for a, b in _flat_spans(rs, flat):
+                register(0.5 * (a + b), p_un, q_un, True)
+            # zeroed flat samples bracket nothing; the polish is tight
+            # because the period cross-check is first order in the root
+            # residual
+            for r0 in _polished_roots(g, rs, np.where(flat, 0.0, gs),
+                                      1e-15):
+                register(r0, p_un, q_un, False)
     out.sort(key=lambda f: (f.r0, f.p, f.q))
     return out
+
+
+def _polished_roots(f: Callable[[float], float], xs: np.ndarray,
+                    fs: np.ndarray, xtol: float) -> list:
+    """Brent-polished roots of the scalar f, one per grid cell of xs whose
+    samples fs change sign strictly."""
+    cells = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
+    return [brentq(f, xs[i], xs[i + 1], xtol=xtol) for i in cells]
 
 
 def _flat_spans(rs, flat):
@@ -198,30 +195,19 @@ def orbit_scan_csv(families: list, path: str) -> None:
 # action minima
 # ---------------------------------------------------------------------------
 
-_MINIMA_CACHE = weakref.WeakKeyDictionary()
-
-
 def action_minima(pair: ProfilePair) -> tuple:
     """(r_plus, r_plus_prime, action_plus, action_plus_prime).
 
     The action minima of the rotating-torus families sit at the zeros of
-    h1, where the horizontal orbits have action 2 pi |h2|.  Results are
-    memoised per pair (pairs are immutable once built).
+    h1, where the horizontal orbits have action 2 pi |h2|.  h1 is sampled
+    once on a 4000-point grid and each sign change is polished by Brent to
+    1e-12.
     """
-    cached = _MINIMA_CACHE.get(pair)
-    if cached is not None:
-        return cached
-    result = _action_minima_impl(pair)
-    _MINIMA_CACHE[pair] = result
-    return result
-
-
-def _action_minima_impl(pair: ProfilePair) -> tuple:
     if pair.winding_number() != 1:
         raise InvalidGeometry("action minima require a full-twist path")
-    zeros = find_roots_bracketed(lambda r: float(pair.h1.value(r)),
-                                 1e-9, pair.epsilon * (1 - 1e-12), 4000,
-                                 xtol=1e-12)
+    xs = np.linspace(1e-9, pair.epsilon * (1 - 1e-12), 4000)
+    zeros = _polished_roots(lambda r: float(pair.h1.value(r)), xs,
+                            pair.h1.value(xs), 1e-12)
     if len(zeros) != 2:
         raise InvalidGeometry(
             f"expected exactly two zeros of h1, found {len(zeros)}")
@@ -613,9 +599,7 @@ def l_invariant(pair: ProfilePair, params: TwistParams,
     check = claction_check(pair, params, ambient_floor_a)
     if not check["passed"]:
         raise PreconditionFailed(f"action certification failed: {check}")
-    r_plus, _, _, _ = action_minima(pair)
-    return (TWO_PI * abs(float(pair.h2.value(r_plus)))
-            * (1.0 + params.delta * params.mu_minus))
+    return check["action_plus"] * (1.0 + params.delta * params.mu_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,13 @@ def test_sandwich_determinism(tmp_path):
         == (out2 / "sandwich.csv").read_bytes()
 
 
+def test_sandwich_single_point_is_input_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "distance", "sandwich", "--a-grid", "0", "0.18",
+                  "1", "--b-grid", "-3.2", "-3.2", "1")
+    assert code == 2
+    assert "at least two points" in capsys.readouterr().err
+
+
 def test_scaling_command(tmp_path):
     code, out = run(tmp_path, "family", "scaling", "--a", "0.05",
                     "--b", str(math.log(0.04)), "--c", "2.0")
@@ -129,6 +136,9 @@ def test_reeb_subcommands(tmp_path):
     assert code == 0
     assert (o / "orbits.csv").read_text().startswith(
         "r0,p,q,period,action,morse_bott")
+    code, _ = run(tmp_path / "scan1", "reeb", "scan", "--in", spec,
+                  "--grid", "1")
+    assert code == 2
     code, o = run(tmp_path / "min", "reeb", "minima", "--in", spec)
     assert code == 0
     doc = json.loads((o / "minima.json").read_text())

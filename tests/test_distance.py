@@ -275,6 +275,16 @@ def test_bilipschitz_sweep_rejects_mismatched_model(model):
             dist.bilipschitz_sweep(pts, *floors, n=n, model=model)
 
 
+def test_bilipschitz_sweep_needs_two_points(model, monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("embedded a member before the point check")
+
+    monkeypatch.setattr(model, "embed_point", no_embedding)
+    for pts in ([], [(0.0, math.log(0.05))]):
+        with pytest.raises(PreconditionFailed):
+            dist.bilipschitz_sweep(pts, 1.0, 1.0, model=model)
+
+
 def test_triangle_ub_needs_one_family(model):
     from lutzlab.family import FamilyModel
     other = FamilyModel(1.0, 1.0, n=2)

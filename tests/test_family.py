@@ -131,6 +131,21 @@ def test_embed_round_trip_grid(model):
     assert worst_v < 1e-7
 
 
+def test_embed_winds_once(model, monkeypatch):
+    # the l-invariant's action certificate is the only winding check
+    calls = []
+    winding = prof.ProfilePair.winding_number
+
+    def counted(pair):
+        calls.append(pair)
+        return winding(pair)
+
+    monkeypatch.setattr(prof.ProfilePair, "winding_number", counted)
+    spec = model.embed_point((0.07, math.log(0.045)))
+    assert spec.certified
+    assert len(calls) == 1
+
+
 def test_embed_domain_violation(model):
     with pytest.raises(DomainViolation):
         model.embed_point((0.0, 0.1))

@@ -42,12 +42,6 @@ def test_grid_argmax_refined():
     assert v == pytest.approx(1.0, abs=1e-13)
 
 
-def test_find_roots_bracketed():
-    roots = num.find_roots_bracketed(lambda x: math.sin(2 * math.pi * x),
-                                     0.1, 1.4, 400)
-    assert np.allclose(roots, [0.5, 1.0], atol=1e-9)
-
-
 def test_format_float_round_trip():
     for x in (0.1, 1.0 / 3.0, 2.0 ** -40, 123456.789):
         assert float(num.format_float(x)) == x

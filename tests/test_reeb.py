@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lutzlab import profile as prof
 from lutzlab import reeb
@@ -100,7 +101,75 @@ def test_orbit_csv(tmp_path, smooth_pair):
     assert len(lines) == len(fams) + 1
 
 
+def test_scan_needs_a_cell(smooth_pair):
+    with pytest.raises(ValueError):
+        reeb.resonance_scan(smooth_pair, 1, grid=1)
+    with pytest.raises(ValueError):
+        reeb.resonance_scan(smooth_pair, 0)
+
+
+def scalar_scan(pair, pq_max, grid):
+    """Reference scan: one scalar profile call per grid point and a Brent
+    polish per strict sign change between two non-flat samples."""
+    families = []
+
+    def register(r0, p_un, q_un, continuum):
+        h1p, h2p = float(pair.h1.deriv(r0)), float(pair.h2.deriv(r0))
+        if abs(h1p) < 1e-12 and abs(h2p) < 1e-12:
+            return
+        p = int(math.copysign(p_un, h1p)) if p_un else 0
+        q = int(math.copysign(q_un, h2p)) if q_un else 0
+        for f in families:
+            if (f.continuum == continuum and abs(f.r0 - r0) < 1e-9
+                    and (f.p, f.q) == (p, q)):
+                return
+        mb = False if continuum else reeb.morse_bott_check(pair, r0)
+        families.append(reeb._family_at(pair, r0, p, q, mb, continuum))
+
+    pqs = [(0, 1), (1, 0)] + [(p, q) for q in range(1, pq_max + 1)
+                              for p in range(1, pq_max + 1)
+                              if math.gcd(p, q) == 1]
+    rs = np.linspace(1e-6 * pair.epsilon, pair.epsilon * (1.0 - 1e-12),
+                     grid)
+    for p_un, q_un in pqs:
+        for p_signed in ((0,) if p_un == 0 else (p_un, -p_un)):
+            def g(r):
+                return (q_un * float(pair.h1.deriv(r))
+                        - TWO_PI * p_signed * float(pair.h2.deriv(r)))
+
+            gs = [g(r) for r in rs]
+            flat = [abs(v) < 1e-13 for v in gs]
+            for a, b in reeb._flat_spans(rs, np.array(flat)):
+                register(0.5 * (a + b), p_un, q_un, True)
+            for i in range(grid - 1):
+                if not (flat[i] or flat[i + 1]) and gs[i] * gs[i + 1] < 0.0:
+                    register(brentq(g, rs[i], rs[i + 1], xtol=1e-15),
+                             p_un, q_un, False)
+    families.sort(key=lambda f: (f.r0, f.p, f.q))
+    return families
+
+
+@pytest.mark.parametrize("name", ["smooth_pair", "cap_pair"])
+def test_scan_matches_scalar_reference(name, request):
+    pair = request.getfixturevalue(name)
+    key = lambda fams: [(f.r0, f.p, f.q, f.period, f.morse_bott,
+                         f.continuum) for f in fams]
+    fams = reeb.resonance_scan(pair, 2, grid=2000)
+    assert fams
+    assert key(fams) == key(scalar_scan(pair, 2, 2000))
+
+
 # --- action minima ----------------------------------------------------------
+
+def test_action_minima_matches_scalar_reference(smooth_pair):
+    h1 = lambda r: float(smooth_pair.h1.value(r))
+    xs = np.linspace(1e-9, smooth_pair.epsilon * (1 - 1e-12), 4000)
+    fs = [h1(x) for x in xs]
+    zeros = [brentq(h1, xs[i], xs[i + 1], xtol=1e-12)
+             for i in range(len(xs) - 1) if fs[i] * fs[i + 1] < 0.0]
+    actions = [TWO_PI * abs(float(smooth_pair.h2.value(r))) for r in zeros]
+    assert reeb.action_minima(smooth_pair) == (*zeros, *actions)
+
 
 def test_action_minima_closed_form(smooth_pair, solved_params):
     r_plus, r_pp, a_plus, a_pp = reeb.action_minima(smooth_pair)
