@@ -312,8 +312,9 @@ def cmd_persist_barcode(args, ctx: RunContext) -> int:
         dga = persistence.FilteredDGA.from_json(fh.read())
     bars = persistence.barcode(dga)
     bars.to_csv(ctx.path("barcode.csv"))
-    level = persistence.unit_vanishing_level(dga)
-    print(f"{len(bars.bars)} bars; unit level = {format_float(level)}")
+    # the unit's bar dies where unit_vanishing_level stops: the same column
+    print(f"{len(bars.bars)} bars; "
+          f"unit level = {format_float(bars.unit_bar().death)}")
     return EXIT_OK
 
 

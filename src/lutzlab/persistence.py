@@ -8,6 +8,11 @@ filtered elimination over exact rationals and `brute_force_oracle`
 recomputes them by dense row reduction as an independent check.  The
 unit's bar is the longest finite one; its right endpoint is the lowest
 action of a primitive of the empty word.
+
+Each of `barcode`, `unit_vanishing_level`, `brute_force_oracle` and
+`d_squared_check` computes every needed word's boundary once, into one
+table per call; d^2 = 0 is checked on every basis word from the same
+table that builds the boundary columns.
 """
 
 from __future__ import annotations
@@ -158,7 +163,6 @@ class FilteredDGA:
             gdeg = self.generators[gi].degree
             if terms:
                 # d(g^e) = e g^(e-1) dg for even g; e = 1 for odd g
-                mult = Fraction(e)
                 rest = list(word)
                 if e == 1:
                     rest.pop(pos)
@@ -172,8 +176,8 @@ class FilteredDGA:
                         + self._flatten(tuple(rest[pos:])))
                     if sign == 0 or coeff == 0:
                         continue
-                    c = coeff * mult * prefix_sign * sign
-                    out[prod] = out.get(prod, Fraction(0)) + c
+                    c = coeff * (e * prefix_sign * sign)
+                    out[prod] = out[prod] + c if prod in out else c
             flat_prefix_deg += e * gdeg
         return {w: c for w, c in out.items() if c != 0}
 
@@ -268,17 +272,34 @@ def boundary(dga: FilteredDGA, element) -> Dict[Word, Fraction]:
     return dga.boundary(elem)
 
 
-def d_squared_check(dga: FilteredDGA) -> bool:
-    """True iff the boundary squares to zero on every basis monomial."""
-    for word in dga.basis():
-        first = dga.boundary_word(word)
+def _boundary_table(dga: FilteredDGA, basis: List[Word]):
+    """Boundary of every basis word and of every word in those images,
+    each computed once; image words may lie outside the basis."""
+    table: Dict[Word, Dict[Word, Fraction]] = {}
+    for word in basis:
+        if word not in table:
+            table[word] = dga.boundary_word(word)
+        for w in table[word]:
+            if w not in table:
+                table[w] = dga.boundary_word(w)
+    return table
+
+
+def _squares_to_zero(basis: List[Word], table) -> bool:
+    for word in basis:
         second: Dict[Word, Fraction] = {}
-        for w, c in first.items():
-            for w2, c2 in dga.boundary_word(w).items():
+        for w, c in table[word].items():
+            for w2, c2 in table[w].items():
                 second[w2] = second.get(w2, Fraction(0)) + c * c2
         if any(c != 0 for c in second.values()):
             return False
     return True
+
+
+def d_squared_check(dga: FilteredDGA) -> bool:
+    """True iff the boundary squares to zero on every basis monomial."""
+    basis = dga.basis()
+    return _squares_to_zero(basis, _boundary_table(dga, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +338,21 @@ class Barcode:
                          f"{format_float(b.death)}\n")
 
 
-def _boundary_columns(dga: FilteredDGA, basis: List[Word]):
+def _checked_columns(dga: FilteredDGA, basis: List[Word]):
+    """Sparse boundary columns over `basis`, from one boundary table.
+
+    d^2 = 0 is checked on every basis word from the same table first, so a
+    failing differential raises PreconditionFailed before an image outside
+    the basis raises BasisOverflow.
+    """
+    table = _boundary_table(dga, basis)
+    if not _squares_to_zero(basis, table):
+        raise PreconditionFailed("differential does not square to zero")
     pos = {w: i for i, w in enumerate(basis)}
     cols = []
     for w in basis:
-        img = dga.boundary_word(w)
         col = {}
-        for word, coeff in img.items():
+        for word, coeff in table[w].items():
             if word not in pos:
                 raise BasisOverflow(
                     f"boundary of {dga.word_name(w)} leaves the basis")
@@ -362,11 +391,11 @@ def barcode(dga: FilteredDGA) -> Barcode:
 
     A column that reduces to zero births a class at its own action, and a
     pivot pair (i, j) closes the bar of basis element i at the action of j.
+    Raises PreconditionFailed unless d^2 = 0 on every basis word, checked
+    from the same boundary table that builds the columns.
     """
-    if not d_squared_check(dga):
-        raise PreconditionFailed("differential does not square to zero")
     basis = dga.basis()
-    reduced = list(_eliminate(_boundary_columns(dga, basis)))
+    reduced = list(_eliminate(_checked_columns(dga, basis)))
     death_of = {max(col): j for j, col in enumerate(reduced) if col}
     bars = []
     for i, w in enumerate(basis):
@@ -391,10 +420,9 @@ def brute_force_oracle(dga: FilteredDGA) -> Barcode:
     n = len(basis)
     if n > 5000:
         raise BasisOverflow(f"{n} monomials exceed the oracle bound")
-    if not d_squared_check(dga):
-        raise PreconditionFailed("differential does not square to zero")
+    cols = _checked_columns(dga, basis)
     mat = [[Fraction(0)] * n for _ in range(n)]
-    for j, col in enumerate(_boundary_columns(dga, basis)):
+    for j, col in enumerate(cols):
         for i, c in col.items():
             mat[i][j] = c
 
@@ -436,12 +464,12 @@ def unit_vanishing_level(dga: FilteredDGA):
 
     Incremental elimination in filtration order, stopping at the first
     column whose reduced form is supported on the unit alone.  Returns
-    math.inf when no primitive exists under the caps.
+    math.inf when no primitive exists under the caps.  Raises
+    PreconditionFailed unless d^2 = 0 on every basis word, checked from
+    the same boundary table that builds the columns.
     """
-    if not d_squared_check(dga):
-        raise PreconditionFailed("differential does not square to zero")
     basis = dga.basis()
-    for j, col in enumerate(_eliminate(_boundary_columns(dga, basis))):
+    for j, col in enumerate(_eliminate(_checked_columns(dga, basis))):
         if col and max(col) == 0:  # the unit's row
             return dga.word_action(basis[j])
     return INF

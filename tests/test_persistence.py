@@ -51,14 +51,30 @@ def test_odd_square_dies(xy_dga):
         xy_dga._parse_word(["y", "y"])
 
 
-def test_boundary_overflow():
+def _overflow_dga(dy):
     # a two-letter differential word pushes products past the word cap
-    dga = ps.FilteredDGA(
+    diff = {"x": [(1, ["y", "z"])]}
+    if dy:
+        diff["y"] = [(1, [])]  # d(dx) = z != 0
+    return ps.FilteredDGA(
         [ps.Generator("y", 1, 1.0), ps.Generator("z", 1, 2.0),
          ps.Generator("x", 1, 5.0), ps.Generator("w", 0, 1.0)],
-        {"x": [(1, ["y", "z"])]}, action_cap=50.0, word_cap=2)
+        diff, action_cap=50.0, word_cap=2)
+
+
+def test_boundary_overflow():
+    dga = _overflow_dga(dy=False)
     with pytest.raises(BasisOverflow):
         ps.boundary(dga, {("x", "w"): 1})  # d(xw) contains y*z*w, length 3
+
+
+@pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
+                                ps.brute_force_oracle])
+def test_d_squared_failure_wins_over_overflow(fn):
+    with pytest.raises(PreconditionFailed):
+        fn(_overflow_dga(dy=True))
+    with pytest.raises(BasisOverflow):
+        fn(_overflow_dga(dy=False))
 
 
 def test_differential_validation():
@@ -87,6 +103,41 @@ def test_d_squared_bad():
 def test_d_squared_empty():
     dga = ps.FilteredDGA([ps.Generator("x", 1, 1.0)], {}, 10.0, 3)
     assert ps.d_squared_check(dga)
+
+
+def _d_squared_per_word(dga):
+    """Reference: recompute both boundaries word by word, no table."""
+    for word in dga.basis():
+        second = {}
+        for w, c in dga.boundary_word(word).items():
+            for w2, c2 in dga.boundary_word(w).items():
+                second[w2] = second.get(w2, Fraction(0)) + c * c2
+        if any(c != 0 for c in second.values()):
+            return False
+    return True
+
+
+def test_d_squared_matches_per_word_reference():
+    rng = np.random.default_rng(45)
+    dgas = [ps.random_chain_dga(rng) for _ in range(25)]
+    dgas += [ps.random_admissible_dga(rng) for _ in range(10)]
+    dgas.append(ps.FilteredDGA(
+        [ps.Generator("y", 1, 1.0), ps.Generator("x", 0, 3.0)],
+        {"x": [(1, ["y"])], "y": [(1, [])]}, 10.0, 4))
+    for dga in dgas:
+        assert ps.d_squared_check(dga) == _d_squared_per_word(dga)
+    assert not ps.d_squared_check(dgas[-1])
+
+
+def test_d_squared_violation_above_action_cap():
+    # d(dx) = dy = 1 != 0, but x lies above the cap, so no basis word
+    # sees it
+    dga = ps.FilteredDGA(
+        [ps.Generator("y", 1, 1.0), ps.Generator("x", 0, 30.0)],
+        {"x": [(1, ["y"])], "y": [(1, [])]}, 10.0, 4)
+    assert _d_squared_per_word(dga)
+    assert ps.d_squared_check(dga)
+    ps.barcode(dga)
 
 
 # --- unit level --------------------------------------------------------------
@@ -189,6 +240,32 @@ def test_filtration_monotonicity_random():
             img = dga.boundary_word(w)
             for w2 in img:
                 assert dga.word_action(w2) < dga.word_action(w)
+
+
+def _koszul_dga():
+    """Even e_i, odd o_i with d o_i = c_i e_i, and odd t with dt = 1."""
+    gens, diff = [], {}
+    for i in range(4):
+        gens += [ps.Generator(f"e{i}", 0, 1.0 + 0.1 * i),
+                 ps.Generator(f"o{i}", 1, 1.5 + 0.1 * i)]
+        diff[f"o{i}"] = [(Fraction((-1) ** i * (i + 1), 2), [f"e{i}"])]
+    gens.append(ps.Generator("t", 1, 2.2))
+    diff["t"] = [(1, [])]
+    return ps.FilteredDGA(gens, diff, action_cap=1e6, word_cap=5)
+
+
+@pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
+                                ps.d_squared_check])
+def test_one_boundary_per_basis_word(monkeypatch, fn):
+    dga = _koszul_dga()
+    n = len(dga.basis())
+    assert n == 1002
+    calls = []
+    inner = ps.FilteredDGA.boundary_word
+    monkeypatch.setattr(ps.FilteredDGA, "boundary_word",
+                        lambda self, w: calls.append(w) or inner(self, w))
+    fn(dga)
+    assert len(calls) == n
 
 
 def test_determinism_bit_reproducible(xy_dga):
