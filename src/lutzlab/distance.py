@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
-from .numerics import adaptive_simpson, format_float
+from .numerics import adaptive_simpson, format_float, grid_sup
 from .family import FamilyModel, FormSpec
 from .profile import TWO_PI, TwistedPathFamily, check_contact_condition
 
@@ -100,7 +100,7 @@ def lower_bound(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
         method = "max"
     wit = {"volume_channel": vol_channel, "l_channel": l_channel,
            "volume_recomputed": (s1.total_volume(), s2.total_volume()),
-           "l_recomputed": (s1.l_invariant(), s2.l_invariant())}
+           "l_recomputed": (s1.l_recomputed, s2.l_recomputed)}
     return BoundCertificate(lower=lower, upper=math.inf,
                             lower_method=method, upper_method="none",
                             witnesses=wit)
@@ -193,9 +193,9 @@ def folding_bounds(a1: float, a2: float, ball: float,
 # the Gray-stability integral
 # ---------------------------------------------------------------------------
 
-# Radius grid of the Gray sup scan, and amplitudes checked along a leg.
+# Radius grid of the Gray sup scan, and the leg quadrature's tolerance.
 _R_GRID = 2048
-_U_GRID = 9
+_GRAY_TOL = 1e-12
 
 
 @dataclass
@@ -217,21 +217,16 @@ class GrayResult:
 class _GrayIntegrand:
     """sup_r |d(h2_u)/du * (-h1'/D_u)| with the affine-in-u structure.
 
-    Two family members pin the affine data B = dh2/du and D_u = DA + u DB;
-    grid evaluation is then a single vector expression per u, refined by
-    golden search around the grid argmax.
+    The two members at the leg's ends, which must differ, pin the affine
+    data B = dh2/du and D_u = DA + u DB; the sup at each u is one vector
+    expression on the radius grid, refined by `numerics.grid_sup` with
+    brackets evaluated segment by segment.
     """
 
     def __init__(self, spec: GrayPathSpec):
-        fam = spec.family
-        u1 = max(spec.u_start, fam.u_ref)
-        u2 = max(spec.u_end, fam.u_ref)
-        if u2 == u1:
-            # a degenerate leg takes its slope from the next member up,
-            # which `pair` builds only while u1 sits below the family's cap
-            u2 = u1 * (1.0 + 1e-6) + 1e-12
-        self.pair1 = fam.pair(u1)
-        self.pair2 = fam.pair(u2)
+        u1, u2 = spec.u_start, spec.u_end
+        self.pair1 = spec.family.pair(u1)
+        self.pair2 = spec.family.pair(u2)
         self.u1, self.u2 = u1, u2
         eps = self.pair1.epsilon
         self.rs = np.linspace(1e-9, eps * (1.0 - 1e-12), _R_GRID)
@@ -273,53 +268,37 @@ class _GrayIntegrand:
             raise SingularLocus(
                 f"never-parallel determinant vanishes along the leg at "
                 f"u = {u}")
-        vals = np.abs(self._B * self._h1p / den)
-        i = int(np.argmax(vals))
-        lo = self.rs[max(i - 1, 0)]
-        hi = self.rs[min(i + 1, len(self.rs) - 1)]
-        best_r, best_v = float(self.rs[i]), float(vals[i])
-        # four rounds of 33-point bracket shrinking: width drops 16x each
-        for _ in range(4):
-            rs = np.linspace(lo, hi, 33)
-            vv = self._values(rs, u)
-            j = int(np.argmax(vv))
-            if vv[j] > best_v:
-                best_r, best_v = float(rs[j]), float(vv[j])
-            lo = rs[max(j - 1, 0)]
-            hi = rs[min(j + 1, 32)]
-        return best_r, best_v
+        return grid_sup(lambda rs: self._values(rs, u), self.rs,
+                        np.abs(self._B * self._h1p / den))
 
 
-def gray_integral(spec: GrayPathSpec, tol: float = 1e-12) -> GrayResult:
+def gray_integral(spec: GrayPathSpec) -> GrayResult:
     """Integral over u of the sup of the deformation rate of the angle.
 
-    Checks the contact condition and per-radius monotonicity in u on the
-    coarse u-grid first, then runs adaptive quadrature of the inner sup.
+    The contact condition is checked at the leg's two end members, which
+    must pass with one nonzero sign: D_u/r is affine in u at each radius,
+    so that sign, with at least the smaller end margin, holds for every
+    amplitude between them at the checked radii.  A sign change across r
+    fails, since it means a zero of D between samples.  Per-radius
+    monotonicity in u is probed at the midpoint member; then adaptive
+    Simpson integrates the inner sup to absolute tolerance 1e-12.
     """
     u_lo, u_hi = sorted((spec.u_start, spec.u_end))
     if u_hi == u_lo:
         return GrayResult(0.0, ((u_lo, math.nan),), spec.u_start, spec.u_end)
     integrand = _GrayIntegrand(spec)
-
-    # the integrand already holds the members at both ends of the leg
-    if spec.u_start <= spec.u_end:
-        pair_lo, pair_hi = integrand.pair1, integrand.pair2
-    else:
-        pair_lo, pair_hi = integrand.pair2, integrand.pair1
-    us = np.linspace(u_lo, u_hi, _U_GRID)
-    pairs = ([pair_lo] + [spec.family.pair(float(u)) for u in us[1:-1]]
-             + [pair_hi])
-    for u, pair in zip(us, pairs):
-        report = check_contact_condition(pair, grid_size=2000)
-        if not report.passed:
-            raise SingularLocus(
-                f"contact condition fails at u = {u}: {report}")
+    ends = (integrand.pair1, integrand.pair2)
+    reports = [check_contact_condition(p, grid_size=2000) for p in ends]
+    if not (reports[0].passed and reports[1].passed
+            and reports[0].sign == reports[1].sign != 0):
+        raise SingularLocus(
+            f"contact condition fails at the ends u = {integrand.u1}, "
+            f"{integrand.u2} of the leg: {reports}")
     # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
     probe = np.linspace(0.01, integrand.pair1.epsilon * 0.99, 257)
-    h_lo = pair_lo.h2.value(probe)
+    h_1, h_2 = (p.h2.value(probe) for p in ends)
     h_mid = spec.family.pair(0.5 * (u_lo + u_hi)).h2.value(probe)
-    h_hi = pair_hi.h2.value(probe)
-    between = ((h_mid - h_lo) * (h_hi - h_mid)) >= -1e-13
+    between = ((h_mid - h_1) * (h_2 - h_mid)) >= -1e-13
     if not bool(np.all(between)):
         raise SingularLocus("family is not monotone in u at some radius")
 
@@ -330,7 +309,7 @@ def gray_integral(spec: GrayPathSpec, tol: float = 1e-12) -> GrayResult:
         locations.append((u, r_star))
         return v
 
-    value = adaptive_simpson(f, u_lo, u_hi, tol=tol)
+    value = adaptive_simpson(f, u_lo, u_hi, tol=_GRAY_TOL)
     return GrayResult(value=value, sup_locations=tuple(locations),
                       u_start=spec.u_start, u_end=spec.u_end)
 

@@ -181,7 +181,7 @@ class CompensatorSpec:
         return float(TWO_PI * np.sum(dens * 2.0 * rr) * cell)
 
 
-def compensator_solve(v0: float, tube: CompensatorSpec, floor_b: float,
+def compensator_solve(v0: float, tube: CompensatorSpec,
                       n: int = 2) -> CompensatorSpec:
     """Amplitude making the tube volume change equal exactly -v0.
 
@@ -282,6 +282,7 @@ class FormSpec:
     base_volume: float = 1.0
     certified: bool = False
     cert_flags: dict = field(default_factory=dict)
+    l_recomputed: float = math.nan  # the l-invariant embedding verified
 
     @property
     def scale(self) -> float:
@@ -297,13 +298,11 @@ class FormSpec:
                                 * self.ambient_floor_a)
 
     def total_volume(self) -> float:
-        """Recomputed total volume: k times the normalised unit."""
-        eps_p = self.defaults.tube_phys_radius
-        v_tube = eps_p ** 2 * tube_volume(self.pair, self.n)
+        """Total volume: k times the normalised unit."""
         v_k1 = (self.compensator.tube_volume()
                 + self.compensator.delta_volume(self.compensator.amplitude,
                                                 self.n))
-        normalized = v_tube + v_k1 + self.reservoir_volume
+        normalized = self.tube_volume_normalized + v_k1 + self.reservoir_volume
         return self.k * normalized
 
     def to_json(self) -> str:
@@ -350,7 +349,7 @@ class FamilyModel:
         return (l * self.defaults.u_ref
                 / (k ** (1.0 / self.n) * self.defaults.l_base))
 
-    def embed_point(self, point, verify: bool = True) -> FormSpec:
+    def embed_point(self, point) -> FormSpec:
         """Realise (a, b) = (ln k^(1/n), ln l) as a certified FormSpec."""
         a, b = float(point[0]), float(point[1])
         if not self.domain.contains((a, b)):
@@ -375,8 +374,7 @@ class FamilyModel:
         eps_p = self.defaults.tube_phys_radius
         v_tube = eps_p ** 2 * tube_volume(pair, self.n)
         v0 = v_tube - self.base_tube_volume
-        comp = compensator_solve(v0, self.defaults.compensator,
-                                 self.compensator_floor_b, self.n)
+        comp = compensator_solve(v0, self.defaults.compensator, self.n)
 
         spec = FormSpec(n=self.n, k=k, l=l, a=a, b=b, u=u, twist=twist,
                         ambient_floor_a=self.ambient_floor_a,
@@ -385,27 +383,27 @@ class FamilyModel:
                         compensator=comp,
                         tube_volume_normalized=v_tube,
                         reservoir_volume=self.reservoir_volume)
-        if verify:
-            flags = {}
-            l_re = spec.l_invariant()
-            flags["l_round_trip"] = bool(abs(l_re - l) / l <= L_ROUND_TRIP)
-            vol = spec.total_volume()
-            flags["volume_round_trip"] = bool(
-                abs(vol - k) / k <= VOLUME_ROUND_TRIP)
-            # l_invariant raised PreconditionFailed unless the action
-            # certificate passed
-            flags["claction"] = True
-            # pointwise compensator action certificate: the implied floor
-            # must dominate this member's certified action level
-            implied = comp.min_one_plus_nu * self.compensator_floor_b
-            flags["compensator_floor_above_l"] = bool(implied > l)
-            # the uniform, family-wide proxy; conservative and reported only
-            flags["compensator_floor_uniform"] = bool(
-                implied >= math.exp(self.eps_bound) - 1e-12)
-            spec.cert_flags = flags
-            spec.certified = (flags["l_round_trip"]
-                              and flags["volume_round_trip"]
-                              and flags["compensator_floor_above_l"])
+        flags = {}
+        spec.l_recomputed = spec.l_invariant()
+        flags["l_round_trip"] = bool(
+            abs(spec.l_recomputed - l) / l <= L_ROUND_TRIP)
+        vol = spec.total_volume()
+        flags["volume_round_trip"] = bool(
+            abs(vol - k) / k <= VOLUME_ROUND_TRIP)
+        # l_invariant raised PreconditionFailed unless the action
+        # certificate passed
+        flags["claction"] = True
+        # pointwise compensator action certificate: the implied floor
+        # must dominate this member's certified action level
+        implied = comp.min_one_plus_nu * self.compensator_floor_b
+        flags["compensator_floor_above_l"] = bool(implied > l)
+        # the uniform, family-wide proxy; conservative and reported only
+        flags["compensator_floor_uniform"] = bool(
+            implied >= math.exp(self.eps_bound) - 1e-12)
+        spec.cert_flags = flags
+        spec.certified = (flags["l_round_trip"]
+                          and flags["volume_round_trip"]
+                          and flags["compensator_floor_above_l"])
         return spec
 
 
@@ -488,5 +486,5 @@ def sweep_csv(specs: list, path: str) -> None:
             fh.write(",".join([
                 format_float(s.a), format_float(s.b), format_float(s.k),
                 format_float(s.l), format_float(s.total_volume()),
-                format_float(s.l_invariant()), format_float(sys_r),
+                format_float(s.l_recomputed), format_float(sys_r),
                 flags]) + "\n")

@@ -148,10 +148,6 @@ class FilteredDGA:
                 return 0, None
         return sign, tuple(sorted(counts.items()))
 
-    def multiply_words(self, w1: Word, w2: Word) -> Tuple[int, Optional[Word]]:
-        """(sign, product word); sign 0 when an odd square appears."""
-        return self._sort_sign(self._flatten(w1) + self._flatten(w2))
-
     # -- the boundary operator ----------------------------------------------
 
     def boundary_word(self, word: Word) -> Dict[Word, Fraction]:

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidGeometry, QuadratureFailure
-from .numerics import format_float, gl_panel_nodes, grid_argmax_refined
+from .numerics import format_float, gl_panel_nodes, grid_sup
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,7 +123,6 @@ class TableSegment:
         self._spline = CubicSpline(self.rs, self.vals)
         self._d1 = self._spline.derivative(1)
         self._d2 = self._spline.derivative(2)
-        self.deriv_samples = self._d1(self.rs)
 
     def value(self, r):
         return self._spline(np.asarray(r, dtype=float))
@@ -676,7 +675,8 @@ def verify_smoothing_bound(pair_smoothed: ProfilePair, u: float,
         d = pair_smoothed.wronskian(rs)
         return np.abs(-pair_smoothed.h1.deriv(rs) / d)
 
-    _, max_ratio = grid_argmax_refined(ratio, lo, hi, 4096)
+    rs = np.linspace(lo, hi, 4096)
+    _, max_ratio = grid_sup(ratio, rs, ratio(rs))
     return max_ratio, max_ratio <= 1.0 / u
 
 
@@ -708,14 +708,8 @@ class TwistedPathFamily:
         self.params = replace(self.params,
                               extension=ExtensionSpec(h2_depth=depth))
         self.window = default_window(self.params)
-        self._h1_moll = None
-        self._h2_tables = None
-
-    def _ensure_tables(self):
-        if self._h1_moll is not None:
-            return
-        pair0 = build_twisted_path(replace(self.params, u=self.u_ref))
-        self._h1_moll = _mollify_profile(pair0.h1, self.window)
+        self._h1_moll = _mollify_profile(build_twisted_path(self.params).h1,
+                                         self.window)
 
         # h2 on the window neighbourhood splits as cap + u * (unit arc);
         # mollification is linear, so two tables cover every member.
@@ -740,7 +734,6 @@ class TwistedPathFamily:
             raise InvalidGeometry(
                 f"amplitude {u} above the family cap {self.u_max}; "
                 "the extension depth is sized for amplitudes up to the cap")
-        self._ensure_tables()
         raw = build_twisted_path(replace(self.params, u=u))
         rs, t_cap, t_arc = self._h2_tables
         h2 = _splice_window(raw.h2, self.window,

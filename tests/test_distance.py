@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lutzlab import distance as dist
 from lutzlab import profile as prof
 from lutzlab.errors import (DomainViolation, InvalidGeometry,
-                            PreconditionFailed)
+                            PreconditionFailed, SingularLocus)
 
 
 @pytest.fixture(scope="module")
@@ -155,14 +156,55 @@ def test_gray_values_straddling_breakpoints(gray_family):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
-def test_gray_degenerate_leg_needs_room_above(gray_family):
-    # a leg that clamps to u_ref at both ends takes its slope from the next
-    # member up, which exists only when the family reaches above u_ref
-    integrand = dist._GrayIntegrand(dist.GrayPathSpec(gray_family, 0.04, 0.04))
-    assert integrand.u1 < integrand.u2 <= gray_family.u_max
+def test_gray_zero_leg_needs_no_room_above(gray_family):
+    # a leg of zero length is worth 0 without building a member, even in a
+    # family that admits no amplitude above u_ref
     flat = prof.TwistedPathFamily(gray_family.params, 0.04, 0.04)
+    res = dist.gray_integral(dist.GrayPathSpec(flat, 0.04, 0.04))
+    assert res.value == 0.0
+
+
+def test_gray_leg_work_counts(gray_family, monkeypatch):
+    # one leg builds its two end members and the monotonicity probe's
+    # midpoint, and checks contact at the two ends only
+    calls = {"pair": 0, "contact": 0}
+    real_pair = prof.TwistedPathFamily.pair
+    real_check = dist.check_contact_condition
+
+    def counting_pair(self, u):
+        calls["pair"] += 1
+        return real_pair(self, u)
+
+    def counting_check(pair, grid_size=10000):
+        calls["contact"] += 1
+        return real_check(pair, grid_size=grid_size)
+
+    monkeypatch.setattr(prof.TwistedPathFamily, "pair", counting_pair)
+    monkeypatch.setattr(dist, "check_contact_condition", counting_check)
+    dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
+    assert calls == {"pair": 3, "contact": 2}
+
+
+def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
+                                                      monkeypatch):
+    # an end whose determinant changes sign across r, or two ends of
+    # opposite sign, leave a zero of D somewhere on the leg
+    real_check = dist.check_contact_condition
+    for signs in ((0, 1), (1, 0), (1, -1), (-1, 1)):
+        reported = iter(signs)
+
+        def patched(pair, grid_size=10000):
+            return replace(real_check(pair, grid_size=grid_size),
+                           sign=next(reported))
+
+        monkeypatch.setattr(dist, "check_contact_condition", patched)
+        with pytest.raises(SingularLocus):
+            dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
+
+
+def test_gray_leg_must_start_inside_the_family(gray_family):
     with pytest.raises(InvalidGeometry):
-        dist._GrayIntegrand(dist.GrayPathSpec(flat, 0.04, 0.04))
+        dist.gray_integral(dist.GrayPathSpec(gray_family, 0.039, 0.06))
 
 
 # --- certificates ------------------------------------------------------------

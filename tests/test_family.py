@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lutzlab import distance as dist
 from lutzlab import family as fam
 from lutzlab import profile as prof
 from lutzlab import reeb
@@ -67,14 +68,14 @@ def comp_with_volume(target_volume=0.2):
 
 
 def test_compensator_zero_target():
-    spec = fam.compensator_solve(0.0, comp_with_volume(), 1.0)
+    spec = fam.compensator_solve(0.0, comp_with_volume())
     assert spec.amplitude == 0.0 and spec.min_one_plus_nu == 1.0
 
 
 def test_compensator_small_removal():
     tube = comp_with_volume(0.2)
     assert tube.tube_volume() == pytest.approx(0.2, rel=1e-12)
-    spec = fam.compensator_solve(0.01, tube, 1.0)
+    spec = fam.compensator_solve(0.01, tube)
     assert spec.amplitude < 0.0
     assert spec.min_one_plus_nu >= 0.5
     # independent re-integration agrees to 1e-8 relative
@@ -84,13 +85,13 @@ def test_compensator_small_removal():
 
 
 def test_compensator_addition():
-    spec = fam.compensator_solve(-0.01, comp_with_volume(0.2), 1.0)
+    spec = fam.compensator_solve(-0.01, comp_with_volume(0.2))
     assert spec.amplitude > 0.0 and spec.min_one_plus_nu == 1.0
 
 
 def test_compensator_infeasible():
     with pytest.raises(InfeasibleCompensation):
-        fam.compensator_solve(0.19, comp_with_volume(0.2), 1.0)
+        fam.compensator_solve(0.19, comp_with_volume(0.2))
 
 
 def test_compensator_bump_support():
@@ -115,6 +116,34 @@ def test_embed_volume_is_k(model):
     spec = model.embed_point((math.log(2.0), math.log(0.05)))
     assert spec.k == pytest.approx(4.0)
     assert spec.total_volume() == pytest.approx(4.0, rel=1e-7)
+
+
+def test_embed_computes_each_verified_quantity_once(model, monkeypatch):
+    calls = {"volume": 0, "l": 0}
+    real_volume, real_l = fam.tube_volume, reeb.l_invariant
+
+    def counting_volume(*args, **kwargs):
+        calls["volume"] += 1
+        return real_volume(*args, **kwargs)
+
+    def counting_l(*args, **kwargs):
+        calls["l"] += 1
+        return real_l(*args, **kwargs)
+
+    monkeypatch.setattr(fam, "tube_volume", counting_volume)
+    monkeypatch.setattr(reeb, "l_invariant", counting_l)
+    s1 = model.embed_point((0.0, math.log(0.04)))
+    s2 = model.embed_point((0.1, math.log(0.05)))
+    assert calls == {"volume": 2, "l": 2}
+    wit = dist.lower_bound(s1, s2).witnesses
+    assert calls == {"volume": 2, "l": 2}
+    assert wit["l_recomputed"] == (s1.l_recomputed, s2.l_recomputed)
+    for s in (s1, s2):
+        # the stored values are the recomputations, bit for bit
+        assert s.l_recomputed == s.l_invariant()
+        eps_p = s.defaults.tube_phys_radius
+        assert s.tube_volume_normalized == eps_p ** 2 * real_volume(s.pair,
+                                                                    s.n)
 
 
 def test_embed_round_trip_grid(model):

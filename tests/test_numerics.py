@@ -28,18 +28,26 @@ def test_gl_panels_match_simpson():
     assert gl == pytest.approx(ref, abs=1e-12)
 
 
-def test_golden_max():
-    x, v = num.golden_max(lambda t: -(t - 0.3) ** 2 + 2.0, 0.0, 1.0)
-    # the argmax floor for a quadratic peak is sqrt(eps) ~ 1.5e-8
-    assert x == pytest.approx(0.3, abs=1e-6)
-    assert v == pytest.approx(2.0, abs=1e-14)
-
-
-def test_grid_argmax_refined():
+def test_grid_sup():
+    # a peak on a grid point
     f = lambda rs: np.sin(2 * np.pi * rs) ** 2
-    x, v = num.grid_argmax_refined(f, 0.0, 0.5, 257)
+    xs = np.linspace(0.0, 0.5, 257)
+    x, v = num.grid_sup(f, xs, f(xs))
     assert x == pytest.approx(0.25, abs=1e-7)
     assert v == pytest.approx(1.0, abs=1e-13)
+    # a quadratic peak between grid points: four 16-fold rounds leave a
+    # sample spacing of h / 16^4 = 2.4e-7 around the peak
+    q = lambda rs: 2.0 - (rs - 0.3) ** 2
+    xs = np.linspace(0.0, 1.0, 64)
+    vals = q(xs)
+    x, v = num.grid_sup(q, xs, vals)
+    assert x == pytest.approx(0.3, abs=2.5e-7)
+    assert v == pytest.approx(2.0, abs=1e-13)
+    assert v >= float(np.max(vals))
+    # maxima at either end of the grid stay there
+    for g, end in ((lambda rs: rs, 1.0), (lambda rs: -rs, 0.0)):
+        xs = np.linspace(0.0, 1.0, 50)
+        assert num.grid_sup(g, xs, g(xs)) == (end, float(g(np.array(end))))
 
 
 def test_format_float_round_trip():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -257,6 +258,53 @@ def test_smoothing_bound_flat_region_is_free(cap_pair, solved_params):
     sm = prof.mollify(cap_pair, w)
     ratio, ok = prof.verify_smoothing_bound(sm, 0.05, window=w)
     assert ok and ratio < 1e-6  # zero up to table interpolation noise
+
+
+def _golden_window_sup(pair, lo, hi, n=4096, tol=1e-12):
+    """The earlier smoothing-bound refiner: grid argmax, then golden-section
+    search on the two cells around it, kept if it beats the grid."""
+    def ratio(rs):
+        return np.abs(-pair.h1.deriv(rs) / pair.wronskian(rs))
+
+    def scalar(r):
+        return float(ratio(np.array([r]))[0])
+
+    rs = np.linspace(lo, hi, n)
+    vals = ratio(rs)
+    i = int(np.argmax(vals))
+    a, b = rs[max(i - 1, 0)], rs[min(i + 1, n - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = scalar(c), scalar(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = scalar(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = scalar(d)
+    fx = scalar(0.5 * (a + b))
+    return float(vals[i]) if vals[i] > fx else fx
+
+
+def test_smoothing_bound_matches_golden_refinement(solved_params):
+    # the README profile's window, then criterion 8's three windows
+    cases = [(solved_params, 0.05)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta2 is large at this amplitude
+        for frac in (1e-2, 1e-3, 1e-4):
+            cases.append((prof.TwistParams(
+                epsilon0=0.05, delta0=frac * 0.05, delta=0.01,
+                u=0.026).solved(), 0.026))
+    for params, u in cases:
+        sm = prof.build_mollified_path(params)
+        w = prof.default_window(params)
+        ratio, ok = prof.verify_smoothing_bound(sm, u)
+        want = _golden_window_sup(sm, w.lo, w.hi)
+        assert abs(ratio - want) <= 1e-14 * want
+        assert ok == (ratio <= 1.0 / u)
 
 
 # --- serialization ----------------------------------------------------------
