@@ -28,13 +28,7 @@ def test_gl_panels_match_simpson():
     assert gl == pytest.approx(ref, abs=1e-12)
 
 
-def test_grid_sup():
-    # a peak on a grid point
-    f = lambda rs: np.sin(2 * np.pi * rs) ** 2
-    xs = np.linspace(0.0, 0.5, 257)
-    x, v = num.grid_sup(f, xs, f(xs))
-    assert x == pytest.approx(0.25, abs=1e-7)
-    assert v == pytest.approx(1.0, abs=1e-13)
+def test_golden_max():
     # a quadratic peak between grid points: four 16-fold rounds leave a
     # sample spacing of h / 16^4 = 2.4e-7 around the peak
     q = lambda rs: 2.0 - (rs - 0.3) ** 2
@@ -42,8 +36,20 @@ def test_grid_sup():
     vals = q(xs)
     x, v = num.grid_sup(q, xs, vals)
     assert x == pytest.approx(0.3, abs=2.5e-7)
-    assert v == pytest.approx(2.0, abs=1e-13)
+    assert v == pytest.approx(2.0, abs=1e-14)
     assert v >= float(np.max(vals))
+
+
+def test_grid_argmax_refined():
+    # a peak on a grid point
+    f = lambda rs: np.sin(2 * np.pi * rs) ** 2
+    xs = np.linspace(0.0, 0.5, 257)
+    x, v = num.grid_sup(f, xs, f(xs))
+    assert x == pytest.approx(0.25, abs=1e-7)
+    assert v == pytest.approx(1.0, abs=1e-13)
+
+
+def test_grid_sup():
     # maxima at either end of the grid stay there
     for g, end in ((lambda rs: rs, 1.0), (lambda rs: -rs, 0.0)):
         xs = np.linspace(0.0, 1.0, 50)
