@@ -78,6 +78,19 @@ class PolySegment:
     def scaled(self, c: float) -> "PolySegment":
         return PolySegment(self.a, self.coeffs * c)
 
+    def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
+        """Real parts of all roots that fall inside the open (lo, hi).
+
+        Every sign change on (lo, hi) is a real root, so the list holds all
+        of them, each to the rounding of the companion-matrix eigenvalues
+        (bounded by their condition number, not certified).  Complex roots
+        are kept by their real part: a multiple root may come out as a
+        nearly real pair, and it still leaves a cut next to it.  An
+        identically zero polynomial has no candidates.  Never raises.
+        """
+        x = np.polynomial.polynomial.polyroots(self.coeffs).real + self.a
+        return x[(x > lo) & (x < hi)]
+
 
 class TrigSegment:
     """amp * cos(2 pi r) or amp * sin(2 pi r), period fixed at one."""
@@ -107,6 +120,20 @@ class TrigSegment:
     def scaled(self, c: float) -> "TrigSegment":
         return TrigSegment(self.func, self.amp * c)
 
+    def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
+        """The zeros inside the open (lo, hi), in closed form.
+
+        sin(2 pi r) vanishes at k/2 and cos(2 pi r) at 1/4 + k/2, so the
+        list is exact.  The rounded arc may change sign a few ulps away
+        from these points; the cut there still separates its two signs.
+        Never raises.
+        """
+        offset = 0.0 if self.func == "sin" else 0.25
+        k = np.arange(math.ceil(2.0 * (lo - offset)),
+                      math.floor(2.0 * (hi - offset)) + 1)
+        x = offset + 0.5 * k
+        return x[(x > lo) & (x < hi)]
+
 
 class TableSegment:
     """Dense mollified samples with cubic interpolation.
@@ -135,6 +162,27 @@ class TableSegment:
 
     def scaled(self, c: float) -> "TableSegment":
         return TableSegment(self.rs, self.vals * c)
+
+    def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
+        """Roots of the interpolating cubics inside the open (lo, hi).
+
+        On knot interval i the spline is sum_k a_k x^k in x = r - r_i,
+        0 <= x <= h.  The bound |a_0| > |a_1| h + |a_2| h^2 + |a_3| h^3
+        proves an interval free of zeros, so it is skipped; the cubics of
+        the remaining intervals are solved as in `PolySegment`, to the same
+        rounding.  Their roots are not clipped to the knot interval, so a
+        zero on a knot stays listed whichever side of it rounding puts the
+        computed root.  The candidates are zeros of the interpolant, which
+        is what `value` evaluates.  Never raises.
+        """
+        c = self._spline.c              # c[3 - k, i] multiplies x^k
+        h = np.diff(self.rs)
+        tail = np.abs(c[2]) * h + np.abs(c[1]) * h ** 2 + np.abs(c[0]) * h ** 3
+        x = np.concatenate(
+            [np.empty(0)]
+            + [np.polynomial.polynomial.polyroots(c[::-1, i]).real + self.rs[i]
+               for i in np.flatnonzero(np.abs(c[3]) <= tail)])
+        return x[(x > lo) & (x < hi)]
 
 
 def hermite_segment(a: float, b: float, fa: float, fb: float,
@@ -191,6 +239,28 @@ class PiecewiseProfile:
 
     def deriv2(self, r):
         return self._eval(r, "deriv2")
+
+    def cuts(self) -> np.ndarray:
+        """Sorted breakpoints and zero candidates of every segment.
+
+        Between two consecutive cuts the profile keeps one sign, so the
+        sign at any interior point is the sign of the whole interval.
+        """
+        bps = self.breakpoints
+        cands = [seg.zero_candidates(lo, hi) for seg, lo, hi
+                 in zip(self.segments, bps[:-1], bps[1:])]
+        return np.unique(np.concatenate([bps] + cands))
+
+    def sign_changes(self) -> np.ndarray:
+        """Cuts at which the profile changes sign strictly.
+
+        Each returned radius is a breakpoint or a zero candidate, so it sits
+        within the rounding of a true zero; a zero of even multiplicity is
+        not a sign change and is not returned.
+        """
+        cuts = self.cuts()
+        s = np.sign(self.value(0.5 * (cuts[:-1] + cuts[1:])))
+        return cuts[1:-1][s[:-1] * s[1:] < 0.0]
 
     def segment_span(self, r: float) -> tuple:
         """(segment, lo, hi) of the piece containing r; direct evaluation on
@@ -358,35 +428,34 @@ class ProfilePair:
     def winding_number(self) -> int:
         """Turns of r -> (h1, h2) around the origin over [0, eps].
 
-        Unwraps the path angle on a grid refined until two consecutive
-        densities agree; the angle step per grid cell must stay well below
-        pi even through the fast rotation at the small-radius passages.
-        """
-        def turns(n):
-            rs = np.linspace(0.0, self.epsilon, n)
-            h1 = self.h1.value(rs)
-            h2 = self.h2.value(rs)
-            rho2 = h1 * h1 + h2 * h2
-            if np.min(rho2) < 1e-30:
-                raise InvalidGeometry("path passes through the origin")
-            psi = np.unwrap(np.arctan2(h2, h1))
-            dmax = float(np.max(np.abs(np.diff(psi))))
-            total = psi[-1] - psi[0]
-            principal = (math.atan2(h2[-1], h1[-1])
-                         - math.atan2(h2[0], h1[0]))
-            return int(round((total - principal) / TWO_PI)), dmax
+        No sampling grid: [0, eps] is cut at both profiles' breakpoints and
+        zero candidates (`PiecewiseProfile.cuts`), so each profile keeps one
+        sign between two cuts and one midpoint evaluation gives that
+        interval's quadrant.  The winding number is the signed count of
+        crossings of the negative h1-axis (argument principle): quadrant
+        2 -> 3 counts +1, 3 -> 2 counts -1, and a touch of the axis without
+        crossing counts 0.  The count is exact once every sign change lies
+        on a cut, which holds up to the rounding of the zero candidates.
+        An endpoint on the axis counts on the side of its adjacent interval.
 
-        n = 1 << 17
-        w, dmax = turns(n)
-        while dmax > 0.5:
-            n *= 4
-            if n > (1 << 24):
-                raise InvalidGeometry("path rotation too fast to resolve")
-            w, dmax = turns(n)
-        w2, _ = turns(2 * n + 1)
-        if w2 != w:
-            raise InvalidGeometry("winding number did not stabilise")
-        return w
+        Raises InvalidGeometry("path passes through the origin") when
+        h1^2 + h2^2 < 1e-30 at a cut, or when h1 and h2 both change sign
+        at the same cut.
+        """
+        cuts = np.union1d(self.h1.cuts(), self.h2.cuts())
+        h1, h2 = self.h1.value(cuts), self.h2.value(cuts)
+        if np.min(h1 * h1 + h2 * h2) < 1e-30:
+            raise InvalidGeometry("path passes through the origin")
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        s1 = np.sign(self.h1.value(mids))
+        s2 = np.sign(self.h2.value(mids))
+        if np.any((s1[:-1] != s1[1:]) & (s2[:-1] != s2[1:])):
+            raise InvalidGeometry("path passes through the origin")
+        # each cut with h1 < 0 on both sides adds half the drop of sign(h2):
+        # +1 from quadrant 2 to 3, -1 back; an interval on which h2 vanishes
+        # identically splits one crossing into two halves
+        on_axis = (s1[:-1] < 0.0) & (s1[1:] < 0.0)
+        return int(np.sum(s2[:-1][on_axis] - s2[1:][on_axis])) // 2
 
     def sample_csv(self, path: str, n: int = 2001) -> None:
         """Write 'r,h1,h2,h1p,h2p,D' samples."""

@@ -199,19 +199,32 @@ def action_minima(pair: ProfilePair) -> tuple:
     """(r_plus, r_plus_prime, action_plus, action_plus_prime).
 
     The action minima of the rotating-torus families sit at the zeros of
-    h1, where the horizontal orbits have action 2 pi |h2|.  h1 is sampled
-    once on a 4000-point grid and each sign change is polished by Brent to
-    1e-12.
+    h1, where the horizontal orbits have action 2 pi |h2|.  h1 must change
+    sign exactly twice; the count comes from its exact zero sets
+    (`PiecewiseProfile.sign_changes`), so no pair of zeros hides between
+    samples.  Each zero is polished by Brent to 1e-12 in the cell of a
+    fixed 4000-point grid that contains it.
     """
     if pair.winding_number() != 1:
         raise InvalidGeometry("action minima require a full-twist path")
-    xs = np.linspace(1e-9, pair.epsilon * (1 - 1e-12), 4000)
-    zeros = _polished_roots(lambda r: float(pair.h1.value(r)), xs,
-                            pair.h1.value(xs), 1e-12)
-    if len(zeros) != 2:
+    found = pair.h1.sign_changes()
+    if len(found) != 2:
         raise InvalidGeometry(
-            f"expected exactly two zeros of h1, found {len(zeros)}")
-    r_plus, r_plus_prime = zeros
+            f"expected exactly two zeros of h1, found {len(found)}")
+    xs = np.linspace(1e-9, pair.epsilon * (1 - 1e-12), 4000)
+    cells = np.clip(np.searchsorted(xs, found, side="right") - 1,
+                    0, len(xs) - 2)
+    ends = pair.h1.value(xs[np.stack([cells, cells + 1])])
+    if np.any(ends[0] * ends[1] > 0.0):
+        raise InvalidGeometry(
+            "the zeros of h1 do not sit in separate cells of the "
+            "4000-point polishing grid")
+
+    def h1(r):
+        return float(pair.h1.value(r))
+
+    r_plus, r_plus_prime = (brentq(h1, xs[i], xs[i + 1], xtol=1e-12)
+                            for i in cells)
     a_plus = TWO_PI * abs(float(pair.h2.value(r_plus)))
     a_prime = TWO_PI * abs(float(pair.h2.value(r_plus_prime)))
     if not a_plus < a_prime:

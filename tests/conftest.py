@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lutzlab import family as fam
@@ -35,3 +36,34 @@ def model():
 @pytest.fixture(scope="session")
 def base_b(model):
     return math.log(model.defaults.l_base)
+
+
+def _splice_linear(profile, knots, values):
+    """`profile` with the broken line through (knots, values) in place on
+    [knots[0], knots[-1]], which must sit inside one of its pieces."""
+    seg, lo, _ = profile.segment_span(knots[0])
+    bps = list(profile.breakpoints)
+    i = bps.index(lo)
+    lines = [prof.PolySegment(a, (fa, (fb - fa) / (b - a))) for a, b, fa, fb
+             in zip(knots[:-1], knots[1:], values[:-1], values[1:])]
+    return prof.PiecewiseProfile(
+        bps[:i + 1] + list(knots) + bps[i + 1:],
+        profile.segments[:i] + [seg] + lines + [seg]
+        + profile.segments[i + 1:])
+
+
+@pytest.fixture(scope="session")
+def splice_linear():
+    return _splice_linear
+
+
+@pytest.fixture(scope="session")
+def looped_cap_pair(cap_pair):
+    """(1, r^2) with a square loop around the origin, run counterclockwise
+    on [0.6000003, 0.6000007]: far narrower than one cell of a 2^17-point
+    or a 4000-point grid."""
+    t = 0.6000003 + 1e-7 * np.arange(5)
+    return prof.ProfilePair(
+        _splice_linear(cap_pair.h1, t, [1.0, -1.0, -1.0, 1.0, 1.0]),
+        _splice_linear(cap_pair.h2, t,
+                       [t[0] ** 2, t[0] ** 2, -1.0, -1.0, t[4] ** 2]), 1.0)

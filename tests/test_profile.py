@@ -68,6 +68,133 @@ def test_winding_numbers(raw_pair, cap_pair):
     assert cap_pair.winding_number() == 0
 
 
+# --- winding number ---------------------------------------------------------
+
+def _grid_winding(pair):
+    """Oracle: unwrap the path angle on a 2^17-point grid, refined up to 2^24
+    points until the angle step per cell stays below 0.5 and a (2n+1)-point
+    grid agrees.  Sampled, so it can miss a loop narrower than a cell."""
+    def turns(n):
+        rs = np.linspace(0.0, pair.epsilon, n)
+        h1 = pair.h1.value(rs)
+        h2 = pair.h2.value(rs)
+        if np.min(h1 * h1 + h2 * h2) < 1e-30:
+            raise InvalidGeometry("path passes through the origin")
+        psi = np.unwrap(np.arctan2(h2, h1))
+        dmax = float(np.max(np.abs(np.diff(psi))))
+        total = psi[-1] - psi[0]
+        principal = math.atan2(h2[-1], h1[-1]) - math.atan2(h2[0], h1[0])
+        return int(round((total - principal) / TWO_PI)), dmax
+
+    n = 1 << 17
+    w, dmax = turns(n)
+    while dmax > 0.5:
+        n *= 4
+        if n > (1 << 24):
+            raise InvalidGeometry("path rotation too fast to resolve")
+        w, dmax = turns(n)
+    w2, _ = turns(2 * n + 1)
+    if w2 != w:
+        raise InvalidGeometry("winding number did not stabilise")
+    return w
+
+
+def _one_piece(seg, eps=1.0):
+    return prof.PiecewiseProfile([0.0, eps], [seg])
+
+
+def test_segment_zero_candidates():
+    cos = prof.TrigSegment("cos", 2.0)
+    sin = prof.TrigSegment("sin", 0.3)
+    assert list(cos.zero_candidates(0.05, 0.75)) == [0.25]
+    assert list(cos.zero_candidates(0.0, 1.0)) == [0.25, 0.75]
+    assert list(sin.zero_candidates(0.0, 1.0)) == [0.5]
+    assert list(sin.zero_candidates(0.5, 1.0)) == []   # open interval
+    # x^3 - x in x = r - 1/2: roots at r = -1/2, 1/2, 3/2
+    cubic = prof.PolySegment(0.5, (0.0, -1.0, 0.0, 1.0))
+    assert np.allclose(cubic.zero_candidates(0.4, 2.0), [0.5, 1.5],
+                       atol=1e-15)
+    assert len(prof.PolySegment(0.0, (1.0,)).zero_candidates(0.0, 1.0)) == 0
+    # a table through a sine: one candidate at the crossing, none elsewhere
+    rs = np.linspace(0.3, 0.7, 401)
+    table = prof.TableSegment(rs, np.sin(TWO_PI * rs))
+    cands = table.zero_candidates(0.3, 0.7)
+    assert len(cands) >= 1 and np.max(np.abs(cands - 0.5)) < 1e-9
+    assert len(table.zero_candidates(0.3, 0.45)) == 0
+
+
+@pytest.mark.parametrize("u", ["u_ref", 0.05, "U_CAP"])
+def test_winding_matches_grid_oracle(raw_pair, smooth_pair, cap_pair,
+                                     model, u):
+    from lutzlab.family import U_CAP
+    amp = {"u_ref": model.defaults.u_ref, "U_CAP": U_CAP}.get(u, u)
+    member = model.family.pair(amp)
+    pairs = [member.scaled(0.8), member.scaled(1.3)]
+    if u == "u_ref":
+        pairs += [raw_pair, smooth_pair, cap_pair]
+    for pair in pairs:
+        assert pair.winding_number() == _grid_winding(pair)
+
+
+def test_winding_counts_a_loop_between_grid_points(cap_pair, looped_cap_pair,
+                                                   splice_linear):
+    assert looped_cap_pair.winding_number() == 1
+    assert _grid_winding(looped_cap_pair) == 0
+    # the same square run clockwise passes the negative h1-axis from
+    # quadrant 3 to quadrant 2
+    t = 0.6000003 + 1e-7 * np.arange(5)
+    backwards = prof.ProfilePair(
+        splice_linear(cap_pair.h1, t, [1.0, 1.0, -1.0, -1.0, 1.0]),
+        splice_linear(cap_pair.h2, t,
+                      [t[0] ** 2, -1.0, -1.0, 1.0, t[4] ** 2]), 1.0)
+    assert backwards.winding_number() == -1
+
+
+def test_winding_touch_of_the_cut_counts_zero():
+    # h2 = (r - 0.3)^2 (r + 1) = 0.09 - 0.51 r + 0.4 r^2 + r^3: a double
+    # zero at 0.3, where h1 = -1, so the path touches the negative h1-axis
+    # and turns back
+    h1 = _one_piece(prof.PolySegment(0.0, (-1.0,)))
+    for sign in (1.0, -1.0):
+        coeffs = sign * np.array([0.09, -0.51, 0.4, 1.0])
+        pair = prof.ProfilePair(h1, _one_piece(prof.PolySegment(0.0, coeffs)),
+                                1.0)
+        assert pair.winding_number() == 0
+        assert _grid_winding(pair) == 0
+
+
+def test_winding_through_the_origin_raises():
+    # continuous: h1 = cos(2 pi r) and h2 = r - 1/4 vanish together
+    through = prof.ProfilePair(
+        _one_piece(prof.TrigSegment("cos", 1.0)),
+        _one_piece(prof.PolySegment(0.25, (0.0, 1.0))), 1.0)
+    # a jump from quadrant 1 to quadrant 3 at one breakpoint
+    bps = [0.0, 0.5, 1.0]
+    jump = prof.ProfilePair(
+        prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, (1.0,)),
+                                    prof.PolySegment(0.0, (-1.0,))]),
+        prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, (1.0,)),
+                                    prof.PolySegment(0.0, (-1.0,))]), 1.0)
+    for pair in (through, jump):
+        with pytest.raises(InvalidGeometry, match="origin"):
+            pair.winding_number()
+
+
+def test_winding_zero_on_a_breakpoint_counts_once(raw_pair):
+    # h2 crosses zero exactly at the breakpoint r = 1/2 where h1 < 0
+    bps = [0.0, 0.5, 1.0]
+    h1 = prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, (-1.0,))] * 2)
+    for sign, turns in ((1.0, 1), (-1.0, -1)):
+        h2 = prof.PiecewiseProfile(
+            bps, [prof.PolySegment(0.0, (0.5 * sign, -sign)),
+                  prof.PolySegment(0.5, (0.0, -sign))])
+        pair = prof.ProfilePair(h1, h2, 1.0)
+        assert pair.winding_number() == turns == _grid_winding(pair)
+    # the README path: the arc ends at amp sin(pi) ~ 1e-16 amp, the dip
+    # cubic starts at 0.0, and only the breakpoint cuts there
+    assert list(raw_pair.h2.sign_changes()).count(0.5) == 1
+
+
 def test_breakpoint_continuity(raw_pair, smooth_pair):
     for pair in (raw_pair, smooth_pair):
         assert pair.h1.max_breakpoint_jump() < 1e-10

@@ -181,6 +181,33 @@ def test_action_minima_closed_form(smooth_pair, solved_params):
     assert a_pp == pytest.approx(2 * a_plus, rel=1e-9)
 
 
+def test_action_minima_counts_zeros_between_grid_points(smooth_pair,
+                                                        splice_linear):
+    # a dip of h1 below zero and back inside one cell of the 4000-point
+    # grid; h2 > 0 there, so the path still winds once
+    xs = np.linspace(1e-9, smooth_pair.epsilon * (1 - 1e-12), 4000)
+    knots = xs[400] + (xs[401] - xs[400]) * np.array([0.2, 0.4, 0.6, 0.8])
+    h1 = smooth_pair.h1
+    dipped = prof.ProfilePair(
+        splice_linear(h1, knots, [float(h1.value(knots[0])), -0.05, -0.05,
+                                  float(h1.value(knots[3]))]),
+        smooth_pair.h2, smooth_pair.epsilon)
+    assert dipped.winding_number() == 1
+    assert len(dipped.h1.sign_changes()) == 4
+    fs = dipped.h1.value(xs)
+    assert np.count_nonzero(fs[:-1] * fs[1:] < 0.0) == 2  # the grid scan
+    with pytest.raises(InvalidGeometry, match="found 4"):
+        reeb.action_minima(dipped)
+
+
+def test_action_minima_needs_zeros_in_separate_grid_cells(looped_cap_pair):
+    # the loop winds once and h1 changes sign twice, but both zeros sit in
+    # one grid cell, so Brent has no bracket for either
+    assert len(looped_cap_pair.h1.sign_changes()) == 2
+    with pytest.raises(InvalidGeometry, match="separate cells"):
+        reeb.action_minima(looped_cap_pair)
+
+
 def test_action_minima_untwisted_rejected(cap_pair):
     with pytest.raises(InvalidGeometry):
         reeb.action_minima(cap_pair)
