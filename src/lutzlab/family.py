@@ -30,30 +30,34 @@ from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
                      PreconditionFailed, QuadratureFailure)
 from .numerics import format_float, gauss_legendre
 from . import reeb
-from .profile import TWO_PI, TwistedPathFamily, ProfilePair, TwistParams
+from .profile import (TWO_PI, TwistedPathFamily, ProfilePair, TableSegment,
+                      TwistParams)
 
 
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
 
+def _panel_knots(pair: ProfilePair) -> np.ndarray:
+    """Sorted distinct breakpoints and mollified-table knots of both
+    profiles."""
+    profiles = (pair.h1, pair.h2)
+    return np.unique(np.concatenate(
+        [prof.breakpoints for prof in profiles]
+        + [seg.rs for prof in profiles for seg in prof.segments
+           if isinstance(seg, TableSegment)]))
+
+
 def _integrate_profile_product(pair: ProfilePair, n: int,
                                rtol: float = 1e-11) -> float:
     """int_0^eps h1^(n-2) D dr by Gauss-Legendre panels.
 
     Panel edges include every segment breakpoint and every mollified-table
-    knot, so each panel integrand is a smooth closed form (polynomial or
-    trigonometric product) and fixed-order panels are exact to rounding.
+    knot (`_panel_knots`), so each panel integrand is a smooth closed form
+    (polynomial or trigonometric product) and fixed-order panels are exact
+    to rounding.
     """
-    from .profile import TableSegment
-
-    edges = set()
-    for prof in (pair.h1, pair.h2):
-        edges.update(float(b) for b in prof.breakpoints)
-        for seg in prof.segments:
-            if isinstance(seg, TableSegment):
-                edges.update(float(r) for r in seg.rs)
-    knots = np.array(sorted(edges))
+    knots = _panel_knots(pair)
 
     def scan(order):
         x, w = gauss_legendre(order)
@@ -165,9 +169,7 @@ class CompensatorSpec:
     def delta_volume(self, amplitude: float, n: int) -> float:
         """Volume change of the tube under the multiplier 1 + a*B, density
         scaling (1 + a*B)^n."""
-        mom = self.moments(n)
-        return sum(math.comb(n, j) * amplitude ** j * mom[j - 1]
-                   for j in range(1, n + 1))
+        return _moment_sum(self.moments(n), amplitude)
 
     def delta_volume_grid(self, amplitude: float, n: int,
                           grid: int = 400) -> float:
@@ -179,6 +181,13 @@ class CompensatorSpec:
         dens = (1.0 + amplitude * b) ** n - 1.0
         cell = (self.theta_extent / grid) * (self.r_extent / grid)
         return float(TWO_PI * np.sum(dens * 2.0 * rr) * cell)
+
+
+def _moment_sum(mom: list, amplitude: float) -> float:
+    """sum_j C(n, j) a^j M_j for the moments M_1..M_n."""
+    n = len(mom)
+    return sum(math.comb(n, j) * amplitude ** j * mom[j - 1]
+               for j in range(1, n + 1))
 
 
 def compensator_solve(v0: float, tube: CompensatorSpec,
@@ -198,9 +207,14 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
         return replace(tube, amplitude=0.0, target_delta_volume=0.0,
                        min_one_plus_nu=1.0, achieved_residual=0.0)
 
+    mom = tube.moments(n)
+
+    def delta_volume(amplitude):
+        return _moment_sum(mom, amplitude)
+
     lo, hi = -0.5, 0.5
-    f_lo = tube.delta_volume(lo, n) - target
-    while tube.delta_volume(hi, n) - target < 0.0:
+    f_lo = delta_volume(lo) - target
+    while delta_volume(hi) - target < 0.0:
         hi *= 2.0
         if hi > 64.0:
             raise InfeasibleCompensation("compensation target unreachable")
@@ -210,7 +224,7 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
             "(min(1+nu) floor)")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if tube.delta_volume(mid, n) - target <= 0.0:
+        if delta_volume(mid) - target <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -225,7 +239,7 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
     min_nu = 1.0 + min(amp, 0.0)  # bump peak is exactly one
     return replace(tube, amplitude=amp, target_delta_volume=-target,
                    min_one_plus_nu=min_nu,
-                   achieved_residual=abs(tube.delta_volume(amp, n) - target))
+                   achieved_residual=abs(delta_volume(amp) - target))
 
 
 # ---------------------------------------------------------------------------

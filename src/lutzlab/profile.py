@@ -136,10 +136,10 @@ class TrigSegment:
 
 
 class TableSegment:
-    """Dense mollified samples with cubic interpolation.
+    """Dense mollified samples with not-a-knot cubic spline interpolation.
 
-    Derivatives come from the interpolant (numerically differentiated
-    samples), unlike the closed forms carried by the other segment kinds.
+    Derivatives are the spline's own, the derivatives of the interpolating
+    cubics, unlike the closed forms carried by the other segment kinds.
     """
 
     kind = "table"
@@ -629,51 +629,60 @@ def check_contact_condition(pair: ProfilePair,
 _GL_ORDER = 40
 
 
-def _convolve_against_kernel(profile: PiecewiseProfile,
-                             window: SmoothingWindow,
-                             rs: np.ndarray, order: int) -> np.ndarray:
-    """(f * g)(rs) with the kernel support split at profile breakpoints.
+def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> tuple:
+    """(rs, [(1 - w) raw + w conv for each profile]) on the window's table
+    grid, every profile convolved by one quadrature rule.
 
-    Each panel integrand is smooth, so fixed-order Gauss-Legendre per panel
-    is accurate to rounding.
+    The kernel support is split into panels at the profiles' breakpoints,
+    so each panel lies inside one segment of every profile and its
+    integrand is smooth: fixed-order Gauss-Legendre per panel is accurate
+    to rounding.  The nodes, weights and kernel values of a panel are built
+    once and shared by all profiles, each evaluated on the segment that
+    owns the panel.  A doubled-order recomputation on a subsample guards
+    each profile's quadrature.
     """
+    if not window.half_width > 0.0 or window.n_table < 2:
+        raise InvalidGeometry(
+            "smoothing window needs half_width > 0 and n_table >= 2")
     d = window.half_width
-    cuts = [b for b in profile.breakpoints
-            if window.lo - d < b < window.hi + d]
-    edges = sorted(set([float(rs[0] - d)] + cuts + [float(rs[-1] + d)]))
-    out = np.zeros_like(rs)
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        a = np.maximum(rs - d, lo_e)
-        b = np.minimum(rs + d, hi_e)
-        valid = b > a
-        if not np.any(valid):
-            continue
-        a = np.where(valid, a, rs)
-        b = np.where(valid, b, rs)
-        nodes, weights = gl_panel_nodes(a, b, order)
-        vals = profile.value(nodes.ravel()).reshape(nodes.shape)
-        kern = window.kernel(rs[:, None] - nodes)
-        out += np.where(valid, np.sum(weights * vals * kern, axis=1), 0.0)
-    return out
+    cuts = sorted(set(float(b) for p in profiles for b in p.breakpoints
+                      if window.lo - d < b < window.hi + d))
 
+    def convolve(rs: np.ndarray, order: int) -> list:
+        edges = sorted(set([float(rs[0] - d)] + cuts + [float(rs[-1] + d)]))
+        outs = [np.zeros_like(rs) for _ in profiles]
+        for lo_e, hi_e in zip(edges[:-1], edges[1:]):
+            a = np.maximum(rs - d, lo_e)
+            b = np.minimum(rs + d, hi_e)
+            valid = b > a
+            if not np.any(valid):
+                continue
+            a = np.where(valid, a, rs)
+            b = np.where(valid, b, rs)
+            nodes, weights = gl_panel_nodes(a, b, order)
+            kern = window.kernel(rs[:, None] - nodes)
+            for profile, out in zip(profiles, outs):
+                # the nodes of an empty row may leave the panel; `valid`
+                # drops whatever the segment returns there
+                seg = profile.segment_span(0.5 * (lo_e + hi_e))[0]
+                vals = seg.value(nodes)
+                out += np.where(valid, np.sum(weights * vals * kern, axis=1),
+                                0.0)
+        return outs
 
-def _blend(profile: PiecewiseProfile, window: SmoothingWindow) -> tuple:
-    """(rs, (1 - w) raw + w conv) on the window's table grid.
-
-    A doubled-order recomputation on a subsample guards the quadrature.
-    """
     rs = np.linspace(window.lo, window.hi, window.n_table)
-    conv = _convolve_against_kernel(profile, window, rs, _GL_ORDER)
     step = max(window.n_table // 64, 1)
-    conv_hi = _convolve_against_kernel(profile, window, rs[::step],
-                                       2 * _GL_ORDER)
-    err = np.max(np.abs(conv[::step] - conv_hi))
-    scale = max(1.0, float(np.max(np.abs(conv))))
-    if err > 1e-11 * scale:
-        raise QuadratureFailure(
-            f"convolution panels disagree by {err:.3g} on the window")
     w = window.blend_weight(rs)
-    return rs, (1.0 - w) * profile.value(rs) + w * conv
+    blends = []
+    for profile, conv, conv_hi in zip(profiles, convolve(rs, _GL_ORDER),
+                                      convolve(rs[::step], 2 * _GL_ORDER)):
+        err = np.max(np.abs(conv[::step] - conv_hi))
+        scale = max(1.0, float(np.max(np.abs(conv))))
+        if err > 1e-11 * scale:
+            raise QuadratureFailure(
+                f"convolution panels disagree by {err:.3g} on the window")
+        blends.append((1.0 - w) * profile.value(rs) + w * conv)
+    return rs, blends
 
 
 def _splice_window(profile: PiecewiseProfile, window: SmoothingWindow,
@@ -700,12 +709,6 @@ def _splice_window(profile: PiecewiseProfile, window: SmoothingWindow,
     return PiecewiseProfile(bps, segments)
 
 
-def _mollify_profile(profile: PiecewiseProfile,
-                     window: SmoothingWindow) -> PiecewiseProfile:
-    return _splice_window(profile, window,
-                          TableSegment(*_blend(profile, window)))
-
-
 def mollify(pair: ProfilePair, window: SmoothingWindow) -> ProfilePair:
     """Replace both profiles on the window by truncated-Gaussian blends.
 
@@ -715,8 +718,9 @@ def mollify(pair: ProfilePair, window: SmoothingWindow) -> ProfilePair:
     """
     if not (0.0 < window.lo and window.hi < pair.epsilon / 2.0):
         raise InvalidGeometry("smoothing window must sit inside (0, eps/2)")
-    return ProfilePair(_mollify_profile(pair.h1, window),
-                       _mollify_profile(pair.h2, window),
+    rs, (t1, t2) = _blend(window, pair.h1, pair.h2)
+    return ProfilePair(_splice_window(pair.h1, window, TableSegment(rs, t1)),
+                       _splice_window(pair.h2, window, TableSegment(rs, t2)),
                        pair.epsilon)
 
 
@@ -777,8 +781,6 @@ class TwistedPathFamily:
         self.params = replace(self.params,
                               extension=ExtensionSpec(h2_depth=depth))
         self.window = default_window(self.params)
-        self._h1_moll = _mollify_profile(build_twisted_path(self.params).h1,
-                                         self.window)
 
         # h2 on the window neighbourhood splits as cap + u * (unit arc);
         # mollification is linear, so two tables cover every member.
@@ -789,8 +791,9 @@ class TwistedPathFamily:
         unit_arc = PiecewiseProfile([0.0, eps0, 0.5],
                                     [PolySegment(0.0, (0.0,)),
                                      TrigSegment("sin", self.amp_per_u)])
-        rs, t_cap = _blend(cap, self.window)
-        _, t_arc = _blend(unit_arc, self.window)
+        h1 = build_twisted_path(self.params).h1
+        rs, (t_h1, t_cap, t_arc) = _blend(self.window, h1, cap, unit_arc)
+        self._h1_moll = _splice_window(h1, self.window, TableSegment(rs, t_h1))
         self._h2_tables = (rs, t_cap, t_arc)
 
     def pair(self, u: float) -> ProfilePair:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (InvalidGeometry, NotSymplectic, PreconditionFailed,
@@ -562,6 +561,8 @@ def perturbed_return_time(orbits: PerturbedOrbits, theta0: float = 0.0,
     Cross-checks the closed-form hyperbolic action when started at the
     minimum of mu (theta0 = 0).
     """
+    from scipy.integrate import solve_ivp  # only this oracle integrates
+
     def rhs(_t, y):
         return orbits.reeb_field(y[0], y[1], y[2])
 

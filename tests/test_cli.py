@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,14 @@ def test_family_sweep_and_bounds_commands(tmp_path):
     doc = json.loads((o / "certificate_upper.json").read_text())
     assert doc["upper"] == pytest.approx(
         math.log(2.0) + math.log(4.0 / 3.0), rel=1e-9)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the perturbed-return-time oracle integrates an ODE
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, lutzlab.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -44,6 +44,19 @@ def test_tube_volume_scaling_law(cap_pair, smooth_pair):
             fam.tube_volume(pair.scaled(2.0), n=3), rel=1e-12)
 
 
+def test_panel_knots_match_set_construction(smooth_pair, cap_pair, model):
+    for pair in (smooth_pair, cap_pair, model.family.pair(0.1)):
+        edges = set()
+        for p in (pair.h1, pair.h2):
+            edges.update(float(b) for b in p.breakpoints)
+            for seg in p.segments:
+                if isinstance(seg, prof.TableSegment):
+                    edges.update(float(r) for r in seg.rs)
+        want = np.array(sorted(edges))
+        got = fam._panel_knots(pair)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_tube_volume_montecarlo_crosscheck(smooth_pair):
     v = fam.tube_volume(smooth_pair)
     mc = fam.tube_volume_montecarlo(smooth_pair, 20_000_000, seed=0)
@@ -92,6 +105,24 @@ def test_compensator_addition():
 def test_compensator_infeasible():
     with pytest.raises(InfeasibleCompensation):
         fam.compensator_solve(0.19, comp_with_volume(0.2))
+
+
+def test_compensator_computes_moments_once(monkeypatch):
+    calls = []
+    moments = fam.CompensatorSpec.moments
+
+    def counted(self, n):
+        calls.append(n)
+        return moments(self, n)
+    monkeypatch.setattr(fam.CompensatorSpec, "moments", counted)
+    tube = comp_with_volume(0.2)
+    for n in (2, 3):
+        calls.clear()
+        spec = fam.compensator_solve(0.01, tube, n=n)
+        assert calls == [n]
+        # the solve's moment sum is delta_volume's, bit for bit
+        assert spec.achieved_residual == abs(
+            tube.delta_volume(spec.amplitude, n) + 0.01)
 
 
 def test_compensator_bump_support():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lutzlab import profile as prof
-from lutzlab.errors import InvalidGeometry
+from lutzlab.errors import InvalidGeometry, QuadratureFailure
+from lutzlab.numerics import gl_panel_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,6 +362,110 @@ def test_table_derivatives_match_first_differences(smooth_pair):
 def test_mollify_window_must_sit_low(raw_pair):
     with pytest.raises(InvalidGeometry):
         prof.mollify(raw_pair, prof.SmoothingWindow(0.7, 0.001))
+
+
+def _convolve_against_kernel(profile, window, rs, order):
+    """Oracle: (f * g)(rs) for one profile on its own panels, split at its
+    breakpoints and evaluated through `PiecewiseProfile.value`."""
+    d = window.half_width
+    cuts = [b for b in profile.breakpoints
+            if window.lo - d < b < window.hi + d]
+    edges = sorted(set([float(rs[0] - d)] + cuts + [float(rs[-1] + d)]))
+    out = np.zeros_like(rs)
+    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
+        a = np.maximum(rs - d, lo_e)
+        b = np.minimum(rs + d, hi_e)
+        valid = b > a
+        if not np.any(valid):
+            continue
+        a = np.where(valid, a, rs)
+        b = np.where(valid, b, rs)
+        nodes, weights = gl_panel_nodes(a, b, order)
+        vals = profile.value(nodes.ravel()).reshape(nodes.shape)
+        kern = window.kernel(rs[:, None] - nodes)
+        out += np.where(valid, np.sum(weights * vals * kern, axis=1), 0.0)
+    return out
+
+
+def _oracle_table(profile, window):
+    rs = np.linspace(window.lo, window.hi, window.n_table)
+    conv = _convolve_against_kernel(profile, window, rs, prof._GL_ORDER)
+    w = window.blend_weight(rs)
+    return (1.0 - w) * profile.value(rs) + w * conv
+
+
+def _table(profile):
+    (table,) = [s for s in profile.segments
+                if isinstance(s, prof.TableSegment)]
+    return table
+
+
+def test_mollify_tables_match_per_profile_oracle(raw_pair, smooth_pair,
+                                                 solved_params):
+    w = prof.default_window(solved_params)
+    for raw, smooth in ((raw_pair.h1, smooth_pair.h1),
+                        (raw_pair.h2, smooth_pair.h2)):
+        table = _table(smooth)
+        assert np.array_equal(table.rs, np.linspace(w.lo, w.hi, w.n_table))
+        assert np.array_equal(table.vals, _oracle_table(raw, w))
+
+
+def test_family_tables_match_per_profile_oracle():
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    fam = prof.TwistedPathFamily(base, 0.04, 0.06)
+    w, eps0 = fam.window, fam.params.epsilon0
+    cap = prof.PiecewiseProfile([0.0, eps0, 0.5],
+                                [prof.PolySegment(0.0, (0.0, 0.0, 1.0)),
+                                 prof.PolySegment(0.0, (0.0,))])
+    unit_arc = prof.PiecewiseProfile([0.0, eps0, 0.5],
+                                     [prof.PolySegment(0.0, (0.0,)),
+                                      prof.TrigSegment("sin", fam.amp_per_u)])
+    h1 = prof.build_twisted_path(fam.params).h1
+    assert np.array_equal(_table(fam.pair(0.05).h1).vals, _oracle_table(h1, w))
+    _, t_cap, t_arc = fam._h2_tables
+    assert np.array_equal(t_cap, _oracle_table(cap, w))
+    assert np.array_equal(t_arc, _oracle_table(unit_arc, w))
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = prof.SmoothingWindow.kernel
+
+    def counted(self, y):
+        calls.append(y.shape)
+        return kernel(self, y)
+    monkeypatch.setattr(prof.SmoothingWindow, "kernel", counted)
+    return calls
+
+
+def test_one_rule_per_window(raw_pair, solved_params, monkeypatch):
+    # two panels (split at eps0) at each of the two orders, shared by every
+    # profile blended on the window
+    calls = _count_kernel_calls(monkeypatch)
+    prof.mollify(raw_pair, prof.default_window(solved_params))
+    assert len(calls) == 4
+    calls.clear()
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    prof.TwistedPathFamily(base, 0.04, 0.06)
+    assert len(calls) == 4
+
+
+def test_mollify_quadrature_guard(raw_pair, solved_params, monkeypatch):
+    monkeypatch.setattr(prof, "_GL_ORDER", 3)
+    with pytest.raises(QuadratureFailure):
+        prof.mollify(raw_pair, prof.default_window(solved_params))
+
+
+@pytest.mark.parametrize("window", [prof.SmoothingWindow(0.05, 0.0),
+                                    prof.SmoothingWindow(0.05, -0.0005),
+                                    prof.SmoothingWindow(0.05, 0.0005,
+                                                         n_table=1)],
+                         ids=["zero_width", "negative_width", "one_knot"])
+def test_mollify_degenerate_window_fails_fast(raw_pair, window, monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    with pytest.raises(InvalidGeometry):
+        prof.mollify(raw_pair, window)
+    assert calls == []
 
 
 # --- smoothing bound --------------------------------------------------------
