@@ -28,7 +28,7 @@ import scipy
 
 from . import __version__, distance, family, persistence, profile, reeb
 from .errors import LutzLabError
-from .numerics import SIMPSON_TOL, format_float
+from .numerics import format_float
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -71,7 +71,7 @@ class RunContext:
                      for k, v in self.args.items()},
             "inputs_sha256": self.inputs,
             "outputs": self.outputs,
-            "tolerances": {"simpson_abs": SIMPSON_TOL,
+            "tolerances": {"gray_simpson_abs": distance._GRAY_TOL,
                            "contact_pass": profile.CONTACT_PASS,
                            "round_trip_l": family.L_ROUND_TRIP,
                            "round_trip_volume": family.VOLUME_ROUND_TRIP},
@@ -107,6 +107,16 @@ def _add_twist_flags(p, u_default=0.05):
     p.add_argument("--mu-minus", dest="mu_minus", type=float, default=-1.0)
     p.add_argument("--mu-plus", dest="mu_plus", type=float, default=1.0)
     p.add_argument("--u", type=float, default=u_default)
+
+
+def _add_model_flags(p, grid=False):
+    """The model's floors and dimension, after an (a, b) grid if asked."""
+    for axis in ("a", "b") if grid else ():
+        p.add_argument(f"--{axis}-grid", dest=f"{axis}_grid", nargs=3,
+                       type=float, required=True, metavar=("LO", "HI", "N"))
+    p.add_argument("--floor-a", dest="floor_a", type=float, default=1.0)
+    p.add_argument("--floor-b", dest="floor_b", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=2)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = g.add_parser(name)
         p.add_argument("--a", type=float, required=True)
         p.add_argument("--b", type=float, required=True)
-        p.add_argument("--floor-a", dest="floor_a", type=float, default=1.0)
-        p.add_argument("--floor-b", dest="floor_b", type=float, default=1.0)
-        p.add_argument("--n", type=int, default=2)
+        _add_model_flags(p)
         if name == "scaling":
             p.add_argument("--c", type=float, required=True)
         p.set_defaults(func=fn)
     p = g.add_parser("sweep")
-    p.add_argument("--a-grid", dest="a_grid", nargs=3, type=float,
-                   required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--b-grid", dest="b_grid", nargs=3, type=float,
-                   required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--floor-a", dest="floor_a", type=float, default=1.0)
-    p.add_argument("--floor-b", dest="floor_b", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=2)
+    _add_model_flags(p, grid=True)
     p.set_defaults(func=cmd_family_sweep)
 
     g = sub.add_parser("distance").add_subparsers(dest="cmd", required=True)
@@ -402,9 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = g.add_parser(name)
         for flag in ("a1", "b1", "a2", "b2"):
             p.add_argument(f"--{flag}", type=float, required=True)
-        p.add_argument("--floor-a", dest="floor_a", type=float, default=1.0)
-        p.add_argument("--floor-b", dest="floor_b", type=float, default=1.0)
-        p.add_argument("--n", type=int, default=2)
+        _add_model_flags(p)
         p.set_defaults(func=fn)
     p = g.add_parser("gray")
     p.add_argument("--u-start", dest="u_start", type=float, required=True)
@@ -418,13 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(func=cmd_distance_fold)
     p = g.add_parser("sandwich")
-    p.add_argument("--a-grid", dest="a_grid", nargs=3, type=float,
-                   required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--b-grid", dest="b_grid", nargs=3, type=float,
-                   required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--floor-a", dest="floor_a", type=float, default=1.0)
-    p.add_argument("--floor-b", dest="floor_b", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=2)
+    _add_model_flags(p, grid=True)
     p.set_defaults(func=cmd_distance_sandwich)
 
     g = sub.add_parser("persist").add_subparsers(dest="cmd", required=True)

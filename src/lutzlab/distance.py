@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
 from .numerics import adaptive_simpson, format_float, grid_sup
-from .family import FamilyModel, FormSpec
-from .profile import TWO_PI, TwistedPathFamily, check_contact_condition
+from .family import FamilyModel, FormSpec, epsilon_bound
+from .profile import (TWO_PI, TableSegment, TwistedPathFamily,
+                      check_contact_condition)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +220,14 @@ class _GrayIntegrand:
 
     The two members at the leg's ends, which must differ, pin the affine
     data B = dh2/du and D_u = DA + u DB; the sup at each u is one vector
-    expression on the radius grid, refined by `numerics.grid_sup` with
-    brackets evaluated segment by segment.
+    expression on the sup grid joined with the window table's knots (which
+    the grid misses), refined by `numerics.grid_sup` with brackets
+    evaluated segment by segment.
+
+    Building it checks the leg's premise: contact at both end members with
+    one nonzero sign, which D_u/r, affine in u, keeps at every amplitude
+    between them at the checked radii (a sign change across r is a zero of
+    D between samples), and per-radius monotonicity in u at the midpoint.
     """
 
     def __init__(self, spec: GrayPathSpec):
@@ -228,14 +235,26 @@ class _GrayIntegrand:
         self.pair1 = spec.family.pair(u1)
         self.pair2 = spec.family.pair(u2)
         self.u1, self.u2 = u1, u2
-        eps = self.pair1.epsilon
-        self.rs = np.linspace(1e-9, eps * (1.0 - 1e-12), _R_GRID)
+        ends = (self.pair1, self.pair2)
+        c1, c2 = (check_contact_condition(p, grid_size=2000) for p in ends)
+        if not (c1.passed and c2.passed and c1.sign == c2.sign != 0):
+            raise SingularLocus(
+                f"contact condition fails at the ends u = {u1}, {u2} of the "
+                f"leg: {[c1, c2]}")
+        # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
+        probe = np.linspace(0.01, self.pair1.epsilon * 0.99, 257)
+        h_1, h_2 = (p.h2.value(probe) for p in ends)
+        h_mid = spec.family.pair(0.5 * (u1 + u2)).h2.value(probe)
+        if not bool(np.all(((h_mid - h_1) * (h_2 - h_mid)) >= -1e-13)):
+            raise SingularLocus("family is not monotone in u at some radius")
+        self.rs = np.unique(np.concatenate(
+            [np.linspace(1e-9, self.pair1.epsilon * (1.0 - 1e-12), _R_GRID)]
+            + [seg.rs for seg in self.pair1.h1.segments
+               if isinstance(seg, TableSegment)]))
         self._h1p = self.pair1.h1.deriv(self.rs)
-        h2a = self.pair1.h2.value(self.rs)
-        h2b = self.pair2.h2.value(self.rs)
+        h2a, h2b = (p.h2.value(self.rs) for p in ends)
         self._B = (h2b - h2a) / (u2 - u1)
-        d1 = self.pair1.wronskian(self.rs)
-        d2 = self.pair2.wronskian(self.rs)
+        d1, d2 = (p.wronskian(self.rs) for p in ends)
         self._DB = (d2 - d1) / (u2 - u1)
         self._DA = d1 - u1 * self._DB
 
@@ -261,47 +280,32 @@ class _GrayIntegrand:
         den = (d1 - self.u1 * db) + u * db
         return np.abs(b * h1p / den)
 
-    def sup(self, u: float) -> tuple:
+    def den(self, u: float) -> np.ndarray:
+        """D_u on `rs`, which must keep one sign away from zero."""
         den = self._DA + u * self._DB
         if float(np.min(np.abs(den))) < 1e-12 or \
                 float(np.min(den)) * float(np.max(den)) < 0.0:
             raise SingularLocus(
                 f"never-parallel determinant vanishes along the leg at "
                 f"u = {u}")
+        return den
+
+    def sup(self, u: float) -> tuple:
         return grid_sup(lambda rs: self._values(rs, u), self.rs,
-                        np.abs(self._B * self._h1p / den))
+                        np.abs(self._B * self._h1p / self.den(u)))
 
 
 def gray_integral(spec: GrayPathSpec) -> GrayResult:
     """Integral over u of the sup of the deformation rate of the angle.
 
-    The contact condition is checked at the leg's two end members, which
-    must pass with one nonzero sign: D_u/r is affine in u at each radius,
-    so that sign, with at least the smaller end margin, holds for every
-    amplitude between them at the checked radii.  A sign change across r
-    fails, since it means a zero of D between samples.  Per-radius
-    monotonicity in u is probed at the midpoint member; then adaptive
-    Simpson integrates the inner sup to absolute tolerance 1e-12.
+    Once `_GrayIntegrand` has checked the leg's premise, adaptive Simpson
+    integrates the inner sup to absolute tolerance 1e-12.  The sweeps take
+    their legs in closed form behind `_dominated`; this is its oracle.
     """
     u_lo, u_hi = sorted((spec.u_start, spec.u_end))
     if u_hi == u_lo:
         return GrayResult(0.0, ((u_lo, math.nan),), spec.u_start, spec.u_end)
     integrand = _GrayIntegrand(spec)
-    ends = (integrand.pair1, integrand.pair2)
-    reports = [check_contact_condition(p, grid_size=2000) for p in ends]
-    if not (reports[0].passed and reports[1].passed
-            and reports[0].sign == reports[1].sign != 0):
-        raise SingularLocus(
-            f"contact condition fails at the ends u = {integrand.u1}, "
-            f"{integrand.u2} of the leg: {reports}")
-    # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
-    probe = np.linspace(0.01, integrand.pair1.epsilon * 0.99, 257)
-    h_1, h_2 = (p.h2.value(probe) for p in ends)
-    h_mid = spec.family.pair(0.5 * (u_lo + u_hi)).h2.value(probe)
-    between = ((h_mid - h_1) * (h_2 - h_mid)) >= -1e-13
-    if not bool(np.all(between)):
-        raise SingularLocus("family is not monotone in u at some radius")
-
     locations = []
 
     def f(u):
@@ -314,52 +318,64 @@ def gray_integral(spec: GrayPathSpec) -> GrayResult:
                       u_start=spec.u_start, u_end=spec.u_end)
 
 
+def _dominated(family: TwistedPathFamily, amplitudes) -> float:
+    """Certify that a Gray leg between any u1, u2 in [u_lo, u_hi], the
+    range of `amplitudes`, is worth |ln(u2/u1)|; returns the least 1 - u f.
+
+    On the twist arc (window.hi, 1/2] both profiles are trigonometric and
+    f = sin^2(2 pi r)/u exactly, with sup 1/u.  Off the arc u f <= 1 reads
+    u |B h1'| <= |D_u|: both sides are affine in u while D_u keeps its
+    sign, so the leg's premise and the two end members cover every u in
+    range, on the integrand's radii.  A range of one amplitude needs no leg.
+    """
+    u_lo, u_hi = min(amplitudes), max(amplitudes)
+    if u_hi == u_lo:
+        return math.inf
+    leg = _GrayIntegrand(GrayPathSpec(family, u_lo, u_hi))
+    off_arc = (leg.rs <= family.window.hi) | (leg.rs > 0.5)
+    rate = np.abs(leg._B * leg._h1p)
+    margin = min(float(np.min((1.0 - u * rate / np.abs(leg.den(u)))[off_arc]))
+                 for u in (u_lo, u_hi))
+    if margin < 0.0:
+        raise PreconditionFailed(
+            f"the Gray rate exceeds 1/u off the twist arc (margin "
+            f"{margin:.3g}); no closed-form leg on [{u_lo}, {u_hi}]")
+    return margin
+
+
 # ---------------------------------------------------------------------------
 # two-leg upper bound and the sandwich sweep
 # ---------------------------------------------------------------------------
-
-def _gray_leg(s1: FormSpec, s2: FormSpec) -> GrayResult:
-    """Gray integral from s1's amplitude to s2's in the family both members
-    come from, so the leg starts at s1 and ends at s2."""
-    if s1.family is not s2.family:
-        raise PreconditionFailed(
-            "a deformation leg needs members of one amplitude family")
-    return gray_integral(GrayPathSpec(s1.family, s1.u, s2.u))
-
 
 def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     """Scaling leg plus deformation leg through (k2, (k2/k1)^(1/n) l1).
 
     The scaling leg costs |ln k2^(1/n) - ln k1^(1/n)| exactly; the
-    deformation leg is bounded by the Gray integral between the two
-    amplitudes, which share the intermediate point's value.
+    deformation leg runs between the two amplitudes, which the
+    intermediate point shares with s1, and is worth |ln(u2/u1)| once
+    `_dominated` certifies the family between them.
     """
     _require_certified(s1, s2)
     if s1.n != s2.n:
         raise PreconditionFailed("members live in different dimensions")
+    if s1.family is not s2.family:
+        raise PreconditionFailed(
+            "a deformation leg needs members of one amplitude family")
     n = s1.n
     a_leg = abs(math.log(s2.k) - math.log(s1.k)) / n
     l_mid = (s2.k / s1.k) ** (1.0 / n) * s1.l
-    eps_bound = min(math.log(s1.ambient_floor_a),
-                    math.log(s1.compensator_floor_b))
-    if math.log(l_mid) >= eps_bound:
+    if math.log(l_mid) >= epsilon_bound(s1.ambient_floor_a,
+                                        s1.compensator_floor_b):
         raise DomainViolation(
             f"intermediate point l = {l_mid:.6g} leaves the admissible "
             "half-plane")
-    u_mid, u2 = s1.u, s2.u  # scaling preserves the member amplitude
-    if abs(u_mid - u2) < 1e-15:
-        gray_val = 0.0
-        locations = ()
-    else:
-        res = _gray_leg(s1, s2)
-        gray_val = res.value
-        locations = res.sup_locations
-    upper = a_leg + gray_val
+    margin = _dominated(s1.family, (s1.u, s2.u))
+    gray_val = abs(math.log(s2.u / s1.u))
     wit = {"scaling_leg": a_leg, "gray_leg": gray_val,
-           "intermediate_l": l_mid,
-           "sup_radii": [r for _, r in locations[:5]]}
-    return BoundCertificate(lower=0.0, upper=upper, lower_method="none",
-                            upper_method="gray_path", witnesses=wit)
+           "intermediate_l": l_mid, "margin": margin}
+    return BoundCertificate(lower=0.0, upper=a_leg + gray_val,
+                            lower_method="none", upper_method="gray_path",
+                            witnesses=wit)
 
 
 def bound_certificate(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
@@ -393,12 +409,9 @@ class SweepReport:
         with open(path, "w", newline="") as fh:
             fh.write("a1,b1,a2,b2,dinf,lower,upper,slack,pass\n")
             for r in self.rows:
-                fh.write(",".join([
-                    format_float(r.a1), format_float(r.b1),
-                    format_float(r.a2), format_float(r.b2),
-                    format_float(r.dinf), format_float(r.lower),
-                    format_float(r.upper), format_float(r.slack),
-                    str(r.passed).lower()]) + "\n")
+                *values, passed = astuple(r)
+                fh.write(",".join([format_float(v) for v in values]
+                                  + [str(passed).lower()]) + "\n")
 
 
 def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
@@ -407,13 +420,13 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
                       model: Optional[FamilyModel] = None) -> SweepReport:
     """Sandwich check over every unordered pair of grid points.
 
-    Asserts d_inf <= lower <= upper <= 2 d_inf (the two interior links get
-    a 1e-9 numerical slack, the outer one 1e-6) and reports the worst
-    slack across the grid.  Rows come in pair order.  Every member lives in
-    the model's one amplitude family, where Gray legs are additive, so the
-    sweep runs one Gray integral per adjacent amplitude step and each
-    pair's leg is the difference of two prefix sums.  Fewer than two points
-    give no pair to certify and raise PreconditionFailed.
+    Asserts d_inf <= lower <= upper <= 2 d_inf with numerical slacks of
+    1e-12, 1e-9 and 1e-6 on the three links, and reports the worst slack
+    across the grid.  Rows come in pair order.  Every member lives in the
+    model's one amplitude family, which `_dominated` certifies once over
+    the members' amplitude range, so each pair's Gray leg is |ln(u2/u1)|.
+    Fewer than two points give no pair to certify and raise
+    PreconditionFailed.
     """
     points = list(points)
     if len(points) < 2:
@@ -430,23 +443,13 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
             f"n = {n}")
     specs = [model.embed_point(p) for p in points]
     _require_certified(*specs)
-    # Gray integral from the smallest amplitude to each member's; members
-    # whose amplitudes are equal within 1e-15 share one value
-    prefix = {}
-    level = None
-    for u in sorted(s.u for s in specs):
-        if level is not None and u - level < 1e-15:
-            prefix[u] = prefix[level]
-            continue
-        prefix[u] = 0.0 if level is None else prefix[level] + gray_integral(
-            GrayPathSpec(model.family, level, u)).value
-        level = u
+    _dominated(model.family, [s.u for s in specs])
     rows = []
     for i, s1 in enumerate(specs):
         for s2 in specs[i + 1:]:
             dinf = max(abs(s1.a - s2.a), abs(s1.b - s2.b))
             low = max(_channels(s1, s2))
-            up = abs(s1.a - s2.a) + abs(prefix[s1.u] - prefix[s2.u])
+            up = abs(s1.a - s2.a) + abs(math.log(s2.u / s1.u))
             ok = (dinf <= low + 1e-12 and low <= up + 1e-9
                   and up <= 2.0 * dinf + 1e-6)
             slack = max(dinf - low, low - up, up - 2.0 * dinf)

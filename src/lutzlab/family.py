@@ -343,6 +343,8 @@ class FamilyModel:
                  compensator_floor_b: float = 1.0, n: int = 2,
                  defaults: Optional[FamilyDefaults] = None):
         self.n = int(n)
+        if self.n < 2:
+            raise InvalidGeometry(f"dimension n must be at least 2, got {n}")
         self.ambient_floor_a = float(ambient_floor_a)
         self.compensator_floor_b = float(compensator_floor_b)
         self.defaults = defaults or FamilyDefaults()

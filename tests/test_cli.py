@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lutzlab import cli
+from lutzlab import cli, distance
 
 
 def run(tmp_path, *argv):
@@ -37,6 +37,19 @@ def test_manifest_written(tmp_path):
         assert (out / name).exists()
     assert "lutzlab" in manifest["versions"]
     assert "tolerances" in manifest
+    # the tolerance the Gray quadrature integrates to, not numerics' default
+    assert manifest["tolerances"]["gray_simpson_abs"] == distance._GRAY_TOL
+    assert "simpson_abs" not in manifest["tolerances"]
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-2"])
+def test_family_embed_rejects_dimension_below_two(tmp_path, capsys, n):
+    code, out = run(tmp_path, "family", "embed", "--a", "0", "--b", "-3.2",
+                    "--n", n)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"input error: dimension n must be at least 2, got {n}\n")
+    assert not (out / "formspec.json").exists()
 
 
 def test_profile_build_and_check(tmp_path, capsys):

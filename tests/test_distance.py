@@ -8,6 +8,7 @@ from lutzlab import distance as dist
 from lutzlab import profile as prof
 from lutzlab.errors import (DomainViolation, InvalidGeometry,
                             PreconditionFailed, SingularLocus)
+from lutzlab.family import U_CAP, FamilyDefaults
 
 
 @pytest.fixture(scope="module")
@@ -188,23 +189,147 @@ def test_gray_leg_work_counts(gray_family, monkeypatch):
 def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
                                                       monkeypatch):
     # an end whose determinant changes sign across r, or two ends of
-    # opposite sign, leave a zero of D somewhere on the leg
+    # opposite sign, leave a zero of D somewhere on the leg: the oracle and
+    # the closed-form legs' certificate both refuse it
     real_check = dist.check_contact_condition
-    for signs in ((0, 1), (1, 0), (1, -1), (-1, 1)):
-        reported = iter(signs)
+    legs = (lambda: dist.gray_integral(
+                dist.GrayPathSpec(gray_family, 0.04, 0.06)),
+            lambda: dist._dominated(gray_family, (0.04, 0.06)))
+    for leg in legs:
+        for signs in ((0, 1), (1, 0), (1, -1), (-1, 1)):
+            reported = iter(signs)
 
-        def patched(pair, grid_size=10000):
-            return replace(real_check(pair, grid_size=grid_size),
-                           sign=next(reported))
+            def patched(pair, grid_size=10000):
+                return replace(real_check(pair, grid_size=grid_size),
+                               sign=next(reported))
 
-        monkeypatch.setattr(dist, "check_contact_condition", patched)
-        with pytest.raises(SingularLocus):
-            dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
+            monkeypatch.setattr(dist, "check_contact_condition", patched)
+            with pytest.raises(SingularLocus):
+                leg()
 
 
 def test_gray_leg_must_start_inside_the_family(gray_family):
     with pytest.raises(InvalidGeometry):
         dist.gray_integral(dist.GrayPathSpec(gray_family, 0.039, 0.06))
+
+
+# --- the closed-form legs and their domination certificate ------------------
+
+class _Deformed(prof.TwistedPathFamily):
+    """The model's amplitude family with k (u - U_C) phi added to h2 on the
+    piece of h2 that contains `at`: B = dh2/du grows by k phi there, while
+    members within 1e-8 of U_C keep D within a few percent."""
+
+    U_C = 0.05
+
+    def __init__(self, at, k):
+        super().__init__(FamilyDefaults().twist, 0.01, U_CAP)
+        self.at, self.k = at, k
+
+    def pair(self, u):
+        p = super().pair(u)
+        segs = list(p.h2.segments)
+        seg, lo, hi = p.h2.segment_span(self.at)
+        c = self.k * (u - self.U_C)
+        if isinstance(seg, prof.TableSegment):
+            phi = np.sin(np.pi * (seg.rs - lo) / (hi - lo)) ** 2
+            new = prof.TableSegment(seg.rs, seg.vals + c * phi)
+        else:  # 256 x^2 (1/4 - x)^2 on [1/2, 3/4], x = r - 1/2: unit peak
+            bump = (0.0, 0.0, 16.0, -128.0, 256.0)
+            new = prof.PolySegment(seg.a, np.polynomial.polynomial.polyadd(
+                seg.coeffs, c * np.array(bump)))
+        segs[segs.index(seg)] = new
+        return prof.ProfilePair(
+            p.h1, prof.PiecewiseProfile(p.h2.breakpoints, segs), p.epsilon)
+
+
+def _max_uf(family, u_lo, u_hi, rs):
+    """max of u f over the fine radii `rs` at both ends."""
+    p1, p2 = family.pair(u_lo), family.pair(u_hi)
+    b = (p2.h2.value(rs) - p1.h2.value(rs)) / (u_hi - u_lo)
+    return max(float(np.max(u * np.abs(b * p.h1.deriv(rs) / p.wronskian(rs))))
+               for u, p in ((u_lo, p1), (u_hi, p2)))
+
+
+@pytest.mark.parametrize("at, k, region", [
+    (0.01, 30.0, (0.0099, 0.0101)),   # the mollification window
+    (0.6, 50.0, (0.5, 0.75)),         # the dip of h2 past the twist arc
+])
+def test_domination_rejects_a_deformed_family(at, k, region):
+    # u f > 1 only inside `region`: the certificate rejects the family, and
+    # the oracle, whose radii include the window knots, sees the excess
+    fam_d = _Deformed(at, k)
+    u_lo, u_hi = fam_d.U_C - 1e-8, fam_d.U_C + 1e-8
+    lo, hi = region
+    inside = np.linspace(lo, hi, 20001)[1:]
+    outside = np.concatenate([np.linspace(1e-6, lo, 20001),
+                              np.linspace(hi, 0.999, 200001)[1:]])
+    off_arc = (outside <= fam_d.window.hi) | (outside > 0.5)
+    assert _max_uf(fam_d, u_lo, u_hi, inside) > 1.5
+    assert _max_uf(fam_d, u_lo, u_hi, outside[off_arc]) < 0.3
+    with pytest.raises(PreconditionFailed):
+        dist._dominated(fam_d, (u_lo, u_hi))
+    oracle = dist.gray_integral(dist.GrayPathSpec(fam_d, u_lo, u_hi)).value
+    assert oracle > 1.5 * math.log(u_hi / u_lo)
+
+
+def test_domination_margin_on_the_model(model):
+    margin = dist._dominated(model.family, (0.15, 0.01, 0.07))
+    assert margin == pytest.approx(0.93, abs=0.005)
+    # a range of one amplitude holds no leg and builds no member
+    assert dist._dominated(None, (0.05, 0.05)) == math.inf
+
+
+def test_oracle_agrees_with_the_closed_form_legs(model):
+    # every adjacent leg of criterion 5's grid and of the README 5x5 grid
+    grids = (
+        [(float(a), float(b)) for a in np.linspace(0.0, 0.18, 5)
+         for b in math.log(0.06) - 0.37 * np.arange(5)[::-1]],
+        [(float(a), float(b)) for a in np.linspace(0.0, 0.18, 5)
+         for b in np.linspace(-4.30, -2.82, 5)])
+    for pts in grids:
+        us = sorted({model.amplitude_for(math.exp(2.0 * a), math.exp(b))
+                     for a, b in pts})
+        assert len(us) == 25
+        for u1, u2 in zip(us, us[1:]):
+            res = dist.gray_integral(dist.GrayPathSpec(model.family, u1, u2))
+            assert abs(res.value - math.log(u2 / u1)) <= 1e-14
+
+
+def test_sweep_and_triangle_run_no_quadrature(model, monkeypatch):
+    a_vals = np.linspace(0.0, 0.18, 5)
+    b_vals = math.log(0.06) - 0.37 * np.arange(5)[::-1]
+    pts = [(float(a), float(b)) for a in a_vals for b in b_vals]
+    specs = {p: model.embed_point(p) for p in pts}
+    calls = {"pair": 0, "contact": 0}
+    real_pair = prof.TwistedPathFamily.pair
+    real_check = dist.check_contact_condition
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a closed-form leg ran a quadrature")
+
+    monkeypatch.setattr(model, "embed_point", lambda p: specs[p])
+    monkeypatch.setattr(dist, "gray_integral", no_quadrature)
+    monkeypatch.setattr(dist, "adaptive_simpson", no_quadrature)
+    monkeypatch.setattr(prof.TwistedPathFamily, "pair",
+                        count("pair", real_pair))
+    monkeypatch.setattr(dist, "check_contact_condition",
+                        count("contact", real_check))
+    # the sweep certifies its whole amplitude range once
+    rep = dist.bilipschitz_sweep(pts, 1.0, 1.0, model=model)
+    assert rep.all_passed and len(rep.rows) == 300
+    assert calls == {"pair": 3, "contact": 2}
+    cert = dist.triangle_ub(specs[pts[0]], specs[pts[-1]])
+    assert calls == {"pair": 6, "contact": 4}
+    assert 0.0 < cert.witnesses["margin"] <= 1.0
+    assert cert.witnesses["gray_leg"] == abs(
+        math.log(specs[pts[-1]].u / specs[pts[0]].u))
 
 
 # --- certificates ------------------------------------------------------------

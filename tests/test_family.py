@@ -206,6 +206,12 @@ def test_embed_winds_once(model, monkeypatch):
     assert len(calls) == 1
 
 
+def test_model_needs_dimension_two_or_more():
+    for n in (1, 0, -2):
+        with pytest.raises(InvalidGeometry):
+            fam.FamilyModel(1.0, 1.0, n=n)
+
+
 def test_embed_domain_violation(model):
     with pytest.raises(DomainViolation):
         model.embed_point((0.0, 0.1))
