@@ -9,9 +9,10 @@ Subcommands mirror the library modules:
     persist  barcode | check
 
 Every run writes its artifacts plus a run-manifest JSON (input hashes,
-package/library versions, tolerances) into --out.  Exit status: 0 when all
-checks pass, 1 on assertion failures, 2 on input errors.  All numbers are
-printed with 17 significant digits.
+package/library versions, tolerances, and the family certificate of the
+model a family or distance command builds) into --out.  Exit status: 0
+when all checks pass, 1 on assertion failures, 2 on input errors.  All
+numbers are printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ class RunContext:
         self.args = {k: v for k, v in args.items() if k not in ("func",)}
         self.inputs = {}
         self.outputs = []
+        self.family_certificate = None
+
+    def model(self, args) -> family.FamilyModel:
+        """The FamilyModel of --floor-a, --floor-b and --n; the manifest
+        records its family certificate."""
+        model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
+        self.family_certificate = model.certificate.to_dict()
+        return model
 
     def register_input(self, path: str):
         with open(path, "rb") as fh:
@@ -80,6 +89,8 @@ class RunContext:
                          "scipy": scipy.__version__,
                          "python": platform.python_version()},
         }
+        if self.family_certificate is not None:
+            manifest["family_certificate"] = self.family_certificate
         with open(os.path.join(self.outdir, "run_manifest.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -212,7 +223,7 @@ def cmd_reeb_perturb(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_family_embed(args, ctx: RunContext) -> int:
-    model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
+    model = ctx.model(args)
     spec = model.embed_point((args.a, args.b))
     ctx.write_json("formspec.json", spec.to_json())
     print(f"k = {format_float(spec.k)}  l = {format_float(spec.l)}  "
@@ -221,7 +232,7 @@ def cmd_family_embed(args, ctx: RunContext) -> int:
 
 
 def cmd_family_sweep(args, ctx: RunContext) -> int:
-    model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
+    model = ctx.model(args)
     a_lo, a_hi, a_n = args.a_grid
     b_lo, b_hi, b_n = args.b_grid
     pts = [(a, b) for a in np.linspace(a_lo, a_hi, int(a_n))
@@ -234,7 +245,7 @@ def cmd_family_sweep(args, ctx: RunContext) -> int:
 
 
 def cmd_family_scaling(args, ctx: RunContext) -> int:
-    model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
+    model = ctx.model(args)
     spec = model.embed_point((args.a, args.b))
     rep = family.scaling_check(spec, args.c)
     ctx.write_json("scaling.json", {
@@ -251,15 +262,15 @@ def cmd_family_scaling(args, ctx: RunContext) -> int:
 # distance commands
 # ---------------------------------------------------------------------------
 
-def _two_specs(args):
-    model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
+def _two_specs(args, ctx: RunContext):
+    model = ctx.model(args)
     s1 = model.embed_point((args.a1, args.b1))
     s2 = model.embed_point((args.a2, args.b2))
     return s1, s2
 
 
 def cmd_distance_lower(args, ctx: RunContext) -> int:
-    s1, s2 = _two_specs(args)
+    s1, s2 = _two_specs(args, ctx)
     cert = distance.lower_bound(s1, s2)
     ctx.write_json("certificate_lower.json", cert.to_json())
     print(f"lower = {format_float(cert.lower)} via {cert.lower_method}")
@@ -267,7 +278,7 @@ def cmd_distance_lower(args, ctx: RunContext) -> int:
 
 
 def cmd_distance_upper(args, ctx: RunContext) -> int:
-    s1, s2 = _two_specs(args)
+    s1, s2 = _two_specs(args, ctx)
     cert = distance.triangle_ub(s1, s2)
     ctx.write_json("certificate_upper.json", cert.to_json())
     print(f"upper = {format_float(cert.upper)} via {cert.upper_method}")
@@ -305,7 +316,7 @@ def cmd_distance_sandwich(args, ctx: RunContext) -> int:
     pts = [(a, b) for a in np.linspace(a_lo, a_hi, int(a_n))
            for b in np.linspace(b_lo, b_hi, int(b_n))]
     report = distance.bilipschitz_sweep(pts, args.floor_a, args.floor_b,
-                                        n=args.n)
+                                        n=args.n, model=ctx.model(args))
     report.to_csv(ctx.path("sandwich.csv"))
     print(f"{len(report.rows)} pairs; all pass = {report.all_passed}; "
           f"worst slack = {format_float(report.worst_slack)}")

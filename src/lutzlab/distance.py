@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
 from .numerics import adaptive_simpson, format_float, grid_sup
-from .family import FamilyModel, FormSpec, epsilon_bound
-from .profile import (TWO_PI, TableSegment, TwistedPathFamily,
-                      check_contact_condition)
+from .family import (FamilyModel, FormSpec, contact_sign, epsilon_bound,
+                     gray_radii)
+from .profile import TWO_PI, TwistedPathFamily
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,7 @@ def folding_bounds(a1: float, a2: float, ball: float,
 # the Gray-stability integral
 # ---------------------------------------------------------------------------
 
-# Radius grid of the Gray sup scan, and the leg quadrature's tolerance.
-_R_GRID = 2048
+# The leg quadrature's tolerance.
 _GRAY_TOL = 1e-12
 
 
@@ -220,14 +219,11 @@ class _GrayIntegrand:
 
     The two members at the leg's ends, which must differ, pin the affine
     data B = dh2/du and D_u = DA + u DB; the sup at each u is one vector
-    expression on the sup grid joined with the window table's knots (which
-    the grid misses), refined by `numerics.grid_sup` with brackets
-    evaluated segment by segment.
+    expression on `family.gray_radii`, refined by `numerics.grid_sup` with
+    brackets evaluated segment by segment.
 
-    Building it checks the leg's premise: contact at both end members with
-    one nonzero sign, which D_u/r, affine in u, keeps at every amplitude
-    between them at the checked radii (a sign change across r is a zero of
-    D between samples), and per-radius monotonicity in u at the midpoint.
+    Building it checks the leg's premise: `family.contact_sign` at both end
+    members, and per-radius monotonicity in u at the midpoint.
     """
 
     def __init__(self, spec: GrayPathSpec):
@@ -236,21 +232,14 @@ class _GrayIntegrand:
         self.pair2 = spec.family.pair(u2)
         self.u1, self.u2 = u1, u2
         ends = (self.pair1, self.pair2)
-        c1, c2 = (check_contact_condition(p, grid_size=2000) for p in ends)
-        if not (c1.passed and c2.passed and c1.sign == c2.sign != 0):
-            raise SingularLocus(
-                f"contact condition fails at the ends u = {u1}, {u2} of the "
-                f"leg: {[c1, c2]}")
+        contact_sign(ends, f"the ends u = {u1}, {u2} of the leg")
         # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
         probe = np.linspace(0.01, self.pair1.epsilon * 0.99, 257)
         h_1, h_2 = (p.h2.value(probe) for p in ends)
         h_mid = spec.family.pair(0.5 * (u1 + u2)).h2.value(probe)
         if not bool(np.all(((h_mid - h_1) * (h_2 - h_mid)) >= -1e-13)):
             raise SingularLocus("family is not monotone in u at some radius")
-        self.rs = np.unique(np.concatenate(
-            [np.linspace(1e-9, self.pair1.epsilon * (1.0 - 1e-12), _R_GRID)]
-            + [seg.rs for seg in self.pair1.h1.segments
-               if isinstance(seg, TableSegment)]))
+        self.rs = gray_radii(self.pair1)
         self._h1p = self.pair1.h1.deriv(self.rs)
         h2a, h2b = (p.h2.value(self.rs) for p in ends)
         self._B = (h2b - h2a) / (u2 - u1)
@@ -300,7 +289,8 @@ def gray_integral(spec: GrayPathSpec) -> GrayResult:
 
     Once `_GrayIntegrand` has checked the leg's premise, adaptive Simpson
     integrates the inner sup to absolute tolerance 1e-12.  The sweeps take
-    their legs in closed form behind `_dominated`; this is its oracle.
+    their legs in closed form behind the model's `FamilyCertificate`; this
+    is its oracle.
     """
     u_lo, u_hi = sorted((spec.u_start, spec.u_end))
     if u_hi == u_lo:
@@ -318,31 +308,6 @@ def gray_integral(spec: GrayPathSpec) -> GrayResult:
                       u_start=spec.u_start, u_end=spec.u_end)
 
 
-def _dominated(family: TwistedPathFamily, amplitudes) -> float:
-    """Certify that a Gray leg between any u1, u2 in [u_lo, u_hi], the
-    range of `amplitudes`, is worth |ln(u2/u1)|; returns the least 1 - u f.
-
-    On the twist arc (window.hi, 1/2] both profiles are trigonometric and
-    f = sin^2(2 pi r)/u exactly, with sup 1/u.  Off the arc u f <= 1 reads
-    u |B h1'| <= |D_u|: both sides are affine in u while D_u keeps its
-    sign, so the leg's premise and the two end members cover every u in
-    range, on the integrand's radii.  A range of one amplitude needs no leg.
-    """
-    u_lo, u_hi = min(amplitudes), max(amplitudes)
-    if u_hi == u_lo:
-        return math.inf
-    leg = _GrayIntegrand(GrayPathSpec(family, u_lo, u_hi))
-    off_arc = (leg.rs <= family.window.hi) | (leg.rs > 0.5)
-    rate = np.abs(leg._B * leg._h1p)
-    margin = min(float(np.min((1.0 - u * rate / np.abs(leg.den(u)))[off_arc]))
-                 for u in (u_lo, u_hi))
-    if margin < 0.0:
-        raise PreconditionFailed(
-            f"the Gray rate exceeds 1/u off the twist arc (margin "
-            f"{margin:.3g}); no closed-form leg on [{u_lo}, {u_hi}]")
-    return margin
-
-
 # ---------------------------------------------------------------------------
 # two-leg upper bound and the sandwich sweep
 # ---------------------------------------------------------------------------
@@ -352,13 +317,13 @@ def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
 
     The scaling leg costs |ln k2^(1/n) - ln k1^(1/n)| exactly; the
     deformation leg runs between the two amplitudes, which the
-    intermediate point shares with s1, and is worth |ln(u2/u1)| once
-    `_dominated` certifies the family between them.
+    intermediate point shares with s1, and is worth |ln(u2/u1)| by the
+    members' family certificate, whose margin must be nonnegative.
     """
     _require_certified(s1, s2)
     if s1.n != s2.n:
         raise PreconditionFailed("members live in different dimensions")
-    if s1.family is not s2.family:
+    if s1.certificate is not s2.certificate:
         raise PreconditionFailed(
             "a deformation leg needs members of one amplitude family")
     n = s1.n
@@ -369,7 +334,7 @@ def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
         raise DomainViolation(
             f"intermediate point l = {l_mid:.6g} leaves the admissible "
             "half-plane")
-    margin = _dominated(s1.family, (s1.u, s2.u))
+    margin = s1.certificate.gray_margin()
     gray_val = abs(math.log(s2.u / s1.u))
     wit = {"scaling_leg": a_leg, "gray_leg": gray_val,
            "intermediate_l": l_mid, "margin": margin}
@@ -423,10 +388,10 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
     Asserts d_inf <= lower <= upper <= 2 d_inf with numerical slacks of
     1e-12, 1e-9 and 1e-6 on the three links, and reports the worst slack
     across the grid.  Rows come in pair order.  Every member lives in the
-    model's one amplitude family, which `_dominated` certifies once over
-    the members' amplitude range, so each pair's Gray leg is |ln(u2/u1)|.
-    Fewer than two points give no pair to certify and raise
-    PreconditionFailed.
+    model's one amplitude family, whose certificate covers [u_ref, U_CAP]
+    once per model, so each pair's Gray leg is |ln(u2/u1)| as long as its
+    margin is nonnegative.  Fewer than two points give no pair to certify
+    and raise PreconditionFailed.
     """
     points = list(points)
     if len(points) < 2:
@@ -441,9 +406,9 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
             f"{model.compensator_floor_b}) and n = {model.n}; the sweep "
             f"was asked for ({ambient_floor_a}, {compensator_floor_b}) and "
             f"n = {n}")
+    model.certificate.gray_margin()
     specs = [model.embed_point(p) for p in points]
     _require_certified(*specs)
-    _dominated(model.family, [s.u for s in specs])
     rows = []
     for i, s1 in enumerate(specs):
         for s2 in specs[i + 1:]:

@@ -11,7 +11,14 @@ member's volume is exactly k and its lowest certified action is l.
 Every member of one model lives in the model's single amplitude family, a
 `profile.TwistedPathFamily` spanning [u_ref, U_CAP], so the Gray
 deformation leg between two members starts and ends at the members
-themselves.  The admissible region is b < eps_bound = min(ln A, ln B)
+themselves.  In that family h1 is one profile and h2 = A + u B is affine in
+u, so `certify_family` checks once, from the members at u_ref and U_CAP,
+what every member shares: contact with one sign, one full twist, the zeros
+r+ < r+' of h1, the tube volume (affine in u) and the Gray domination
+margin.  A member is then embedded in closed form from that certificate;
+`tube_volume`, `FormSpec.l_invariant` and
+`CompensatorSpec.delta_volume_grid` recompute it from scratch and serve as
+oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
 together with the geometric floor l >= k^(1/n) * L0 (smaller targets need
 a thinner twist region, i.e. a smaller epsilon0) and the amplitude cap
 u <= U_CAP.
@@ -27,11 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
-                     PreconditionFailed, QuadratureFailure)
+                     PreconditionFailed, QuadratureFailure, SingularLocus)
 from .numerics import format_float, gauss_legendre
 from . import reeb
 from .profile import (TWO_PI, TwistedPathFamily, ProfilePair, TableSegment,
-                      TwistParams)
+                      TwistParams, check_contact_condition)
 
 
 # ---------------------------------------------------------------------------
@@ -48,37 +55,52 @@ def _panel_knots(pair: ProfilePair) -> np.ndarray:
            if isinstance(seg, TableSegment)]))
 
 
-def _integrate_profile_product(pair: ProfilePair, n: int,
-                               rtol: float = 1e-11) -> float:
-    """int_0^eps h1^(n-2) D dr by Gauss-Legendre panels.
+def _panel_nodes(knots: np.ndarray, order: int) -> tuple:
+    """(half widths, weights, nodes) of the order-point Gauss-Legendre rule
+    on each panel between consecutive knots; nodes have one row per panel."""
+    x, w = gauss_legendre(order)
+    a = knots[:-1]
+    b = knots[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return half, w, mid[:, None] + half[:, None] * x[None, :]
+
+
+def _integrate_profile_products(pairs, n: int,
+                                rtol: float = 1e-11) -> list:
+    """int_0^eps h1^(n-2) D dr for each of `pairs`, which share one h1, by
+    Gauss-Legendre panels.
 
     Panel edges include every segment breakpoint and every mollified-table
-    knot (`_panel_knots`), so each panel integrand is a smooth closed form
-    (polynomial or trigonometric product) and fixed-order panels are exact
-    to rounding.
+    knot of every pair (`_panel_knots`), so each panel integrand is a
+    smooth closed form (polynomial or trigonometric product) and
+    fixed-order panels are exact to rounding.  h1 and h1' are evaluated
+    once for all pairs.
     """
-    knots = _panel_knots(pair)
+    h1 = pairs[0].h1
+    if any(p.h1 is not h1 for p in pairs):
+        raise InvalidGeometry("the pairs of one quadrature must share h1")
+    knots = np.unique(np.concatenate([_panel_knots(p) for p in pairs]))
 
     def scan(order):
-        x, w = gauss_legendre(order)
-        a = knots[:-1]
-        b = knots[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        rs = mid[:, None] + half[:, None] * x[None, :]
+        half, w, rs = _panel_nodes(knots, order)
         flat = rs.ravel()
-        d = pair.wronskian(flat)
-        if n > 2:
-            d = pair.h1.value(flat) ** (n - 2) * d
-        d = d.reshape(rs.shape)
-        return float(np.sum(half * np.sum(w[None, :] * d, axis=1)))
+        h1v, h1p = h1.value(flat), h1.deriv(flat)
+        out = []
+        for p in pairs:
+            d = h1v * p.h2.deriv(flat) - h1p * p.h2.value(flat)
+            if n > 2:
+                d = h1v ** (n - 2) * d
+            d = d.reshape(rs.shape)
+            out.append(float(np.sum(half * np.sum(w[None, :] * d, axis=1))))
+        return out
 
-    lo, hi = scan(12), scan(20)
-    scale = max(abs(hi), 1.0)
-    if abs(hi - lo) > 10 * rtol * scale:
-        raise QuadratureFailure(
-            f"tube volume panels disagree by {abs(hi - lo):.3g}")
-    return hi
+    coarse, fine = scan(12), scan(20)
+    for lo, hi in zip(coarse, fine):
+        if abs(hi - lo) > 10 * rtol * max(abs(hi), 1.0):
+            raise QuadratureFailure(
+                f"tube volume panels disagree by {abs(hi - lo):.3g}")
+    return fine
 
 
 def tube_volume(pair: ProfilePair, n: int = 2) -> float:
@@ -90,7 +112,7 @@ def tube_volume(pair: ProfilePair, n: int = 2) -> float:
     absorbed by the family's volume normalisation.  The absolute value is
     returned; a negative determinant orientation only flips the sign.
     """
-    val = 4.0 * math.pi ** 2 * _integrate_profile_product(pair, n)
+    val = 4.0 * math.pi ** 2 * _integrate_profile_products([pair], n)[0]
     return abs(val)
 
 
@@ -171,16 +193,30 @@ class CompensatorSpec:
         scaling (1 + a*B)^n."""
         return _moment_sum(self.moments(n), amplitude)
 
+    def _midpoint_grid(self, grid: int) -> tuple:
+        """(bump, 2 r cell) at the midpoints of a grid x grid cell box,
+        theta along rows and r along columns (the weight is one row)."""
+        ths = (np.arange(grid) + 0.5) / grid * self.theta_extent
+        rs = (np.arange(grid) + 0.5) / grid * self.r_extent
+        cell = (self.theta_extent / grid) * (self.r_extent / grid)
+        return self.bump(ths[:, None], rs[None, :]), 2.0 * rs[None, :] * cell
+
     def delta_volume_grid(self, amplitude: float, n: int,
                           grid: int = 400) -> float:
         """Independent 2-d midpoint re-integration of the volume change."""
-        ths = (np.arange(grid) + 0.5) / grid * self.theta_extent
-        rs = (np.arange(grid) + 0.5) / grid * self.r_extent
-        th, rr = np.meshgrid(ths, rs, indexing="ij")
-        b = self.bump(th, rr)
+        b, weight = self._midpoint_grid(grid)
         dens = (1.0 + amplitude * b) ** n - 1.0
-        cell = (self.theta_extent / grid) * (self.r_extent / grid)
-        return float(TWO_PI * np.sum(dens * 2.0 * rr) * cell)
+        return float(TWO_PI * np.sum(dens * weight))
+
+    def grid_moments(self, n: int, grid: int = 400) -> list:
+        """G_j = 2 pi sum bump^j 2 r cell on `delta_volume_grid`'s midpoint
+        grid, j = 1..n: `_moment_sum` of them is that re-integration."""
+        b, weight = self._midpoint_grid(grid)
+        out, bj = [], np.ones_like(b)
+        for _ in range(n):
+            bj = bj * b
+            out.append(float(TWO_PI * np.sum(bj * weight)))
+        return out
 
 
 def _moment_sum(mom: list, amplitude: float) -> float:
@@ -190,13 +226,15 @@ def _moment_sum(mom: list, amplitude: float) -> float:
                for j in range(1, n + 1))
 
 
-def compensator_solve(v0: float, tube: CompensatorSpec,
-                      n: int = 2) -> CompensatorSpec:
+def compensator_solve(v0: float, tube: CompensatorSpec, n: int = 2,
+                      moments: Optional[tuple] = None) -> CompensatorSpec:
     """Amplitude making the tube volume change equal exactly -v0.
 
     Bisection on the closed-moment polynomial; infeasible when the needed
     amplitude drives min(1 + nu) below one half.  The result records
-    min(1 + nu) and a residual from an independent re-integration.
+    min(1 + nu) and a residual from an independent re-integration, the
+    midpoint grid of `CompensatorSpec.grid_moments`.  `moments` is the pair
+    (tube.moments(n), tube.grid_moments(n)) when the caller holds it.
     """
     if v0 >= tube.tube_volume():
         raise InfeasibleCompensation(
@@ -207,7 +245,7 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
         return replace(tube, amplitude=0.0, target_delta_volume=0.0,
                        min_one_plus_nu=1.0, achieved_residual=0.0)
 
-    mom = tube.moments(n)
+    mom, grid_mom = moments or (tube.moments(n), tube.grid_moments(n))
 
     def delta_volume(amplitude):
         return _moment_sum(mom, amplitude)
@@ -231,7 +269,7 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
         if hi - lo < 1e-16 * max(1.0, abs(hi)):
             break
     amp = 0.5 * (lo + hi)
-    achieved = tube.delta_volume_grid(amp, n)
+    achieved = _moment_sum(grid_mom, amp)
     resid = abs(achieved - target) / max(abs(target), 1e-30)
     if resid > 1e-6:
         raise QuadratureFailure(
@@ -240,6 +278,145 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
     return replace(tube, amplitude=amp, target_delta_volume=-target,
                    min_one_plus_nu=min_nu,
                    achieved_residual=abs(delta_volume(amp) - target))
+
+
+# ---------------------------------------------------------------------------
+# the family certificate
+# ---------------------------------------------------------------------------
+
+# Radii of the Gray sup grid on (0, eps); `gray_radii` adds the window
+# table's knots, which the grid misses.
+GRAY_R_GRID = 2048
+# Largest departure of the midpoint member's h2 from the mean of the end
+# members', relative to their max |h2|, that the affinity probe accepts.
+AFFINE_RTOL = 1e-13
+GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the Gray grid "
+               "and window knots; twist arc in closed form")
+
+
+def gray_radii(pair: ProfilePair) -> np.ndarray:
+    """The Gray sup grid on (0, eps) joined with h1's mollified-table
+    knots."""
+    return np.unique(np.concatenate(
+        [np.linspace(1e-9, pair.epsilon * (1.0 - 1e-12), GRAY_R_GRID)]
+        + [seg.rs for seg in pair.h1.segments
+           if isinstance(seg, TableSegment)]))
+
+
+def contact_sign(pairs, where: str) -> int:
+    """The one nonzero sign of D with which every pair passes the contact
+    check.  D/r is affine in the amplitude, so two such members keep that
+    sign at every amplitude between them, at the checked radii (a sign
+    change across r is a zero of D between samples)."""
+    checks = [check_contact_condition(p, grid_size=2000) for p in pairs]
+    sign = checks[0].sign
+    if not (sign != 0 and all(c.passed and c.sign == sign for c in checks)):
+        raise SingularLocus(f"contact condition fails at {where}: {checks}")
+    return sign
+
+
+@dataclass(frozen=True)
+class FamilyCertificate:
+    """What every member of an amplitude family on [u_lo, u_hi] shares,
+    certified once from its two end members by `certify_family`."""
+    u_lo: float
+    u_hi: float
+    contact_sign: int
+    r_plus: float        # the zeros r+ < r+' of the shared h1
+    r_plus_prime: float
+    volumes: tuple       # signed 4 pi^2 int h1^(n-2) D at u_lo and u_hi
+    margin: float        # least 1 - u f off the twist arc, by GRAY_METHOD
+
+    def tube_volume(self, u: float) -> float:
+        """`tube_volume` of the member at u, interpolated between the ends:
+        the integral is affine in u and keeps one sign on the range."""
+        v_lo, v_hi = self.volumes
+        t = (u - self.u_lo) / (self.u_hi - self.u_lo)
+        return abs(v_lo + t * (v_hi - v_lo))
+
+    def gray_margin(self) -> float:
+        """The margin, which must be nonnegative: then a Gray leg between
+        any two amplitudes of the range is worth |ln(u2/u1)|."""
+        if self.margin < 0.0:
+            raise PreconditionFailed(
+                f"the Gray rate exceeds 1/u off the twist arc (margin "
+                f"{self.margin:.3g}); no closed-form leg on "
+                f"[{self.u_lo}, {self.u_hi}]")
+        return self.margin
+
+    def to_dict(self) -> dict:
+        return {"u_range": [self.u_lo, self.u_hi],
+                "contact_sign": self.contact_sign, "margin": self.margin,
+                "method": GRAY_METHOD}
+
+
+def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
+                   n: int) -> FamilyCertificate:
+    """Certify every member on [u_lo, u_hi] from the members at the ends.
+
+    The members share one h1 (the volume quadrature insists on it), and
+    h2 = A + u B is affine in u; a probe checks that the midpoint member's
+    h2 is the mean of the ends' on the tube-volume panel nodes, 12 per
+    panel, on each of which every segment is a cubic or a closed-form arc.
+    Hence, for every u in range:
+    - D_u = D_A + u D_B, so contact with one sign at both ends holds at u,
+      and the path, which winds once at both ends and is never parallel
+      on the way, winds once at u;
+    - the zeros r+ < r+' of h1, polished once by `reeb.action_minima`,
+      are the member's;
+    - int h1^(n-2) D_u is affine in u, so two endpoint quadratures give
+      the member's tube volume, provided they have one sign;
+    - the Gray rate f = |B h1' / D_u| has u f <= 1 wherever
+      u |B h1'| <= |D_u| holds at both ends (both sides are affine while
+      D_u keeps its sign), which is checked on `gray_radii` off the twist
+      arc (window.hi, 1/2].  On the arc both profiles are trigonometric
+      and f = sin^2(2 pi r)/u exactly.  The least 1 - u f is the margin;
+      a negative one is recorded, and `FamilyCertificate.gray_margin`
+      refuses it.
+    """
+    if not u_lo < u_hi:
+        raise InvalidGeometry(
+            f"a family certificate needs two amplitudes u_lo < u_hi, got "
+            f"[{u_lo}, {u_hi}]")
+    ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
+    sign = contact_sign(ends, f"the ends u = {u_lo}, {u_hi} of the family")
+    r_plus, r_pp, _, _ = reeb.action_minima(p_lo)  # winds once at u_lo
+    if p_hi.winding_number() != 1:
+        raise InvalidGeometry(
+            f"the member at u = {u_hi} is not a full-twist path")
+
+    _, _, nodes = _panel_nodes(_panel_knots(p_lo), 12)
+    nodes = nodes.ravel()
+    p_mid = family.pair(0.5 * (u_lo + u_hi))
+    lo, hi, mid = (p.h2.value(nodes) for p in (p_lo, p_hi, p_mid))
+    scale = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    if float(np.max(np.abs(mid - 0.5 * (lo + hi)))) > AFFINE_RTOL * scale:
+        raise InvalidGeometry(f"h2 is not affine in u on [{u_lo}, {u_hi}]")
+
+    volumes = tuple(4.0 * math.pi ** 2 * v
+                    for v in _integrate_profile_products(ends, n))
+    if not volumes[0] * volumes[1] > 0.0:
+        raise InvalidGeometry(
+            f"the tube volume integral changes sign on [{u_lo}, {u_hi}]: "
+            f"{volumes}")
+
+    rs = gray_radii(p_lo)
+    off_arc = (rs <= family.window.hi) | (rs > 0.5)
+    h1v, h1p = p_lo.h1.value(rs), p_lo.h1.deriv(rs)
+    h2v = [p.h2.value(rs) for p in ends]
+    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * h1p)
+    margin = math.inf
+    for u, p, h2 in zip((u_lo, u_hi), ends, h2v):
+        d = h1v * p.h2.deriv(rs) - h1p * h2
+        if not bool(np.all(sign * d > 1e-12)):
+            raise SingularLocus(
+                f"never-parallel determinant vanishes at u = {u} on the "
+                "Gray radii")
+        margin = min(margin,
+                     float(np.min((1.0 - u * rate / np.abs(d))[off_arc])))
+    return FamilyCertificate(u_lo=u_lo, u_hi=u_hi, contact_sign=sign,
+                             r_plus=r_plus, r_plus_prime=r_pp,
+                             volumes=volumes, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +467,7 @@ class FormSpec:
     defaults: FamilyDefaults
     pair: ProfilePair = field(repr=False)
     family: TwistedPathFamily = field(repr=False)  # the family `pair` is from
+    certificate: FamilyCertificate = field(repr=False)  # `family`'s
     compensator: CompensatorSpec
     tube_volume_normalized: float
     reservoir_volume: float
@@ -306,7 +484,9 @@ class FormSpec:
         return self.pair.scaled(self.scale)
 
     def l_invariant(self) -> float:
-        """Recomputed lowest certified action of the scaled form."""
+        """Lowest certified action of the scaled form, recomputed from
+        scratch (`reeb.l_invariant` on the refitted scaled pair): the
+        oracle of `l_recomputed`."""
         return reeb.l_invariant(self.scaled_pair(), self.twist,
                                 ambient_floor_a=self.scale
                                 * self.ambient_floor_a)
@@ -337,7 +517,8 @@ class FormSpec:
 
 class FamilyModel:
     """Shared geometry, the one amplitude family every member is built
-    from, and the base volumes for embedding points."""
+    from, its certificate over [u_ref, U_CAP], the compensator's moments
+    and the base volumes for embedding points."""
 
     def __init__(self, ambient_floor_a: float = 1.0,
                  compensator_floor_b: float = 1.0, n: int = 2,
@@ -352,13 +533,18 @@ class FamilyModel:
         self.domain = ParamDomain(self.eps_bound)
         self.family = TwistedPathFamily(self.defaults.twist,
                                         self.defaults.u_ref, U_CAP)
-        base_pair = self.family.pair(self.defaults.u_ref)
+        self.certificate = certify_family(self.family, self.defaults.u_ref,
+                                          U_CAP, self.n)
         eps_p = self.defaults.tube_phys_radius
-        self.base_tube_volume = eps_p ** 2 * tube_volume(base_pair, self.n)
-        v_k1 = self.defaults.compensator.tube_volume()
-        self.reservoir_volume = 1.0 - self.base_tube_volume - v_k1
+        self.base_tube_volume = eps_p ** 2 * self.certificate.tube_volume(
+            self.defaults.u_ref)
+        comp = self.defaults.compensator
+        self.reservoir_volume = (1.0 - self.base_tube_volume
+                                 - comp.tube_volume())
         if self.reservoir_volume <= 0.0:
             raise InvalidGeometry("model tubes exceed the unit total volume")
+        self.compensator_moments = (comp.moments(self.n),
+                                    comp.grid_moments(self.n))
 
     def amplitude_for(self, k: float, l: float) -> float:
         """Invert l = k^(1/n) (1 + delta2) u for the member amplitude."""
@@ -366,7 +552,15 @@ class FamilyModel:
                 / (k ** (1.0 / self.n) * self.defaults.l_base))
 
     def embed_point(self, point) -> FormSpec:
-        """Realise (a, b) = (ln k^(1/n), ln l) as a certified FormSpec."""
+        """Realise (a, b) = (ln k^(1/n), ln l) as a certified FormSpec.
+
+        The member is read off the model's certificate, with no quadrature
+        and no root search: its tube volume is interpolated between the end
+        volumes, the compensator is solved on the model's moments, and the
+        action inequalities are checked on the member's own h2 at the
+        shared zeros r+ < r+' of h1, giving
+        l_recomputed = k^(1/n) 2 pi |h2_u(r+)| (1 + delta mu_-).
+        """
         a, b = float(point[0]), float(point[1])
         if not self.domain.contains((a, b)):
             raise DomainViolation(
@@ -386,28 +580,35 @@ class FamilyModel:
                 f"{u:.4g}, above the model's cap U_CAP = {U_CAP}")
         pair = self.family.pair(u)
         twist = replace(self.family.params, u=u)
+        cert = self.certificate
 
         eps_p = self.defaults.tube_phys_radius
-        v_tube = eps_p ** 2 * tube_volume(pair, self.n)
+        v_tube = eps_p ** 2 * cert.tube_volume(u)
         v0 = v_tube - self.base_tube_volume
-        comp = compensator_solve(v0, self.defaults.compensator, self.n)
+        comp = compensator_solve(v0, self.defaults.compensator, self.n,
+                                 self.compensator_moments)
 
         spec = FormSpec(n=self.n, k=k, l=l, a=a, b=b, u=u, twist=twist,
                         ambient_floor_a=self.ambient_floor_a,
                         compensator_floor_b=self.compensator_floor_b,
                         defaults=self.defaults, pair=pair, family=self.family,
-                        compensator=comp,
+                        certificate=cert, compensator=comp,
                         tube_volume_normalized=v_tube,
                         reservoir_volume=self.reservoir_volume)
+        # both inequalities are invariant under the scaling by k^(1/n)
+        check = reeb.claction_at(pair, twist, self.ambient_floor_a,
+                                 cert.r_plus, cert.r_plus_prime)
+        if not check["passed"]:
+            raise PreconditionFailed(f"action certification failed: {check}")
+        spec.l_recomputed = (spec.scale * check["action_plus"]
+                             * (1.0 + twist.delta * twist.mu_minus))
         flags = {}
-        spec.l_recomputed = spec.l_invariant()
         flags["l_round_trip"] = bool(
             abs(spec.l_recomputed - l) / l <= L_ROUND_TRIP)
         vol = spec.total_volume()
         flags["volume_round_trip"] = bool(
             abs(vol - k) / k <= VOLUME_ROUND_TRIP)
-        # l_invariant raised PreconditionFailed unless the action
-        # certificate passed
+        # the action certificate passed, or PreconditionFailed was raised
         flags["claction"] = True
         # pointwise compensator action certificate: the implied floor
         # must dominate this member's certified action level

@@ -224,13 +224,21 @@ def action_minima(pair: ProfilePair) -> tuple:
 
     r_plus, r_plus_prime = (brentq(h1, xs[i], xs[i + 1], xtol=1e-12)
                             for i in cells)
-    a_plus = TWO_PI * abs(float(pair.h2.value(r_plus)))
-    a_prime = TWO_PI * abs(float(pair.h2.value(r_plus_prime)))
+    h2p, h2pp = _intercepts(pair, r_plus, r_plus_prime)
+    return r_plus, r_plus_prime, TWO_PI * abs(h2p), TWO_PI * abs(h2pp)
+
+
+def _intercepts(pair: ProfilePair, r_plus: float,
+                r_plus_prime: float) -> tuple:
+    """h2 at the two zeros of h1; the second action 2 pi |h2| must
+    dominate the first."""
+    h2p, h2pp = (float(pair.h2.value(r)) for r in (r_plus, r_plus_prime))
+    a_plus, a_prime = TWO_PI * abs(h2p), TWO_PI * abs(h2pp)
     if not a_plus < a_prime:
         raise InvalidGeometry(
             "second y-intercept must dominate: "
             f"2pi|h2(r+)| = {a_plus:.6g} >= {a_prime:.6g}")
-    return r_plus, r_plus_prime, a_plus, a_prime
+    return h2p, h2pp
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +599,18 @@ def claction_check(pair: ProfilePair, params: TwistParams,
 
     (i) 2 pi h2(r+) < A, and (ii) |h2(r+)(1 + delta mu_-)| < |h2(r+')|.
     """
-    r_plus, r_pp, a_plus, _ = action_minima(pair)
-    h2p = float(pair.h2.value(r_plus))
-    h2pp_val = float(pair.h2.value(r_pp))
+    r_plus, r_pp, _, _ = action_minima(pair)
+    return claction_at(pair, params, ambient_floor_a, r_plus, r_pp)
+
+
+def claction_at(pair: ProfilePair, params: TwistParams,
+                ambient_floor_a: float, r_plus: float,
+                r_pp: float) -> dict:
+    """`claction_check` at zeros r+ < r+' of h1 that are already certified:
+    by `action_minima`, or once for every member of a family sharing h1.
+    """
+    h2p, h2pp_val = _intercepts(pair, r_plus, r_pp)
+    a_plus = TWO_PI * abs(h2p)
     below_ambient = a_plus < ambient_floor_a
     below_second = (abs(h2p * (1.0 + params.delta * params.mu_minus))
                     < abs(h2pp_val))

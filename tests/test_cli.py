@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lutzlab import cli, distance
+from lutzlab import cli, distance, family
 
 
 def run(tmp_path, *argv):
@@ -40,6 +40,35 @@ def test_manifest_written(tmp_path):
     # the tolerance the Gray quadrature integrates to, not numerics' default
     assert manifest["tolerances"]["gray_simpson_abs"] == distance._GRAY_TOL
     assert "simpson_abs" not in manifest["tolerances"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "embed", "--a", "0", "--b", "-3.2"),
+    ("family", "sweep", "--a-grid", "0", "0.18", "2", "--b-grid", "-3.6",
+     "-2.9", "2"),
+    ("distance", "upper", "--a1", "0", "--b1", "-3.2", "--a2", "0.3",
+     "--b2", "-3.0"),
+    ("distance", "sandwich", "--a-grid", "0", "0.18", "2", "--b-grid",
+     "-3.6", "-2.9", "2"),
+])
+def test_manifest_records_the_family_certificate(tmp_path, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    cert = manifest["family_certificate"]
+    assert cert["u_range"] == [0.01, 0.15]
+    assert cert["contact_sign"] == 1
+    assert cert["margin"] == pytest.approx(0.93, abs=0.005)
+    assert cert["method"] == family.GRAY_METHOD
+    # no timings: the manifest is as deterministic as the artifacts
+    assert sorted(cert) == ["contact_sign", "margin", "method", "u_range"]
+
+
+def test_manifest_without_a_model_has_no_family_certificate(tmp_path):
+    code, out = run(tmp_path, "distance", "fold", "--a1", "1", "--a2", "3",
+                    "--ball", "0.5", "--delta", "0.1")
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "family_certificate" not in manifest
 
 
 @pytest.mark.parametrize("n", ["0", "1", "-2"])

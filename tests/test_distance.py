@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lutzlab import distance as dist
+from lutzlab import family as fam
 from lutzlab import profile as prof
 from lutzlab.errors import (DomainViolation, InvalidGeometry,
                             PreconditionFailed, SingularLocus)
@@ -170,7 +171,7 @@ def test_gray_leg_work_counts(gray_family, monkeypatch):
     # midpoint, and checks contact at the two ends only
     calls = {"pair": 0, "contact": 0}
     real_pair = prof.TwistedPathFamily.pair
-    real_check = dist.check_contact_condition
+    real_check = fam.check_contact_condition
 
     def counting_pair(self, u):
         calls["pair"] += 1
@@ -181,7 +182,7 @@ def test_gray_leg_work_counts(gray_family, monkeypatch):
         return real_check(pair, grid_size=grid_size)
 
     monkeypatch.setattr(prof.TwistedPathFamily, "pair", counting_pair)
-    monkeypatch.setattr(dist, "check_contact_condition", counting_check)
+    monkeypatch.setattr(fam, "check_contact_condition", counting_check)
     dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
     assert calls == {"pair": 3, "contact": 2}
 
@@ -190,11 +191,11 @@ def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
                                                       monkeypatch):
     # an end whose determinant changes sign across r, or two ends of
     # opposite sign, leave a zero of D somewhere on the leg: the oracle and
-    # the closed-form legs' certificate both refuse it
-    real_check = dist.check_contact_condition
+    # the family certificate behind the closed-form legs both refuse it
+    real_check = fam.check_contact_condition
     legs = (lambda: dist.gray_integral(
                 dist.GrayPathSpec(gray_family, 0.04, 0.06)),
-            lambda: dist._dominated(gray_family, (0.04, 0.06)))
+            lambda: fam.certify_family(gray_family, 0.04, 0.06, 2))
     for leg in legs:
         for signs in ((0, 1), (1, 0), (1, -1), (-1, 1)):
             reported = iter(signs)
@@ -203,7 +204,7 @@ def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
                 return replace(real_check(pair, grid_size=grid_size),
                                sign=next(reported))
 
-            monkeypatch.setattr(dist, "check_contact_condition", patched)
+            monkeypatch.setattr(fam, "check_contact_condition", patched)
             with pytest.raises(SingularLocus):
                 leg()
 
@@ -226,11 +227,14 @@ class _Deformed(prof.TwistedPathFamily):
         super().__init__(FamilyDefaults().twist, 0.01, U_CAP)
         self.at, self.k = at, k
 
+    def coefficient(self, u):
+        return self.k * (u - self.U_C)
+
     def pair(self, u):
         p = super().pair(u)
         segs = list(p.h2.segments)
         seg, lo, hi = p.h2.segment_span(self.at)
-        c = self.k * (u - self.U_C)
+        c = self.coefficient(u)
         if isinstance(seg, prof.TableSegment):
             phi = np.sin(np.pi * (seg.rs - lo) / (hi - lo)) ** 2
             new = prof.TableSegment(seg.rs, seg.vals + c * phi)
@@ -241,6 +245,13 @@ class _Deformed(prof.TwistedPathFamily):
         segs[segs.index(seg)] = new
         return prof.ProfilePair(
             p.h1, prof.PiecewiseProfile(p.h2.breakpoints, segs), p.epsilon)
+
+
+class _Curved(_Deformed):
+    """h2 gains k (u - U_C)^2 phi instead: not affine in u."""
+
+    def coefficient(self, u):
+        return self.k * (u - self.U_C) ** 2
 
 
 def _max_uf(family, u_lo, u_hi, rs):
@@ -256,8 +267,9 @@ def _max_uf(family, u_lo, u_hi, rs):
     (0.6, 50.0, (0.5, 0.75)),         # the dip of h2 past the twist arc
 ])
 def test_domination_rejects_a_deformed_family(at, k, region):
-    # u f > 1 only inside `region`: the certificate rejects the family, and
-    # the oracle, whose radii include the window knots, sees the excess
+    # u f > 1 only inside `region`: the family certificate records a
+    # negative margin, which closed-form legs refuse, and the oracle, whose
+    # radii include the window knots, sees the excess
     fam_d = _Deformed(at, k)
     u_lo, u_hi = fam_d.U_C - 1e-8, fam_d.U_C + 1e-8
     lo, hi = region
@@ -267,17 +279,44 @@ def test_domination_rejects_a_deformed_family(at, k, region):
     off_arc = (outside <= fam_d.window.hi) | (outside > 0.5)
     assert _max_uf(fam_d, u_lo, u_hi, inside) > 1.5
     assert _max_uf(fam_d, u_lo, u_hi, outside[off_arc]) < 0.3
+    cert = fam.certify_family(fam_d, u_lo, u_hi, 2)
+    assert cert.margin < 0.0
     with pytest.raises(PreconditionFailed):
-        dist._dominated(fam_d, (u_lo, u_hi))
+        cert.gray_margin()
     oracle = dist.gray_integral(dist.GrayPathSpec(fam_d, u_lo, u_hi)).value
     assert oracle > 1.5 * math.log(u_hi / u_lo)
 
 
+@pytest.mark.parametrize("at, k", [(0.01, 1e-6), (0.6, 1.0)])
+def test_certificate_rejects_a_family_not_affine_in_u(at, k):
+    # the midpoint member's h2 sits k (u_hi - u_lo)^2 / 4 phi off the mean
+    # of the ends', which the affine closed forms would silently miss; the
+    # affine deformation of the same size certifies
+    with pytest.raises(InvalidGeometry, match="not affine"):
+        fam.certify_family(_Curved(at, k), 0.01, U_CAP, 2)
+    assert fam.certify_family(_Deformed(at, k), 0.01, U_CAP, 2).margin > 0.0
+
+
 def test_domination_margin_on_the_model(model):
-    margin = dist._dominated(model.family, (0.15, 0.01, 0.07))
-    assert margin == pytest.approx(0.93, abs=0.005)
-    # a range of one amplitude holds no leg and builds no member
-    assert dist._dominated(None, (0.05, 0.05)) == math.inf
+    cert = model.certificate
+    assert (cert.u_lo, cert.u_hi) == (0.01, U_CAP)
+    assert cert.contact_sign == 1
+    assert cert.gray_margin() == cert.margin
+    assert cert.margin == pytest.approx(0.93, abs=0.005)
+    # a range of one amplitude pins no B = dh2/du, and builds no member
+    with pytest.raises(InvalidGeometry):
+        fam.certify_family(None, 0.05, 0.05, 2)
+
+
+def test_triangle_ub_margin_comes_from_the_model_ends(model):
+    # these amplitudes differ by rounding only, so a margin taken from the
+    # two members would rest on a difference quotient of noise
+    s1 = model.embed_point((0.0, math.log(0.02)))
+    s2 = model.embed_point((math.log(1.5), math.log(0.03)))
+    assert 0.0 < abs(s2.u - s1.u) < 1e-15
+    cert = dist.triangle_ub(s1, s2)
+    assert cert.witnesses["margin"] == model.certificate.margin
+    assert cert.witnesses["margin"] == pytest.approx(0.930, abs=5e-4)
 
 
 def test_oracle_agrees_with_the_closed_form_legs(model):
@@ -296,6 +335,17 @@ def test_oracle_agrees_with_the_closed_form_legs(model):
             assert abs(res.value - math.log(u2 / u1)) <= 1e-14
 
 
+def test_closed_form_legs_refuse_a_negative_margin(model, monkeypatch):
+    pts = [(0.0, math.log(0.05)), (0.1, math.log(0.04))]
+    monkeypatch.setattr(model, "certificate",
+                        replace(model.certificate, margin=-0.01))
+    with pytest.raises(PreconditionFailed, match="margin"):
+        dist.bilipschitz_sweep(pts, 1.0, 1.0, model=model)
+    s1, s2 = (model.embed_point(p) for p in pts)
+    with pytest.raises(PreconditionFailed, match="margin"):
+        dist.triangle_ub(s1, s2)
+
+
 def test_sweep_and_triangle_run_no_quadrature(model, monkeypatch):
     a_vals = np.linspace(0.0, 0.18, 5)
     b_vals = math.log(0.06) - 0.37 * np.arange(5)[::-1]
@@ -303,7 +353,7 @@ def test_sweep_and_triangle_run_no_quadrature(model, monkeypatch):
     specs = {p: model.embed_point(p) for p in pts}
     calls = {"pair": 0, "contact": 0}
     real_pair = prof.TwistedPathFamily.pair
-    real_check = dist.check_contact_condition
+    real_check = fam.check_contact_condition
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -319,15 +369,15 @@ def test_sweep_and_triangle_run_no_quadrature(model, monkeypatch):
     monkeypatch.setattr(dist, "adaptive_simpson", no_quadrature)
     monkeypatch.setattr(prof.TwistedPathFamily, "pair",
                         count("pair", real_pair))
-    monkeypatch.setattr(dist, "check_contact_condition",
+    monkeypatch.setattr(fam, "check_contact_condition",
                         count("contact", real_check))
-    # the sweep certifies its whole amplitude range once
+    # the model certified its whole amplitude range when it was built
     rep = dist.bilipschitz_sweep(pts, 1.0, 1.0, model=model)
     assert rep.all_passed and len(rep.rows) == 300
-    assert calls == {"pair": 3, "contact": 2}
+    assert calls == {"pair": 0, "contact": 0}
     cert = dist.triangle_ub(specs[pts[0]], specs[pts[-1]])
-    assert calls == {"pair": 6, "contact": 4}
-    assert 0.0 < cert.witnesses["margin"] <= 1.0
+    assert calls == {"pair": 0, "contact": 0}
+    assert cert.witnesses["margin"] == model.certificate.margin
     assert cert.witnesses["gray_leg"] == abs(
         math.log(specs[pts[-1]].u / specs[pts[0]].u))
 

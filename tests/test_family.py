@@ -149,32 +149,51 @@ def test_embed_volume_is_k(model):
     assert spec.total_volume() == pytest.approx(4.0, rel=1e-7)
 
 
-def test_embed_computes_each_verified_quantity_once(model, monkeypatch):
-    calls = {"volume": 0, "l": 0}
+def _counting(calls, key, fn):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_embed_computes_each_verified_quantity_once(monkeypatch):
+    # the model certifies its family once, with the two end members' volume
+    # quadratures (the signed integrals `tube_volume` takes the modulus of,
+    # in one pass) and one action_minima; members read that certificate and
+    # recompute none of it
+    calls = dict.fromkeys(("tube_volume", "quadratures", "minima", "l"), 0)
     real_volume, real_l = fam.tube_volume, reeb.l_invariant
+    real_quadrature = fam._integrate_profile_products
 
-    def counting_volume(*args, **kwargs):
-        calls["volume"] += 1
-        return real_volume(*args, **kwargs)
+    def counting_quadrature(pairs, n):
+        calls["quadratures"] += len(pairs)
+        return real_quadrature(pairs, n)
 
-    def counting_l(*args, **kwargs):
-        calls["l"] += 1
-        return real_l(*args, **kwargs)
-
-    monkeypatch.setattr(fam, "tube_volume", counting_volume)
-    monkeypatch.setattr(reeb, "l_invariant", counting_l)
+    monkeypatch.setattr(fam, "_integrate_profile_products",
+                        counting_quadrature)
+    for owner, attr, key in ((fam, "tube_volume", "tube_volume"),
+                             (reeb, "action_minima", "minima"),
+                             (reeb, "l_invariant", "l")):
+        monkeypatch.setattr(owner, attr,
+                            _counting(calls, key, getattr(owner, attr)))
+    model = fam.FamilyModel(1.0, 1.0, n=2)
+    built = {"tube_volume": 0, "quadratures": 2, "minima": 1, "l": 0}
+    assert calls == built
     s1 = model.embed_point((0.0, math.log(0.04)))
     s2 = model.embed_point((0.1, math.log(0.05)))
-    assert calls == {"volume": 2, "l": 2}
+    assert calls == built
     wit = dist.lower_bound(s1, s2).witnesses
-    assert calls == {"volume": 2, "l": 2}
+    assert calls == built
     assert wit["l_recomputed"] == (s1.l_recomputed, s2.l_recomputed)
+    monkeypatch.undo()
     for s in (s1, s2):
-        # the stored values are the recomputations, bit for bit
-        assert s.l_recomputed == s.l_invariant()
+        # the stored values are the closed forms; they agree with the
+        # from-scratch oracles to rounding, no longer bit for bit
+        assert s.l_recomputed == pytest.approx(s.l_invariant(), rel=1e-12,
+                                               abs=0.0)
         eps_p = s.defaults.tube_phys_radius
-        assert s.tube_volume_normalized == eps_p ** 2 * real_volume(s.pair,
-                                                                    s.n)
+        assert s.tube_volume_normalized == pytest.approx(
+            eps_p ** 2 * real_volume(s.pair, s.n), rel=1e-14, abs=0.0)
 
 
 def test_embed_round_trip_grid(model):
@@ -191,8 +210,9 @@ def test_embed_round_trip_grid(model):
     assert worst_v < 1e-7
 
 
-def test_embed_winds_once(model, monkeypatch):
-    # the l-invariant's action certificate is the only winding check
+def test_embed_winds_once(monkeypatch):
+    # the full twist is counted once at each end of the model's family;
+    # every member between them is a homotopy of never-parallel paths
     calls = []
     winding = prof.ProfilePair.winding_number
 
@@ -201,9 +221,51 @@ def test_embed_winds_once(model, monkeypatch):
         return winding(pair)
 
     monkeypatch.setattr(prof.ProfilePair, "winding_number", counted)
+    model = fam.FamilyModel(1.0, 1.0, n=2)
+    assert len(calls) == 2
     spec = model.embed_point((0.07, math.log(0.045)))
     assert spec.certified
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+def _oracle_errors(model, spec):
+    """Relative errors of the closed-form volume, l-invariant and
+    moment-form midpoint check against their recomputations."""
+    eps_p = spec.defaults.tube_phys_radius
+    volume = eps_p ** 2 * fam.tube_volume(spec.pair, spec.n)
+    amp = spec.compensator.amplitude
+    grid = model.defaults.compensator.delta_volume_grid(amp, spec.n)
+    return (abs(spec.tube_volume_normalized - volume) / volume,
+            abs(spec.l_recomputed - spec.l_invariant()) / spec.l,
+            abs(fam._moment_sum(model.compensator_moments[1], amp) - grid)
+            / max(abs(grid), 1e-300))
+
+
+def test_closed_form_members_match_the_oracles(model):
+    # the round-trip grid's 100 members at n = 2, and a few at n = 3
+    a_vals = np.linspace(0.0, 0.5 * math.log(4.0), 10)
+    b_vals = np.linspace(math.log(0.021), math.log(0.06), 10)
+    cases = [(model, (float(a), float(b))) for a in a_vals for b in b_vals]
+    model3 = fam.FamilyModel(1.0, 1.0, n=3)
+    cases += [(model3, p) for p in ((0.0, math.log(0.03)),
+                                    (0.1, math.log(0.05)),
+                                    (-0.3, math.log(0.045)))]
+    for m, p in cases:
+        vol, l_inv, grid = _oracle_errors(m, m.embed_point(p))
+        assert vol <= 1e-14
+        assert l_inv <= 1e-12
+        assert grid <= 1e-12
+
+
+def test_member_failing_its_own_action_inequality_is_rejected():
+    # with an ambient floor of 0.05, l = 0.0499 at k = 1 needs the action
+    # 2 pi |h2(r+)| = l / (1 + delta mu_-) = 0.0504 > 0.05: the member's
+    # own inequality fails, as it does for the from-scratch l-invariant
+    model = fam.FamilyModel(0.05, 1.0, n=2)
+    bad = (0.0, math.log(0.0499))
+    with pytest.raises(PreconditionFailed, match="action certification"):
+        model.embed_point(bad)
+    assert model.embed_point((0.0, math.log(0.049))).certified
 
 
 def test_model_needs_dimension_two_or_more():
