@@ -26,6 +26,7 @@ u <= U_CAP.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -66,41 +67,32 @@ def _panel_nodes(knots: np.ndarray, order: int) -> tuple:
     return half, w, mid[:, None] + half[:, None] * x[None, :]
 
 
-def _integrate_profile_products(pairs, n: int,
-                                rtol: float = 1e-11) -> list:
-    """int_0^eps h1^(n-2) D dr for each of `pairs`, which share one h1, by
-    Gauss-Legendre panels.
+def _integrate_profile_product(pair: ProfilePair, n: int,
+                               rtol: float = 1e-11) -> float:
+    """int_0^eps h1^(n-2) D dr by Gauss-Legendre panels.
 
     Panel edges include every segment breakpoint and every mollified-table
-    knot of every pair (`_panel_knots`), so each panel integrand is a
-    smooth closed form (polynomial or trigonometric product) and
-    fixed-order panels are exact to rounding.  h1 and h1' are evaluated
-    once for all pairs.
+    knot (`_panel_knots`), so each panel integrand is a smooth closed form
+    (polynomial or trigonometric product) and fixed-order panels are exact
+    to rounding.
     """
-    h1 = pairs[0].h1
-    if any(p.h1 is not h1 for p in pairs):
-        raise InvalidGeometry("the pairs of one quadrature must share h1")
-    knots = np.unique(np.concatenate([_panel_knots(p) for p in pairs]))
+    knots = _panel_knots(pair)
 
     def scan(order):
         half, w, rs = _panel_nodes(knots, order)
         flat = rs.ravel()
-        h1v, h1p = h1.value(flat), h1.deriv(flat)
-        out = []
-        for p in pairs:
-            d = h1v * p.h2.deriv(flat) - h1p * p.h2.value(flat)
-            if n > 2:
-                d = h1v ** (n - 2) * d
-            d = d.reshape(rs.shape)
-            out.append(float(np.sum(half * np.sum(w[None, :] * d, axis=1))))
-        return out
+        d = pair.wronskian(flat)
+        if n > 2:
+            d = pair.h1.value(flat) ** (n - 2) * d
+        d = d.reshape(rs.shape)
+        return float(np.sum(half * np.sum(w[None, :] * d, axis=1)))
 
-    coarse, fine = scan(12), scan(20)
-    for lo, hi in zip(coarse, fine):
-        if abs(hi - lo) > 10 * rtol * max(abs(hi), 1.0):
-            raise QuadratureFailure(
-                f"tube volume panels disagree by {abs(hi - lo):.3g}")
-    return fine
+    lo, hi = scan(12), scan(20)
+    scale = max(abs(hi), 1.0)
+    if abs(hi - lo) > 10 * rtol * scale:
+        raise QuadratureFailure(
+            f"tube volume panels disagree by {abs(hi - lo):.3g}")
+    return hi
 
 
 def tube_volume(pair: ProfilePair, n: int = 2) -> float:
@@ -112,7 +104,7 @@ def tube_volume(pair: ProfilePair, n: int = 2) -> float:
     absorbed by the family's volume normalisation.  The absolute value is
     returned; a negative determinant orientation only flips the sign.
     """
-    val = 4.0 * math.pi ** 2 * _integrate_profile_products([pair], n)[0]
+    val = 4.0 * math.pi ** 2 * _integrate_profile_product(pair, n)
     return abs(val)
 
 
@@ -143,6 +135,10 @@ class ParamDomain:
 # ---------------------------------------------------------------------------
 # compensating bump
 # ---------------------------------------------------------------------------
+
+# Cells per side of the compensator's independent midpoint re-integration.
+_MIDPOINT_GRID = 400
+
 
 def _bump01(s: np.ndarray) -> np.ndarray:
     """C^2 bump on [0, 1] with unit peak: (4 s (1-s))^3."""
@@ -202,16 +198,17 @@ class CompensatorSpec:
         return self.bump(ths[:, None], rs[None, :]), 2.0 * rs[None, :] * cell
 
     def delta_volume_grid(self, amplitude: float, n: int,
-                          grid: int = 400) -> float:
+                          grid: int = _MIDPOINT_GRID) -> float:
         """Independent 2-d midpoint re-integration of the volume change."""
         b, weight = self._midpoint_grid(grid)
         dens = (1.0 + amplitude * b) ** n - 1.0
         return float(TWO_PI * np.sum(dens * weight))
 
-    def grid_moments(self, n: int, grid: int = 400) -> list:
-        """G_j = 2 pi sum bump^j 2 r cell on `delta_volume_grid`'s midpoint
-        grid, j = 1..n: `_moment_sum` of them is that re-integration."""
-        b, weight = self._midpoint_grid(grid)
+    def grid_moments(self, n: int) -> list:
+        """G_j = 2 pi sum bump^j 2 r cell on `delta_volume_grid`'s default
+        midpoint grid, j = 1..n: `_moment_sum` of them is that
+        re-integration."""
+        b, weight = self._midpoint_grid(_MIDPOINT_GRID)
         out, bj = [], np.ones_like(b)
         for _ in range(n):
             bj = bj * b
@@ -226,15 +223,21 @@ def _moment_sum(mom: list, amplitude: float) -> float:
                for j in range(1, n + 1))
 
 
-def compensator_solve(v0: float, tube: CompensatorSpec, n: int = 2,
-                      moments: Optional[tuple] = None) -> CompensatorSpec:
+@functools.lru_cache(maxsize=16)
+def _solve_moments(tube: CompensatorSpec, n: int) -> tuple:
+    """(tube.moments(n), tube.grid_moments(n)), computed once per bump
+    shape and n: every member of a model solves on the same two lists."""
+    return tuple(tube.moments(n)), tuple(tube.grid_moments(n))
+
+
+def compensator_solve(v0: float, tube: CompensatorSpec,
+                      n: int = 2) -> CompensatorSpec:
     """Amplitude making the tube volume change equal exactly -v0.
 
     Bisection on the closed-moment polynomial; infeasible when the needed
     amplitude drives min(1 + nu) below one half.  The result records
     min(1 + nu) and a residual from an independent re-integration, the
-    midpoint grid of `CompensatorSpec.grid_moments`.  `moments` is the pair
-    (tube.moments(n), tube.grid_moments(n)) when the caller holds it.
+    midpoint grid of `CompensatorSpec.grid_moments`.
     """
     if v0 >= tube.tube_volume():
         raise InfeasibleCompensation(
@@ -245,7 +248,7 @@ def compensator_solve(v0: float, tube: CompensatorSpec, n: int = 2,
         return replace(tube, amplitude=0.0, target_delta_volume=0.0,
                        min_one_plus_nu=1.0, achieved_residual=0.0)
 
-    mom, grid_mom = moments or (tube.moments(n), tube.grid_moments(n))
+    mom, grid_mom = _solve_moments(tube, n)
 
     def delta_volume(amplitude):
         return _moment_sum(mom, amplitude)
@@ -354,10 +357,10 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
                    n: int) -> FamilyCertificate:
     """Certify every member on [u_lo, u_hi] from the members at the ends.
 
-    The members share one h1 (the volume quadrature insists on it), and
-    h2 = A + u B is affine in u; a probe checks that the midpoint member's
-    h2 is the mean of the ends' on the tube-volume panel nodes, 12 per
-    panel, on each of which every segment is a cubic or a closed-form arc.
+    The members share one h1, and h2 = A + u B is affine in u; a probe
+    checks that the midpoint member's h2 is the mean of the ends' on the
+    tube-volume panel nodes, 12 per panel, on each of which every segment
+    is a cubic or a closed-form arc.
     Hence, for every u in range:
     - D_u = D_A + u D_B, so contact with one sign at both ends holds at u,
       and the path, which winds once at both ends and is never parallel
@@ -379,6 +382,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
             f"a family certificate needs two amplitudes u_lo < u_hi, got "
             f"[{u_lo}, {u_hi}]")
     ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
+    if p_hi.h1 is not p_lo.h1:
+        raise InvalidGeometry("the members of one family must share h1")
     sign = contact_sign(ends, f"the ends u = {u_lo}, {u_hi} of the family")
     r_plus, r_pp, _, _ = reeb.action_minima(p_lo)  # winds once at u_lo
     if p_hi.winding_number() != 1:
@@ -393,8 +398,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     if float(np.max(np.abs(mid - 0.5 * (lo + hi)))) > AFFINE_RTOL * scale:
         raise InvalidGeometry(f"h2 is not affine in u on [{u_lo}, {u_hi}]")
 
-    volumes = tuple(4.0 * math.pi ** 2 * v
-                    for v in _integrate_profile_products(ends, n))
+    volumes = tuple(4.0 * math.pi ** 2 * _integrate_profile_product(p, n)
+                    for p in ends)
     if not volumes[0] * volumes[1] > 0.0:
         raise InvalidGeometry(
             f"the tube volume integral changes sign on [{u_lo}, {u_hi}]: "
@@ -466,8 +471,8 @@ class FormSpec:
     compensator_floor_b: float
     defaults: FamilyDefaults
     pair: ProfilePair = field(repr=False)
-    family: TwistedPathFamily = field(repr=False)  # the family `pair` is from
-    certificate: FamilyCertificate = field(repr=False)  # `family`'s
+    # the certificate of the model family `pair` is from
+    certificate: FamilyCertificate = field(repr=False)
     compensator: CompensatorSpec
     tube_volume_normalized: float
     reservoir_volume: float
@@ -517,8 +522,8 @@ class FormSpec:
 
 class FamilyModel:
     """Shared geometry, the one amplitude family every member is built
-    from, its certificate over [u_ref, U_CAP], the compensator's moments
-    and the base volumes for embedding points."""
+    from, its certificate over [u_ref, U_CAP] and the base volumes for
+    embedding points."""
 
     def __init__(self, ambient_floor_a: float = 1.0,
                  compensator_floor_b: float = 1.0, n: int = 2,
@@ -543,8 +548,6 @@ class FamilyModel:
                                  - comp.tube_volume())
         if self.reservoir_volume <= 0.0:
             raise InvalidGeometry("model tubes exceed the unit total volume")
-        self.compensator_moments = (comp.moments(self.n),
-                                    comp.grid_moments(self.n))
 
     def amplitude_for(self, k: float, l: float) -> float:
         """Invert l = k^(1/n) (1 + delta2) u for the member amplitude."""
@@ -556,9 +559,10 @@ class FamilyModel:
 
         The member is read off the model's certificate, with no quadrature
         and no root search: its tube volume is interpolated between the end
-        volumes, the compensator is solved on the model's moments, and the
-        action inequalities are checked on the member's own h2 at the
-        shared zeros r+ < r+' of h1, giving
+        volumes, the compensator is solved on bump moments computed once
+        per bump shape and n (`_solve_moments`), and the action
+        inequalities are checked on the member's own h2 at the shared
+        zeros r+ < r+' of h1, giving
         l_recomputed = k^(1/n) 2 pi |h2_u(r+)| (1 + delta mu_-).
         """
         a, b = float(point[0]), float(point[1])
@@ -585,14 +589,13 @@ class FamilyModel:
         eps_p = self.defaults.tube_phys_radius
         v_tube = eps_p ** 2 * cert.tube_volume(u)
         v0 = v_tube - self.base_tube_volume
-        comp = compensator_solve(v0, self.defaults.compensator, self.n,
-                                 self.compensator_moments)
+        comp = compensator_solve(v0, self.defaults.compensator, self.n)
 
         spec = FormSpec(n=self.n, k=k, l=l, a=a, b=b, u=u, twist=twist,
                         ambient_floor_a=self.ambient_floor_a,
                         compensator_floor_b=self.compensator_floor_b,
-                        defaults=self.defaults, pair=pair, family=self.family,
-                        certificate=cert, compensator=comp,
+                        defaults=self.defaults, pair=pair, certificate=cert,
+                        compensator=comp,
                         tube_volume_normalized=v_tube,
                         reservoir_volume=self.reservoir_volume)
         # both inequalities are invariant under the scaling by k^(1/n)

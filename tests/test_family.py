@@ -118,7 +118,10 @@ def test_compensator_computes_moments_once(monkeypatch):
     tube = comp_with_volume(0.2)
     for n in (2, 3):
         calls.clear()
+        fam._solve_moments.cache_clear()
         spec = fam.compensator_solve(0.01, tube, n=n)
+        fam.compensator_solve(0.02, tube, n=n)
+        # held per bump shape and n: a second solve reuses them
         assert calls == [n]
         # the solve's moment sum is delta_volume's, bit for bit
         assert spec.achieved_residual == abs(
@@ -158,20 +161,14 @@ def _counting(calls, key, fn):
 
 def test_embed_computes_each_verified_quantity_once(monkeypatch):
     # the model certifies its family once, with the two end members' volume
-    # quadratures (the signed integrals `tube_volume` takes the modulus of,
-    # in one pass) and one action_minima; members read that certificate and
-    # recompute none of it
+    # quadratures (the signed integrals `tube_volume` takes the modulus of)
+    # and one action_minima; members read that certificate and recompute
+    # none of it
     calls = dict.fromkeys(("tube_volume", "quadratures", "minima", "l"), 0)
-    real_volume, real_l = fam.tube_volume, reeb.l_invariant
-    real_quadrature = fam._integrate_profile_products
-
-    def counting_quadrature(pairs, n):
-        calls["quadratures"] += len(pairs)
-        return real_quadrature(pairs, n)
-
-    monkeypatch.setattr(fam, "_integrate_profile_products",
-                        counting_quadrature)
-    for owner, attr, key in ((fam, "tube_volume", "tube_volume"),
+    real_volume = fam.tube_volume
+    for owner, attr, key in ((fam, "_integrate_profile_product",
+                              "quadratures"),
+                             (fam, "tube_volume", "tube_volume"),
                              (reeb, "action_minima", "minima"),
                              (reeb, "l_invariant", "l")):
         monkeypatch.setattr(owner, attr,
@@ -234,10 +231,11 @@ def _oracle_errors(model, spec):
     eps_p = spec.defaults.tube_phys_radius
     volume = eps_p ** 2 * fam.tube_volume(spec.pair, spec.n)
     amp = spec.compensator.amplitude
-    grid = model.defaults.compensator.delta_volume_grid(amp, spec.n)
+    tube = model.defaults.compensator
+    grid = tube.delta_volume_grid(amp, spec.n)
     return (abs(spec.tube_volume_normalized - volume) / volume,
             abs(spec.l_recomputed - spec.l_invariant()) / spec.l,
-            abs(fam._moment_sum(model.compensator_moments[1], amp) - grid)
+            abs(fam._moment_sum(tube.grid_moments(spec.n), amp) - grid)
             / max(abs(grid), 1e-300))
 
 
@@ -298,21 +296,17 @@ def test_embed_amplitude_cap(model):
 
 
 def test_members_share_one_family(model):
-    # a Gray leg runs in one member's family, so that family's member at the
-    # other amplitude must be the other member
+    # a Gray leg runs in the model's one family, so every member carries the
+    # model's certificate and is that family's member at its amplitude
     specs = [model.embed_point(p) for p in
              ((0.0, math.log(0.03)), (0.1, math.log(0.05)),
               (0.0, math.log(0.06)))]
+    assert all(s.certificate is model.certificate for s in specs)
     rs = np.linspace(0.0, 1.0, 4001)
-    for lo in specs:
-        for hi in specs:
-            if hi.u <= lo.u:
-                continue
-            rebuilt = hi.family.pair(lo.u)
-            for got, want in ((rebuilt.h1, lo.pair.h1),
-                              (rebuilt.h2, lo.pair.h2)):
-                assert np.max(np.abs(got.value(rs) - want.value(rs))) \
-                    <= 1e-15
+    for s in specs:
+        rebuilt = model.family.pair(s.u)
+        for got, want in ((rebuilt.h1, s.pair.h1), (rebuilt.h2, s.pair.h2)):
+            assert np.max(np.abs(got.value(rs) - want.value(rs))) <= 1e-15
 
 
 def test_compensation_neutrality(model):
