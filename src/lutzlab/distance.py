@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
 from .numerics import adaptive_simpson, format_float, grid_sup
-from .family import (FamilyModel, FormSpec, contact_sign, epsilon_bound,
-                     gray_radii)
-from .profile import TWO_PI, TwistedPathFamily
+from .family import (CONTACT_GRID, FamilyModel, FormSpec, contact_sign,
+                     epsilon_bound)
+from .profile import TWO_PI, TwistedPathFamily, contact_radii
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +219,13 @@ class _GrayIntegrand:
 
     The two members at the leg's ends, which must differ, pin the affine
     data B = dh2/du and D_u = DA + u DB; the sup at each u is one vector
-    expression on `family.gray_radii`, refined by `numerics.grid_sup` with
-    brackets evaluated segment by segment.
+    expression on `profile.contact_radii(pair1, family.CONTACT_GRID)`,
+    refined by `numerics.grid_sup` with brackets evaluated segment by
+    segment.
 
-    Building it checks the leg's premise: `family.contact_sign` at both end
-    members, and per-radius monotonicity in u at the midpoint.
+    Building it checks the leg's premise on those same radii:
+    `family.contact_sign` at both end members, and per-radius monotonicity
+    in u at the midpoint.
     """
 
     def __init__(self, spec: GrayPathSpec):
@@ -233,15 +235,13 @@ class _GrayIntegrand:
         self.u1, self.u2 = u1, u2
         ends = (self.pair1, self.pair2)
         contact_sign(ends, f"the ends u = {u1}, {u2} of the leg")
-        # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
-        probe = np.linspace(0.01, self.pair1.epsilon * 0.99, 257)
-        h_1, h_2 = (p.h2.value(probe) for p in ends)
-        h_mid = spec.family.pair(0.5 * (u1 + u2)).h2.value(probe)
-        if not bool(np.all(((h_mid - h_1) * (h_2 - h_mid)) >= -1e-13)):
-            raise SingularLocus("family is not monotone in u at some radius")
-        self.rs = gray_radii(self.pair1)
-        self._h1p = self.pair1.h1.deriv(self.rs)
+        self.rs = contact_radii(self.pair1, CONTACT_GRID)
         h2a, h2b = (p.h2.value(self.rs) for p in ends)
+        # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
+        h_mid = spec.family.pair(0.5 * (u1 + u2)).h2.value(self.rs)
+        if not bool(np.all(((h_mid - h2a) * (h2b - h_mid)) >= -1e-13)):
+            raise SingularLocus("family is not monotone in u at some radius")
+        self._h1p = self.pair1.h1.deriv(self.rs)
         self._B = (h2b - h2a) / (u2 - u1)
         d1, d2 = (p.wronskian(self.rs) for p in ends)
         self._DB = (d2 - d1) / (u2 - u1)

@@ -15,7 +15,8 @@ themselves.  In that family h1 is one profile and h2 = A + u B is affine in
 u, so `certify_family` checks once, from the members at u_ref and U_CAP,
 what every member shares: contact with one sign, one full twist, the zeros
 r+ < r+' of h1, the tube volume (affine in u) and the Gray domination
-margin.  A member is then embedded in closed form from that certificate;
+margin, contact and margin on one set of radii, `profile.contact_radii`.
+A member is then embedded in closed form from that certificate;
 `tube_volume`, `FormSpec.l_invariant` and
 `CompensatorSpec.delta_volume_grid` recompute it from scratch and serve as
 oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
@@ -36,60 +37,36 @@ import numpy as np
 
 from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
                      PreconditionFailed, QuadratureFailure, SingularLocus)
-from .numerics import format_float, gauss_legendre
+from .numerics import format_float, gauss_legendre, gl_panel_nodes
 from . import reeb
-from .profile import (TWO_PI, TwistedPathFamily, ProfilePair, TableSegment,
-                      TwistParams, check_contact_condition)
+from .profile import (TWO_PI, TwistedPathFamily, ProfilePair, TwistParams,
+                      check_contact_condition, contact_radii)
 
 
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
 
-def _panel_knots(pair: ProfilePair) -> np.ndarray:
-    """Sorted distinct breakpoints and mollified-table knots of both
-    profiles."""
-    profiles = (pair.h1, pair.h2)
-    return np.unique(np.concatenate(
-        [prof.breakpoints for prof in profiles]
-        + [seg.rs for prof in profiles for seg in prof.segments
-           if isinstance(seg, TableSegment)]))
-
-
-def _panel_nodes(knots: np.ndarray, order: int) -> tuple:
-    """(half widths, weights, nodes) of the order-point Gauss-Legendre rule
-    on each panel between consecutive knots; nodes have one row per panel."""
-    x, w = gauss_legendre(order)
-    a = knots[:-1]
-    b = knots[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half, w, mid[:, None] + half[:, None] * x[None, :]
-
-
-def _integrate_profile_product(pair: ProfilePair, n: int,
-                               rtol: float = 1e-11) -> float:
+def _integrate_profile_product(pair: ProfilePair, n: int) -> float:
     """int_0^eps h1^(n-2) D dr by Gauss-Legendre panels.
 
-    Panel edges include every segment breakpoint and every mollified-table
-    knot (`_panel_knots`), so each panel integrand is a smooth closed form
-    (polynomial or trigonometric product) and fixed-order panels are exact
-    to rounding.
+    Panel edges are the pair's knots (`ProfilePair.knots`), so each panel
+    integrand is a smooth closed form (polynomial or trigonometric product)
+    and fixed-order panels are exact to rounding.
     """
-    knots = _panel_knots(pair)
+    knots = pair.knots()
 
     def scan(order):
-        half, w, rs = _panel_nodes(knots, order)
+        rs, weights = gl_panel_nodes(knots[:-1], knots[1:], order)
         flat = rs.ravel()
         d = pair.wronskian(flat)
         if n > 2:
             d = pair.h1.value(flat) ** (n - 2) * d
-        d = d.reshape(rs.shape)
-        return float(np.sum(half * np.sum(w[None, :] * d, axis=1)))
+        return float(np.sum(weights * d.reshape(rs.shape)))
 
     lo, hi = scan(12), scan(20)
     scale = max(abs(hi), 1.0)
-    if abs(hi - lo) > 10 * rtol * scale:
+    if abs(hi - lo) > 1e-10 * scale:
         raise QuadratureFailure(
             f"tube volume panels disagree by {abs(hi - lo):.3g}")
     return hi
@@ -287,31 +264,24 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
 # the family certificate
 # ---------------------------------------------------------------------------
 
-# Radii of the Gray sup grid on (0, eps); `gray_radii` adds the window
-# table's knots, which the grid misses.
-GRAY_R_GRID = 2048
+# Uniform steps of `contact_radii` for the family's contact check, its
+# Gray margin and the Gray oracle's sup grid.
+CONTACT_GRID = 2048
 # Largest departure of the midpoint member's h2 from the mean of the end
 # members', relative to their max |h2|, that the affinity probe accepts.
 AFFINE_RTOL = 1e-13
-GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the Gray grid "
-               "and window knots; twist arc in closed form")
-
-
-def gray_radii(pair: ProfilePair) -> np.ndarray:
-    """The Gray sup grid on (0, eps) joined with h1's mollified-table
-    knots."""
-    return np.unique(np.concatenate(
-        [np.linspace(1e-9, pair.epsilon * (1.0 - 1e-12), GRAY_R_GRID)]
-        + [seg.rs for seg in pair.h1.segments
-           if isinstance(seg, TableSegment)]))
+GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the contact "
+               "radii; twist arc in closed form")
 
 
 def contact_sign(pairs, where: str) -> int:
     """The one nonzero sign of D with which every pair passes the contact
-    check.  D/r is affine in the amplitude, so two such members keep that
-    sign at every amplitude between them, at the checked radii (a sign
-    change across r is a zero of D between samples)."""
-    checks = [check_contact_condition(p, grid_size=2000) for p in pairs]
+    check on `contact_radii(pair, CONTACT_GRID)`.  D/r is affine in the
+    amplitude, so two such members keep that sign at every amplitude
+    between them, at the checked radii (a sign change across r is a zero
+    of D between samples)."""
+    checks = [check_contact_condition(p, grid_size=CONTACT_GRID)
+              for p in pairs]
     sign = checks[0].sign
     if not (sign != 0 and all(c.passed and c.sign == sign for c in checks)):
         raise SingularLocus(f"contact condition fails at {where}: {checks}")
@@ -359,23 +329,24 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
 
     The members share one h1, and h2 = A + u B is affine in u; a probe
     checks that the midpoint member's h2 is the mean of the ends' on the
-    tube-volume panel nodes, 12 per panel, on each of which every segment
-    is a cubic or a closed-form arc.
+    tube-volume panel nodes, 12 per panel between the pair's knots, on
+    each of which every segment is a cubic or a closed-form arc.
     Hence, for every u in range:
-    - D_u = D_A + u D_B, so contact with one sign at both ends holds at u,
-      and the path, which winds once at both ends and is never parallel
-      on the way, winds once at u;
-    - the zeros r+ < r+' of h1, polished once by `reeb.action_minima`,
-      are the member's;
+    - D_u = D_A + u D_B, so contact with one sign at both ends (on
+      `contact_radii(p_lo, CONTACT_GRID)`) holds at u, and the path,
+      which winds once at both ends and is never parallel on the way,
+      winds once at u;
+    - the zeros r+ < r+' of h1, read once by `reeb.action_minima` off the
+      exact zero set, are the member's;
     - int h1^(n-2) D_u is affine in u, so two endpoint quadratures give
       the member's tube volume, provided they have one sign;
     - the Gray rate f = |B h1' / D_u| has u f <= 1 wherever
       u |B h1'| <= |D_u| holds at both ends (both sides are affine while
-      D_u keeps its sign), which is checked on `gray_radii` off the twist
-      arc (window.hi, 1/2].  On the arc both profiles are trigonometric
-      and f = sin^2(2 pi r)/u exactly.  The least 1 - u f is the margin;
-      a negative one is recorded, and `FamilyCertificate.gray_margin`
-      refuses it.
+      D_u keeps its sign), which is checked on the same radii off the
+      twist arc (window.hi, 1/2].  On the arc both profiles are
+      trigonometric and f = sin^2(2 pi r)/u exactly.  The least 1 - u f
+      is the margin; a negative one is recorded, and
+      `FamilyCertificate.gray_margin` refuses it.
     """
     if not u_lo < u_hi:
         raise InvalidGeometry(
@@ -390,8 +361,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
         raise InvalidGeometry(
             f"the member at u = {u_hi} is not a full-twist path")
 
-    _, _, nodes = _panel_nodes(_panel_knots(p_lo), 12)
-    nodes = nodes.ravel()
+    knots = p_lo.knots()
+    nodes = gl_panel_nodes(knots[:-1], knots[1:], 12)[0].ravel()
     p_mid = family.pair(0.5 * (u_lo + u_hi))
     lo, hi, mid = (p.h2.value(nodes) for p in (p_lo, p_hi, p_mid))
     scale = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
@@ -405,7 +376,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
             f"the tube volume integral changes sign on [{u_lo}, {u_hi}]: "
             f"{volumes}")
 
-    rs = gray_radii(p_lo)
+    # the radii on which `contact_sign` just passed both ends
+    rs = contact_radii(p_lo, CONTACT_GRID)
     off_arc = (rs <= family.window.hi) | (rs > 0.5)
     h1v, h1p = p_lo.h1.value(rs), p_lo.h1.deriv(rs)
     h2v = [p.h2.value(rs) for p in ends]
@@ -413,10 +385,6 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     margin = math.inf
     for u, p, h2 in zip((u_lo, u_hi), ends, h2v):
         d = h1v * p.h2.deriv(rs) - h1p * h2
-        if not bool(np.all(sign * d > 1e-12)):
-            raise SingularLocus(
-                f"never-parallel determinant vanishes at u = {u} on the "
-                "Gray radii")
         margin = min(margin,
                      float(np.min((1.0 - u * rate / np.abs(d))[off_arc])))
     return FamilyCertificate(u_lo=u_lo, u_hi=u_hi, contact_sign=sign,

@@ -425,6 +425,16 @@ class ProfilePair:
             raise InvalidGeometry("form scale must be positive")
         return ProfilePair(self.h1.scaled(c), self.h2.scaled(c), self.epsilon)
 
+    def knots(self) -> np.ndarray:
+        """Sorted distinct breakpoints and mollified-table knots of both
+        profiles: between two of them each profile is one polynomial or
+        trigonometric closed form."""
+        profiles = (self.h1, self.h2)
+        return np.unique(np.concatenate(
+            [prof.breakpoints for prof in profiles]
+            + [seg.rs for prof in profiles for seg in prof.segments
+               if isinstance(seg, TableSegment)]))
+
     def winding_number(self) -> int:
         """Turns of r -> (h1, h2) around the origin over [0, eps].
 
@@ -582,7 +592,7 @@ def build_twisted_path(params: TwistParams) -> ProfilePair:
 # contact condition
 # ---------------------------------------------------------------------------
 
-# |D/r| must stay above this on the grid for the contact check to pass.
+# |D/r| must stay above this on the radii for the contact check to pass.
 CONTACT_PASS = 1e-8
 
 
@@ -605,12 +615,24 @@ def wronskian(pair: ProfilePair, r):
     return pair.wronskian(r)
 
 
+def contact_radii(pair: ProfilePair, grid_size: int) -> np.ndarray:
+    """The radii every sampled check of D takes: `grid_size` uniform steps
+    of (0, eps] joined with the pair's knots (`ProfilePair.knots`) but 0,
+    so no segment or table interval goes unsampled, however narrow."""
+    knots = pair.knots()
+    return np.union1d(np.linspace(0.0, pair.epsilon, grid_size + 1)[1:],
+                      knots[knots > 0.0])
+
+
 def check_contact_condition(pair: ProfilePair,
                             grid_size: int = 10000) -> ContactReport:
-    """Scan |D(r)/r| on (0, eps]; dividing by r absorbs the forced zero at 0."""
+    """Scan D(r)/r on `contact_radii(pair, grid_size)`, which passes when
+    it keeps one sign and |D/r| > CONTACT_PASS; dividing by r absorbs the
+    forced zero at 0.  The report's `grid_size` counts the uniform steps
+    only, not the knots joined to them."""
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    rs = np.linspace(0.0, pair.epsilon, grid_size + 1)[1:]
+    rs = contact_radii(pair, grid_size)
     d = pair.wronskian(rs) / rs
     i = int(np.argmin(np.abs(d)))
     all_pos = bool(np.all(d > 0))
@@ -618,7 +640,8 @@ def check_contact_condition(pair: ProfilePair,
     sign = 1 if all_pos else (-1 if all_neg else 0)
     min_abs = float(np.abs(d[i]))
     return ContactReport(min_abs_d_over_r=min_abs, argmin_r=float(rs[i]),
-                         sign=sign, passed=min_abs > CONTACT_PASS,
+                         sign=sign,
+                         passed=sign != 0 and min_abs > CONTACT_PASS,
                          grid_size=grid_size)
 
 
@@ -728,27 +751,22 @@ def default_window(params: TwistParams) -> SmoothingWindow:
     return SmoothingWindow(center=params.epsilon0, half_width=params.delta0)
 
 
-def verify_smoothing_bound(pair_smoothed: ProfilePair, u: float,
-                           window: Optional[SmoothingWindow] = None) -> tuple:
+def verify_smoothing_bound(pair_smoothed: ProfilePair, u: float) -> tuple:
     """Check sup |{-H1'}/D| <= 1/u over the mollified window.
 
-    Returns (max_ratio, passed).  The window is recovered from the table
-    segment when not given.
+    Returns (max_ratio, passed).  The sup is refined from the knots of
+    h1's mollified table, which span the window.
     """
-    if window is None:
-        tables = [s for s in pair_smoothed.h1.segments
-                  if isinstance(s, TableSegment)]
-        if not tables:
-            raise InvalidGeometry("pair carries no mollified window")
-        lo, hi = tables[0].rs[0], tables[0].rs[-1]
-    else:
-        lo, hi = window.lo, window.hi
+    tables = [s for s in pair_smoothed.h1.segments
+              if isinstance(s, TableSegment)]
+    if not tables:
+        raise InvalidGeometry("pair carries no mollified window")
 
     def ratio(rs: np.ndarray) -> np.ndarray:
         d = pair_smoothed.wronskian(rs)
         return np.abs(-pair_smoothed.h1.deriv(rs) / d)
 
-    rs = np.linspace(lo, hi, 4096)
+    rs = tables[0].rs
     _, max_ratio = grid_sup(ratio, rs, ratio(rs))
     return max_ratio, max_ratio <= 1.0 / u
 

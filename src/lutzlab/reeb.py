@@ -199,10 +199,10 @@ def action_minima(pair: ProfilePair) -> tuple:
 
     The action minima of the rotating-torus families sit at the zeros of
     h1, where the horizontal orbits have action 2 pi |h2|.  h1 must change
-    sign exactly twice; the count comes from its exact zero sets
-    (`PiecewiseProfile.sign_changes`), so no pair of zeros hides between
-    samples.  Each zero is polished by Brent to 1e-12 in the cell of a
-    fixed 4000-point grid that contains it.
+    sign exactly twice, and r+ < r+' are its two sign changes as
+    `PiecewiseProfile.sign_changes` lists them: breakpoints, closed-form
+    zeros of the arcs, or polynomial roots, so no pair of zeros hides
+    between samples and no grid or root polish is involved.
     """
     if pair.winding_number() != 1:
         raise InvalidGeometry("action minima require a full-twist path")
@@ -210,20 +210,7 @@ def action_minima(pair: ProfilePair) -> tuple:
     if len(found) != 2:
         raise InvalidGeometry(
             f"expected exactly two zeros of h1, found {len(found)}")
-    xs = np.linspace(1e-9, pair.epsilon * (1 - 1e-12), 4000)
-    cells = np.clip(np.searchsorted(xs, found, side="right") - 1,
-                    0, len(xs) - 2)
-    ends = pair.h1.value(xs[np.stack([cells, cells + 1])])
-    if np.any(ends[0] * ends[1] > 0.0):
-        raise InvalidGeometry(
-            "the zeros of h1 do not sit in separate cells of the "
-            "4000-point polishing grid")
-
-    def h1(r):
-        return float(pair.h1.value(r))
-
-    r_plus, r_plus_prime = (brentq(h1, xs[i], xs[i + 1], xtol=1e-12)
-                            for i in cells)
+    r_plus, r_plus_prime = (float(r) for r in found)
     h2p, h2pp = _intercepts(pair, r_plus, r_plus_prime)
     return r_plus, r_plus_prime, TWO_PI * abs(h2p), TWO_PI * abs(h2pp)
 

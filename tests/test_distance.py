@@ -254,6 +254,21 @@ class _Curved(_Deformed):
         return self.k * (u - self.U_C) ** 2
 
 
+@pytest.mark.parametrize("at, k, u, region", [
+    (0.01, 1e-4, 0.01, (0.0099, 0.0101)),  # D/r < 0 on part of the window
+    (0.6, 50.0, 0.15, (0.5, 0.75)),        # D changes sign on the dip
+])
+def test_contact_check_rejects_a_sign_change_of_d(at, k, u, region):
+    # the window holds one of the 2000 uniform radii, and the dip's zeros
+    # of D fall between them; the knots and the sign both count
+    pair = _Deformed(at, k).pair(u)
+    report = prof.check_contact_condition(pair, 2000)
+    assert report.sign == 0 and not report.passed
+    assert region[0] < report.argmin_r < region[1]
+    with pytest.raises(SingularLocus, match="contact condition fails"):
+        fam.contact_sign([pair], f"u = {u}")
+
+
 def _max_uf(family, u_lo, u_hi, rs):
     """max of u f over the fine radii `rs` at both ends."""
     p1, p2 = family.pair(u_lo), family.pair(u_hi)

@@ -53,7 +53,7 @@ def test_panel_knots_match_set_construction(smooth_pair, cap_pair, model):
                 if isinstance(seg, prof.TableSegment):
                     edges.update(float(r) for r in seg.rs)
         want = np.array(sorted(edges))
-        got = fam._panel_knots(pair)
+        got = pair.knots()
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

@@ -488,7 +488,7 @@ def test_smoothing_bound_flat_region_is_free(cap_pair, solved_params):
     # h1' vanishes identically, so the ratio is zero wherever D is not
     w = prof.default_window(solved_params)
     sm = prof.mollify(cap_pair, w)
-    ratio, ok = prof.verify_smoothing_bound(sm, 0.05, window=w)
+    ratio, ok = prof.verify_smoothing_bound(sm, 0.05)
     assert ok and ratio < 1e-6  # zero up to table interpolation noise
 
 

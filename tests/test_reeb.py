@@ -162,13 +162,17 @@ def test_scan_matches_scalar_reference(name, request):
 # --- action minima ----------------------------------------------------------
 
 def test_action_minima_matches_scalar_reference(smooth_pair):
+    # Brent on the sign changes of a 4000-point grid, polished to 1e-12,
+    # against the exact zero set
     h1 = lambda r: float(smooth_pair.h1.value(r))
     xs = np.linspace(1e-9, smooth_pair.epsilon * (1 - 1e-12), 4000)
     fs = [h1(x) for x in xs]
     zeros = [brentq(h1, xs[i], xs[i + 1], xtol=1e-12)
              for i in range(len(xs) - 1) if fs[i] * fs[i + 1] < 0.0]
     actions = [TWO_PI * abs(float(smooth_pair.h2.value(r))) for r in zeros]
-    assert reeb.action_minima(smooth_pair) == (*zeros, *actions)
+    got = reeb.action_minima(smooth_pair)
+    assert got[:2] == pytest.approx(zeros, rel=0.0, abs=2e-12)
+    assert got[2:] == pytest.approx(actions, rel=1e-12, abs=0.0)
 
 
 def test_action_minima_closed_form(smooth_pair, solved_params):
@@ -200,12 +204,18 @@ def test_action_minima_counts_zeros_between_grid_points(smooth_pair,
         reeb.action_minima(dipped)
 
 
-def test_action_minima_needs_zeros_in_separate_grid_cells(looped_cap_pair):
-    # the loop winds once and h1 changes sign twice, but both zeros sit in
-    # one grid cell, so Brent has no bracket for either
-    assert len(looped_cap_pair.h1.sign_changes()) == 2
-    with pytest.raises(InvalidGeometry, match="separate cells"):
-        reeb.action_minima(looped_cap_pair)
+def test_action_minima_are_the_exact_zeros_of_h1(looped_cap_pair):
+    # the loop winds once and both zeros of h1 sit in one cell of a
+    # 4000-point grid, where no grid bracket could separate them; they are
+    # the two sign changes of h1's exact zero set
+    zeros = looped_cap_pair.h1.sign_changes()
+    assert zeros == pytest.approx([0.60000035, 0.60000055], rel=0.0,
+                                  abs=1e-15)
+    r_plus, r_pp, a_plus, a_pp = reeb.action_minima(looped_cap_pair)
+    assert (r_plus, r_pp) == tuple(zeros)
+    assert (a_plus, a_pp) == (
+        TWO_PI * abs(float(looped_cap_pair.h2.value(r_plus))),
+        TWO_PI * abs(float(looped_cap_pair.h2.value(r_pp))))
 
 
 def test_action_minima_untwisted_rejected(cap_pair):
