@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
 from .numerics import adaptive_simpson, format_float, grid_sup
-from .family import (CONTACT_GRID, FamilyModel, FormSpec, contact_sign,
-                     epsilon_bound)
-from .profile import TWO_PI, TwistedPathFamily, contact_radii
+from .family import FamilyModel, FormSpec, contact_sign, epsilon_bound
+from .profile import TWO_PI, TwistedPathFamily
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +223,8 @@ class _GrayIntegrand:
     segment.
 
     Building it checks the leg's premise on those same radii:
-    `family.contact_sign` at both end members, and per-radius monotonicity
-    in u at the midpoint.
+    `family.contact_sign` at both end members, which also hands back their
+    D, and per-radius monotonicity in u at the midpoint.
     """
 
     def __init__(self, spec: GrayPathSpec):
@@ -234,8 +233,8 @@ class _GrayIntegrand:
         self.pair2 = spec.family.pair(u2)
         self.u1, self.u2 = u1, u2
         ends = (self.pair1, self.pair2)
-        contact_sign(ends, f"the ends u = {u1}, {u2} of the leg")
-        self.rs = contact_radii(self.pair1, CONTACT_GRID)
+        _, self.rs, (d1, d2) = contact_sign(
+            ends, f"the ends u = {u1}, {u2} of the leg")
         h2a, h2b = (p.h2.value(self.rs) for p in ends)
         # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
         h_mid = spec.family.pair(0.5 * (u1 + u2)).h2.value(self.rs)
@@ -243,7 +242,6 @@ class _GrayIntegrand:
             raise SingularLocus("family is not monotone in u at some radius")
         self._h1p = self.pair1.h1.deriv(self.rs)
         self._B = (h2b - h2a) / (u2 - u1)
-        d1, d2 = (p.wronskian(self.rs) for p in ends)
         self._DB = (d2 - d1) / (u2 - u1)
         self._DA = d1 - u1 * self._DB
 
@@ -313,12 +311,14 @@ def gray_integral(spec: GrayPathSpec) -> GrayResult:
 # ---------------------------------------------------------------------------
 
 def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
-    """Scaling leg plus deformation leg through (k2, (k2/k1)^(1/n) l1).
+    """Scaling leg plus deformation leg through (k_s, (k_s/k_b)^(1/n) l_b),
+    scaling the member b of larger k down to the other's k_s.
 
     The scaling leg costs |ln k2^(1/n) - ln k1^(1/n)| exactly; the
     deformation leg runs between the two amplitudes, which the
-    intermediate point shares with s1, and is worth |ln(u2/u1)| by the
-    members' family certificate, whose margin must be nonnegative.
+    intermediate point shares with b, and is worth |ln(u2/u1)| by the
+    members' family certificate, whose margin must be nonnegative.  As
+    l_mid <= l_b, the point is admissible whichever member comes first.
     """
     _require_certified(s1, s2)
     if s1.n != s2.n:
@@ -328,7 +328,8 @@ def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
             "a deformation leg needs members of one amplitude family")
     n = s1.n
     a_leg = abs(math.log(s2.k) - math.log(s1.k)) / n
-    l_mid = (s2.k / s1.k) ** (1.0 / n) * s1.l
+    big, small = (s1, s2) if s1.k >= s2.k else (s2, s1)
+    l_mid = (small.k / big.k) ** (1.0 / n) * big.l
     if math.log(l_mid) >= epsilon_bound(s1.ambient_floor_a,
                                         s1.compensator_floor_b):
         raise DomainViolation(

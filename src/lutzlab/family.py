@@ -40,7 +40,7 @@ from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
 from .numerics import format_float, gauss_legendre, gl_panel_nodes
 from . import reeb
 from .profile import (TWO_PI, TwistedPathFamily, ProfilePair, TwistParams,
-                      check_contact_condition, contact_radii)
+                      contact_radii, contact_report)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +274,21 @@ GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the contact "
                "radii; twist arc in closed form")
 
 
-def contact_sign(pairs, where: str) -> int:
-    """The one nonzero sign of D with which every pair passes the contact
-    check on `contact_radii(pair, CONTACT_GRID)`.  D/r is affine in the
-    amplitude, so two such members keep that sign at every amplitude
-    between them, at the checked radii (a sign change across r is a zero
-    of D between samples)."""
-    checks = [check_contact_condition(p, grid_size=CONTACT_GRID)
-              for p in pairs]
+def contact_sign(pairs, where: str) -> tuple:
+    """(sign, rs, ds): the one nonzero sign of D with which every pair
+    passes the contact check (`contact_report`) on
+    rs = `contact_radii(pairs[0], CONTACT_GRID)`, and D of each pair on rs.
+    The members of one family share their knots, so rs samples every
+    pair's segments.  D/r is affine in the amplitude, so two such members
+    keep that sign at every amplitude between them, at the checked radii
+    (a sign change across r is a zero of D between samples)."""
+    rs = contact_radii(pairs[0], CONTACT_GRID)
+    ds = [p.wronskian(rs) for p in pairs]
+    checks = [contact_report(rs, d / rs, CONTACT_GRID) for d in ds]
     sign = checks[0].sign
     if not (sign != 0 and all(c.passed and c.sign == sign for c in checks)):
         raise SingularLocus(f"contact condition fails at {where}: {checks}")
-    return sign
+    return sign, rs, ds
 
 
 @dataclass(frozen=True)
@@ -342,8 +345,9 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
       the member's tube volume, provided they have one sign;
     - the Gray rate f = |B h1' / D_u| has u f <= 1 wherever
       u |B h1'| <= |D_u| holds at both ends (both sides are affine while
-      D_u keeps its sign), which is checked on the same radii off the
-      twist arc (window.hi, 1/2].  On the arc both profiles are
+      D_u keeps its sign), which is checked on the same radii, with the
+      ends' D that `contact_sign` sampled there, off the twist arc
+      (window.hi, 1/2].  On the arc both profiles are
       trigonometric and f = sin^2(2 pi r)/u exactly.  The least 1 - u f
       is the margin; a negative one is recorded, and
       `FamilyCertificate.gray_margin` refuses it.
@@ -355,7 +359,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
     if p_hi.h1 is not p_lo.h1:
         raise InvalidGeometry("the members of one family must share h1")
-    sign = contact_sign(ends, f"the ends u = {u_lo}, {u_hi} of the family")
+    sign, rs, ds = contact_sign(
+        ends, f"the ends u = {u_lo}, {u_hi} of the family")
     r_plus, r_pp, _, _ = reeb.action_minima(p_lo)  # winds once at u_lo
     if p_hi.winding_number() != 1:
         raise InvalidGeometry(
@@ -376,17 +381,12 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
             f"the tube volume integral changes sign on [{u_lo}, {u_hi}]: "
             f"{volumes}")
 
-    # the radii on which `contact_sign` just passed both ends
-    rs = contact_radii(p_lo, CONTACT_GRID)
+    # D of both ends on the radii on which `contact_sign` just passed them
     off_arc = (rs <= family.window.hi) | (rs > 0.5)
-    h1v, h1p = p_lo.h1.value(rs), p_lo.h1.deriv(rs)
     h2v = [p.h2.value(rs) for p in ends]
-    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * h1p)
-    margin = math.inf
-    for u, p, h2 in zip((u_lo, u_hi), ends, h2v):
-        d = h1v * p.h2.deriv(rs) - h1p * h2
-        margin = min(margin,
-                     float(np.min((1.0 - u * rate / np.abs(d))[off_arc])))
+    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * p_lo.h1.deriv(rs))
+    margin = min(float(np.min((1.0 - u * rate / np.abs(d))[off_arc]))
+                 for u, d in zip((u_lo, u_hi), ds))
     return FamilyCertificate(u_lo=u_lo, u_hi=u_hi, contact_sign=sign,
                              r_plus=r_plus, r_plus_prime=r_pp,
                              volumes=volumes, margin=margin)

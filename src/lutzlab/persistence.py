@@ -9,10 +9,10 @@ recomputes them by dense row reduction as an independent check.  The
 unit's bar is the longest finite one; its right endpoint is the lowest
 action of a primitive of the empty word.
 
-Each of `barcode`, `unit_vanishing_level`, `brute_force_oracle` and
-`d_squared_check` computes every needed word's boundary once, into one
-table per call; d^2 = 0 is checked on every basis word from the same
-table that builds the boundary columns.
+Each of `barcode`, `unit_vanishing_level` and `brute_force_oracle`
+computes each basis word's boundary once, into one table per call that
+builds the columns; d^2 = 0 is checked from it on one-letter words only,
+as d^2 = [d, d]/2 is an even derivation (`_squares_to_zero`).
 """
 
 from __future__ import annotations
@@ -268,24 +268,26 @@ def boundary(dga: FilteredDGA, element) -> Dict[Word, Fraction]:
     return dga.boundary(elem)
 
 
-def _boundary_table(dga: FilteredDGA, basis: List[Word]):
-    """Boundary of every basis word and of every word in those images,
-    each computed once; image words may lie outside the basis."""
-    table: Dict[Word, Dict[Word, Fraction]] = {}
-    for word in basis:
+def _squares_to_zero(dga: FilteredDGA, table) -> bool:
+    """True iff d^2 = 0 on each one-letter basis word, hence on every word.
+
+    d is odd, so d^2 = [d, d]/2 is an even derivation: it vanishes on a
+    word once it vanishes on each letter, and every letter of a basis word
+    is itself a basis word.  Boundaries are read from `table`, and a word
+    missing from it is expanded into it once.
+    """
+    def bd(word):
         if word not in table:
             table[word] = dga.boundary_word(word)
-        for w in table[word]:
-            if w not in table:
-                table[w] = dga.boundary_word(w)
-    return table
+        return table[word]
 
-
-def _squares_to_zero(basis: List[Word], table) -> bool:
-    for word in basis:
+    for gi in range(len(dga.generators)):
+        letter = ((gi, 1),)
+        if not dga.in_caps(letter):
+            continue
         second: Dict[Word, Fraction] = {}
-        for w, c in table[word].items():
-            for w2, c2 in table[w].items():
+        for w, c in bd(letter).items():
+            for w2, c2 in bd(w).items():
                 second[w2] = second.get(w2, Fraction(0)) + c * c2
         if any(c != 0 for c in second.values()):
             return False
@@ -293,9 +295,8 @@ def _squares_to_zero(basis: List[Word], table) -> bool:
 
 
 def d_squared_check(dga: FilteredDGA) -> bool:
-    """True iff the boundary squares to zero on every basis monomial."""
-    basis = dga.basis()
-    return _squares_to_zero(basis, _boundary_table(dga, basis))
+    """True iff d^2 (a derivation) is zero on the letters, so on all words."""
+    return _squares_to_zero(dga, {})
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +336,15 @@ class Barcode:
 
 
 def _checked_columns(dga: FilteredDGA, basis: List[Word]):
-    """Sparse boundary columns over `basis`, from one boundary table.
+    """Sparse boundary columns over `basis`, one boundary per basis word.
 
-    d^2 = 0 is checked on every basis word from the same table first, so a
-    failing differential raises PreconditionFailed before an image outside
-    the basis raises BasisOverflow.
+    d^2 = 0 is checked first from the same table, on the letters alone as
+    d^2 is a derivation (`_squares_to_zero`), so a failing differential
+    raises PreconditionFailed before an image outside the basis raises
+    BasisOverflow.
     """
-    table = _boundary_table(dga, basis)
-    if not _squares_to_zero(basis, table):
+    table = {w: dga.boundary_word(w) for w in basis}
+    if not _squares_to_zero(dga, table):
         raise PreconditionFailed("differential does not square to zero")
     pos = {w: i for i, w in enumerate(basis)}
     cols = []
@@ -387,8 +389,8 @@ def barcode(dga: FilteredDGA) -> Barcode:
 
     A column that reduces to zero births a class at its own action, and a
     pivot pair (i, j) closes the bar of basis element i at the action of j.
-    Raises PreconditionFailed unless d^2 = 0 on every basis word, checked
-    from the same boundary table that builds the columns.
+    Raises PreconditionFailed unless d^2 = 0 on every basis word: d^2 is a
+    derivation, so the columns' boundary table checks it on the letters.
     """
     basis = dga.basis()
     reduced = list(_eliminate(_checked_columns(dga, basis)))
@@ -461,8 +463,8 @@ def unit_vanishing_level(dga: FilteredDGA):
     Incremental elimination in filtration order, stopping at the first
     column whose reduced form is supported on the unit alone.  Returns
     math.inf when no primitive exists under the caps.  Raises
-    PreconditionFailed unless d^2 = 0 on every basis word, checked from
-    the same boundary table that builds the columns.
+    PreconditionFailed unless d^2 = 0 on every basis word: d^2 is a
+    derivation, so the columns' boundary table checks it on the letters.
     """
     basis = dga.basis()
     for j, col in enumerate(_eliminate(_checked_columns(dga, basis))):

@@ -624,25 +624,30 @@ def contact_radii(pair: ProfilePair, grid_size: int) -> np.ndarray:
                       knots[knots > 0.0])
 
 
-def check_contact_condition(pair: ProfilePair,
-                            grid_size: int = 10000) -> ContactReport:
-    """Scan D(r)/r on `contact_radii(pair, grid_size)`, which passes when
-    it keeps one sign and |D/r| > CONTACT_PASS; dividing by r absorbs the
-    forced zero at 0.  The report's `grid_size` counts the uniform steps
-    only, not the knots joined to them."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    rs = contact_radii(pair, grid_size)
-    d = pair.wronskian(rs) / rs
-    i = int(np.argmin(np.abs(d)))
-    all_pos = bool(np.all(d > 0))
-    all_neg = bool(np.all(d < 0))
+def contact_report(rs: np.ndarray, d_over_r: np.ndarray,
+                   grid_size: int) -> ContactReport:
+    """The contact check of D/r sampled on `contact_radii(pair, grid_size)`:
+    it passes when D/r keeps one sign and |D/r| > CONTACT_PASS."""
+    i = int(np.argmin(np.abs(d_over_r)))
+    all_pos = bool(np.all(d_over_r > 0))
+    all_neg = bool(np.all(d_over_r < 0))
     sign = 1 if all_pos else (-1 if all_neg else 0)
-    min_abs = float(np.abs(d[i]))
+    min_abs = float(np.abs(d_over_r[i]))
     return ContactReport(min_abs_d_over_r=min_abs, argmin_r=float(rs[i]),
                          sign=sign,
                          passed=sign != 0 and min_abs > CONTACT_PASS,
                          grid_size=grid_size)
+
+
+def check_contact_condition(pair: ProfilePair,
+                            grid_size: int = 10000) -> ContactReport:
+    """Scan D(r)/r on `contact_radii(pair, grid_size)` (`contact_report`);
+    dividing by r absorbs the forced zero at 0.  The report's `grid_size`
+    counts the uniform steps only, not the knots joined to them."""
+    if grid_size < 1000:
+        raise ValueError("grid_size must be at least 1000")
+    rs = contact_radii(pair, grid_size)
+    return contact_report(rs, pair.wronskian(rs) / rs, grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -710,26 +715,16 @@ def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> tuple:
 
 def _splice_window(profile: PiecewiseProfile, window: SmoothingWindow,
                    table: TableSegment) -> PiecewiseProfile:
-    """`profile` with `table` in place of its pieces on the window."""
-    new_bps = [b for b in profile.breakpoints
-               if b < window.lo - 1e-15 or b > window.hi + 1e-15]
-    bps = sorted(set(new_bps + [window.lo, window.hi]))
-    src = list(profile.breakpoints)
-    segments = []
-    for lo_b, hi_b in zip(bps[:-1], bps[1:]):
-        if abs(lo_b - window.lo) < 1e-15 and abs(hi_b - window.hi) < 1e-15:
-            segments.append(table)
-            continue
-        owner = None
-        mid = 0.5 * (lo_b + hi_b)
-        for j in range(len(profile.segments)):
-            if src[j] - 1e-15 <= mid <= src[j + 1] + 1e-15:
-                owner = profile.segments[j]
-                break
-        if owner is None:
-            raise InvalidGeometry("window does not sit inside the profile")
-        segments.append(owner)
-    return PiecewiseProfile(bps, segments)
+    """`profile` with `table` in place of its pieces on the window; its
+    breakpoints within 1e-15 of the window go."""
+    if not profile.breakpoints[0] <= window.lo < window.hi <= profile.eps:
+        raise InvalidGeometry("window does not sit inside the profile")
+    bps = sorted(set([b for b in profile.breakpoints
+                      if b < window.lo - 1e-15 or b > window.hi + 1e-15]
+                     + [window.lo, window.hi]))
+    return PiecewiseProfile(bps, [
+        table if lo == window.lo else profile.segment_span(0.5 * (lo + hi))[0]
+        for lo, hi in zip(bps[:-1], bps[1:])])
 
 
 def mollify(pair: ProfilePair, window: SmoothingWindow) -> ProfilePair:

@@ -7,8 +7,7 @@ import pytest
 from lutzlab import distance as dist
 from lutzlab import family as fam
 from lutzlab import profile as prof
-from lutzlab.errors import (DomainViolation, InvalidGeometry,
-                            PreconditionFailed, SingularLocus)
+from lutzlab.errors import InvalidGeometry, PreconditionFailed, SingularLocus
 from lutzlab.family import U_CAP, FamilyDefaults
 
 
@@ -171,18 +170,18 @@ def test_gray_leg_work_counts(gray_family, monkeypatch):
     # midpoint, and checks contact at the two ends only
     calls = {"pair": 0, "contact": 0}
     real_pair = prof.TwistedPathFamily.pair
-    real_check = fam.check_contact_condition
+    real_check = fam.contact_report
 
     def counting_pair(self, u):
         calls["pair"] += 1
         return real_pair(self, u)
 
-    def counting_check(pair, grid_size=10000):
+    def counting_check(rs, d_over_r, grid_size):
         calls["contact"] += 1
-        return real_check(pair, grid_size=grid_size)
+        return real_check(rs, d_over_r, grid_size)
 
     monkeypatch.setattr(prof.TwistedPathFamily, "pair", counting_pair)
-    monkeypatch.setattr(fam, "check_contact_condition", counting_check)
+    monkeypatch.setattr(fam, "contact_report", counting_check)
     dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
     assert calls == {"pair": 3, "contact": 2}
 
@@ -192,7 +191,7 @@ def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
     # an end whose determinant changes sign across r, or two ends of
     # opposite sign, leave a zero of D somewhere on the leg: the oracle and
     # the family certificate behind the closed-form legs both refuse it
-    real_check = fam.check_contact_condition
+    real_check = fam.contact_report
     legs = (lambda: dist.gray_integral(
                 dist.GrayPathSpec(gray_family, 0.04, 0.06)),
             lambda: fam.certify_family(gray_family, 0.04, 0.06, 2))
@@ -200,11 +199,11 @@ def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
         for signs in ((0, 1), (1, 0), (1, -1), (-1, 1)):
             reported = iter(signs)
 
-            def patched(pair, grid_size=10000):
-                return replace(real_check(pair, grid_size=grid_size),
+            def patched(rs, d_over_r, grid_size):
+                return replace(real_check(rs, d_over_r, grid_size),
                                sign=next(reported))
 
-            monkeypatch.setattr(fam, "check_contact_condition", patched)
+            monkeypatch.setattr(fam, "contact_report", patched)
             with pytest.raises(SingularLocus):
                 leg()
 
@@ -368,7 +367,7 @@ def test_sweep_and_triangle_run_no_quadrature(model, monkeypatch):
     specs = {p: model.embed_point(p) for p in pts}
     calls = {"pair": 0, "contact": 0}
     real_pair = prof.TwistedPathFamily.pair
-    real_check = fam.check_contact_condition
+    real_check = fam.contact_report
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -384,7 +383,7 @@ def test_sweep_and_triangle_run_no_quadrature(model, monkeypatch):
     monkeypatch.setattr(dist, "adaptive_simpson", no_quadrature)
     monkeypatch.setattr(prof.TwistedPathFamily, "pair",
                         count("pair", real_pair))
-    monkeypatch.setattr(fam, "check_contact_condition",
+    monkeypatch.setattr(fam, "contact_report",
                         count("contact", real_check))
     # the model certified its whole amplitude range when it was built
     rep = dist.bilipschitz_sweep(pts, 1.0, 1.0, model=model)
@@ -447,15 +446,22 @@ def test_triangle_ub_pure_scaling(model):
     assert cert.witnesses["gray_leg"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_triangle_ub_domain_violation():
+def test_triangle_ub_certifies_both_orders():
     from lutzlab.family import FamilyModel
     tight = FamilyModel(0.05, 0.05, n=2)
-    # the intermediate point scales l1 by (k2/k1)^(1/2) = 1.7, leaving the
-    # admissible half-plane b < ln(0.05)
+    # scaling s_a up to k_b would multiply l_a by (k_b/k_a)^(1/2) = 1.7 and
+    # leave the admissible half-plane b < ln(0.05) at l = 0.051; the path
+    # scales s_b down instead, to l = 0.02 / 1.7, in either order
     s_a = tight.embed_point((0.0, math.log(0.03)))
     s_b = tight.embed_point((math.log(1.7), math.log(0.02)))
-    with pytest.raises(DomainViolation):
-        dist.triangle_ub(s_a, s_b)
+    ab, ba = dist.triangle_ub(s_a, s_b), dist.triangle_ub(s_b, s_a)
+    for cert in (ab, ba):
+        assert cert.witnesses["intermediate_l"] == pytest.approx(0.02 / 1.7,
+                                                                 rel=1e-14)
+    assert ab.witnesses["scaling_leg"] == ba.witnesses["scaling_leg"]
+    # each order rounds its gray leg |ln(u2/u1)| on its own
+    assert ab.upper == pytest.approx(ba.upper, rel=1e-15)
+    assert ab.upper == pytest.approx(1.4667216102325049, rel=1e-15)
 
 
 def test_certificate_sanity_and_json(model):

@@ -121,12 +121,29 @@ def test_d_squared_matches_per_word_reference():
     rng = np.random.default_rng(45)
     dgas = [ps.random_chain_dga(rng) for _ in range(25)]
     dgas += [ps.random_admissible_dga(rng) for _ in range(10)]
+    # words of up to 5 letters (Koszul signs across 3 or more letters), and
+    # image words that leave the basis, with d^2 = 0 and with d^2 != 0
+    dgas += [_koszul_dga(), _overflow_dga(dy=False), _overflow_dga(dy=True)]
     dgas.append(ps.FilteredDGA(
         [ps.Generator("y", 1, 1.0), ps.Generator("x", 0, 3.0)],
         {"x": [(1, ["y"])], "y": [(1, [])]}, 10.0, 4))
     for dga in dgas:
         assert ps.d_squared_check(dga) == _d_squared_per_word(dga)
+    assert ps.d_squared_check(dgas[-4]) and ps.d_squared_check(dgas[-3])
+    assert not ps.d_squared_check(dgas[-2])
     assert not ps.d_squared_check(dgas[-1])
+
+
+def test_d_squared_with_no_letter_in_the_basis():
+    # d(dx) = dy = 1 != 0, but word_cap = 0 leaves only the unit, which no
+    # letter reaches
+    dga = ps.FilteredDGA(
+        [ps.Generator("y", 1, 1.0), ps.Generator("x", 0, 3.0)],
+        {"x": [(1, ["y"])], "y": [(1, [])]}, 10.0, 0)
+    assert dga.basis() == [ps.UNIT]
+    assert _d_squared_per_word(dga)
+    assert ps.d_squared_check(dga)
+    assert ps.barcode(dga).bars == (ps.Bar("1", 0.0, math.inf),)
 
 
 def test_d_squared_violation_above_action_cap():
@@ -257,15 +274,24 @@ def _koszul_dga():
 @pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
                                 ps.d_squared_check])
 def test_one_boundary_per_basis_word(monkeypatch, fn):
+    # the eliminations expand each basis word once; the d^2 check alone
+    # expands only the one-letter basis words and their images outside
+    # them (here the nine letters and the unit)
     dga = _koszul_dga()
-    n = len(dga.basis())
-    assert n == 1002
+    basis = dga.basis()
+    assert len(basis) == 1002
+    letters = [w for w in basis if len(w) == 1 and w[0][1] == 1]
+    images = {w for x in letters for w in dga.boundary_word(x)}
     calls = []
     inner = ps.FilteredDGA.boundary_word
     monkeypatch.setattr(ps.FilteredDGA, "boundary_word",
                         lambda self, w: calls.append(w) or inner(self, w))
     fn(dga)
-    assert len(calls) == n
+    assert len(calls) == len(set(calls))
+    if fn is ps.d_squared_check:
+        assert set(calls) == set(letters) | images and len(calls) == 10
+    else:
+        assert set(calls) == set(basis)
 
 
 def test_determinism_bit_reproducible(xy_dga):

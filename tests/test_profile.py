@@ -364,6 +364,16 @@ def test_mollify_window_must_sit_low(raw_pair):
         prof.mollify(raw_pair, prof.SmoothingWindow(0.7, 0.001))
 
 
+@pytest.mark.parametrize("center", [-0.0005, 1.0, 2.0])
+def test_splice_window_must_sit_inside_the_profile(raw_pair, center):
+    # a window across either end, or past the profile, is refused
+    window = prof.SmoothingWindow(center, 0.001)
+    table = prof.TableSegment(np.linspace(window.lo, window.hi, 8),
+                              np.zeros(8))
+    with pytest.raises(InvalidGeometry, match="does not sit inside"):
+        prof._splice_window(raw_pair.h1, window, table)
+
+
 def _convolve_against_kernel(profile, window, rs, order):
     """Oracle: (f * g)(rs) for one profile on its own panels, split at its
     breakpoints and evaluated through `PiecewiseProfile.value`."""
