@@ -26,7 +26,7 @@ print(f"  upper = {cert.upper:.6f} (= ln 2 + ln(4/3), via "
 # the deformation leg alone: moving l at fixed volume costs |ln(l2/l1)|
 base = profile.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
 fam_path = profile.TwistedPathFamily(base, 0.04, 0.06)
-res = distance.gray_integral(distance.GrayPathSpec(fam_path, 0.04, 0.06))
+res = distance.gray_integral(fam_path, 0.04, 0.06)
 print(f"\ndeformation integral u: 0.04 -> 0.06 = {res.value:.12f}")
 print(f"ln(0.06/0.04)                        = {math.log(1.5):.12f}")
 print(f"sup always at r = 1/4: {set(round(r, 6) for _, r in res.sup_locations)}")

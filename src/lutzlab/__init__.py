@@ -20,7 +20,7 @@ from .profile import (ExtensionSpec, TwistedPathFamily, PiecewiseProfile,
                       build_mollified_path, build_twisted_path,
                       check_contact_condition, mollify,
                       solve_continuity_params, standard_cap_pair,
-                      verify_smoothing_bound, wronskian)
+                      verify_smoothing_bound)
 from .reeb import (CoreOrbitInfo, Degenerate, OpenBookProfiles,
                    PerturbedOrbits, TorusOrbitFamily, action_minima,
                    claction_check, core_orbit_cz, cz_sp2_path, l_invariant,
@@ -30,10 +30,10 @@ from .family import (CompensatorSpec, FamilyDefaults, FamilyModel, FormSpec,
                      ParamDomain, compensator_solve, embed_point,
                      epsilon_bound, scaling_check, systolic_ratio,
                      tube_volume)
-from .distance import (BoundCertificate, ConformalSample, GrayPathSpec,
-                       bilipschitz_sweep, bound_certificate, d_cf,
-                       ellipsoid_conformal_factor, folding_bounds,
-                       gray_integral, lower_bound, triangle_ub, ub_conformal)
+from .distance import (BoundCertificate, ConformalSample, bilipschitz_sweep,
+                       bound_certificate, ellipsoid_conformal_factor,
+                       folding_bounds, gray_integral, lower_bound,
+                       triangle_ub, ub_conformal)
 from .persistence import (Bar, Barcode, FilteredDGA, Generator, barcode,
                           boundary, brute_force_oracle, d_squared_check,
                           leibniz_upper_bound, random_admissible_dga,

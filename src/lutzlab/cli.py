@@ -158,8 +158,7 @@ def cmd_profile_check(args, ctx: RunContext) -> int:
 
 def cmd_profile_mollify(args, ctx: RunContext) -> int:
     params = _load_twist(ctx, args.infile)
-    raw = profile.build_twisted_path(params)
-    smooth = profile.mollify(raw, profile.default_window(params))
+    smooth = profile.build_mollified_path(params)
     smooth.sample_csv(ctx.path("profile_mollified.csv"), n=args.samples)
     ratio, ok = profile.verify_smoothing_bound(smooth, params.u)
     print(f"window sup |-H1'/D| = {format_float(ratio)}; "
@@ -291,8 +290,7 @@ def cmd_distance_gray(args, ctx: RunContext) -> int:
         mu_minus=args.mu_minus, mu_plus=args.mu_plus, u=args.u_start)
     fam = profile.TwistedPathFamily(base, min(args.u_start, args.u_end),
                                   max(args.u_start, args.u_end))
-    res = distance.gray_integral(
-        distance.GrayPathSpec(fam, args.u_start, args.u_end))
+    res = distance.gray_integral(fam, args.u_start, args.u_end)
     ctx.write_json("gray.json", {
         "value": res.value, "u_start": res.u_start, "u_end": res.u_end,
         "sup_radii": [r for _, r in res.sup_locations[:8]]})

@@ -6,6 +6,13 @@ the volume and lowest-action monotonicity laws; upper bounds from
 conformal factors, the two-leg scaling-plus-deformation path (whose
 deformation leg is controlled by the Gray-stability integral), and the
 explicit ellipsoid folding example.
+
+The distance is symmetric, and so is every bound of a pair of members:
+`_legs` takes the volume channel, the action channel and the Gray leg
+each as the log of the larger over the smaller of the members' values,
+and `lower_bound`, `triangle_ub` and `bilipschitz_sweep` all read their
+numbers from it, so a sweep row is bitwise the pair's certificate in
+either order.
 """
 
 from __future__ import annotations
@@ -81,19 +88,23 @@ def _require_certified(*specs: FormSpec):
                 "bound certificates require certified family members")
 
 
-def _channels(s1: FormSpec, s2: FormSpec) -> tuple:
-    """(volume channel |ln(V1/V2)|/n, action channel |ln(l1/l2)|)."""
-    return abs(math.log(s1.k / s2.k)) / s1.n, abs(math.log(s1.l / s2.l))
+def _legs(s1: FormSpec, s2: FormSpec) -> tuple:
+    """(volume channel |ln(k1/k2)|/n, action channel |ln(l1/l2)|, Gray
+    leg |ln(u1/u2)|) of a pair, each as ln(larger/smaller) so that it is
+    the same float in either argument order."""
+    vol, act, gray = (math.log(max(x, y) / min(x, y))
+                      for x, y in ((s1.k, s2.k), (s1.l, s2.l), (s1.u, s2.u)))
+    return vol / s1.n, act, gray
 
 
 def lower_bound(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     """max of the volume channel |ln(V1/V2)|/n and the action channel
-    |ln(l1/l2)|; both quantities only grow under admissible interleavings,
-    so each gives a genuine lower bound."""
+    |ln(l1/l2)| from `_legs`; both quantities only grow under admissible
+    interleavings, so each gives a genuine lower bound."""
     _require_certified(s1, s2)
     if s1.n != s2.n:
         raise PreconditionFailed("members live in different dimensions")
-    vol_channel, l_channel = _channels(s1, s2)
+    vol_channel, l_channel, _ = _legs(s1, s2)
     lower = max(vol_channel, l_channel)
     method = "volume" if vol_channel >= l_channel else "l_invariant"
     if vol_channel == l_channel:
@@ -138,16 +149,6 @@ def ub_conformal(f: ConformalSample) -> float:
     """max(ln max f, -ln min f): the interleaving constant of the graphs."""
     return max(math.log(float(np.max(f.values))),
                -math.log(float(np.min(f.values))))
-
-
-def d_cf(f: ConformalSample) -> float:
-    """max |ln f|, the conformal-factor distance along the identity map.
-
-    No optimisation over the contactomorphism group is attempted, so this
-    is an upper bound for the group infimum.
-    """
-    logs = np.log(f.values)
-    return float(np.max(np.abs(logs)))
 
 
 def ellipsoid_conformal_factor(a: float, b: float,
@@ -197,14 +198,6 @@ def folding_bounds(a1: float, a2: float, ball: float,
 _GRAY_TOL = 1e-12
 
 
-@dataclass
-class GrayPathSpec:
-    """Deformation leg through the amplitude family, h1 held fixed."""
-    family: TwistedPathFamily
-    u_start: float
-    u_end: float
-
-
 @dataclass(frozen=True)
 class GrayResult:
     value: float
@@ -227,17 +220,16 @@ class _GrayIntegrand:
     D, and per-radius monotonicity in u at the midpoint.
     """
 
-    def __init__(self, spec: GrayPathSpec):
-        u1, u2 = spec.u_start, spec.u_end
-        self.pair1 = spec.family.pair(u1)
-        self.pair2 = spec.family.pair(u2)
+    def __init__(self, family: TwistedPathFamily, u1: float, u2: float):
+        self.pair1 = family.pair(u1)
+        self.pair2 = family.pair(u2)
         self.u1, self.u2 = u1, u2
         ends = (self.pair1, self.pair2)
         _, self.rs, (d1, d2) = contact_sign(
             ends, f"the ends u = {u1}, {u2} of the leg")
         h2a, h2b = (p.h2.value(self.rs) for p in ends)
         # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
-        h_mid = spec.family.pair(0.5 * (u1 + u2)).h2.value(self.rs)
+        h_mid = family.pair(0.5 * (u1 + u2)).h2.value(self.rs)
         if not bool(np.all(((h_mid - h2a) * (h2b - h_mid)) >= -1e-13)):
             raise SingularLocus("family is not monotone in u at some radius")
         self._h1p = self.pair1.h1.deriv(self.rs)
@@ -282,18 +274,20 @@ class _GrayIntegrand:
                         np.abs(self._B * self._h1p / self.den(u)))
 
 
-def gray_integral(spec: GrayPathSpec) -> GrayResult:
-    """Integral over u of the sup of the deformation rate of the angle.
+def gray_integral(family: TwistedPathFamily, u_start: float,
+                  u_end: float) -> GrayResult:
+    """Integral over u in [u_start, u_end] of the sup of the deformation
+    rate of the angle along `family`, h1 held fixed.
 
     Once `_GrayIntegrand` has checked the leg's premise, adaptive Simpson
-    integrates the inner sup to absolute tolerance 1e-12.  The sweeps take
-    their legs in closed form behind the model's `FamilyCertificate`; this
-    is its oracle.
+    integrates the inner sup to absolute tolerance 1e-12.  `_legs` takes
+    every Gray leg between members in closed form, as |ln(u1/u2)|, behind
+    the model's `FamilyCertificate`; this is its oracle.
     """
-    u_lo, u_hi = sorted((spec.u_start, spec.u_end))
+    u_lo, u_hi = sorted((u_start, u_end))
     if u_hi == u_lo:
-        return GrayResult(0.0, ((u_lo, math.nan),), spec.u_start, spec.u_end)
-    integrand = _GrayIntegrand(spec)
+        return GrayResult(0.0, ((u_lo, math.nan),), u_start, u_end)
+    integrand = _GrayIntegrand(family, u_start, u_end)
     locations = []
 
     def f(u):
@@ -303,7 +297,7 @@ def gray_integral(spec: GrayPathSpec) -> GrayResult:
 
     value = adaptive_simpson(f, u_lo, u_hi, tol=_GRAY_TOL)
     return GrayResult(value=value, sup_locations=tuple(locations),
-                      u_start=spec.u_start, u_end=spec.u_end)
+                      u_start=u_start, u_end=u_end)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +306,15 @@ def gray_integral(spec: GrayPathSpec) -> GrayResult:
 
 def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     """Scaling leg plus deformation leg through (k_s, (k_s/k_b)^(1/n) l_b),
-    scaling the member b of larger k down to the other's k_s.
+    scaling the member b of larger (k, l) down to the other's k_s.
 
-    The scaling leg costs |ln k2^(1/n) - ln k1^(1/n)| exactly; the
+    The scaling leg costs the volume channel |ln(k1/k2)|/n exactly; the
     deformation leg runs between the two amplitudes, which the
-    intermediate point shares with b, and is worth |ln(u2/u1)| by the
-    members' family certificate, whose margin must be nonnegative.  As
-    l_mid <= l_b, the point is admissible whichever member comes first.
+    intermediate point shares with b, and is worth the Gray leg
+    |ln(u1/u2)| by the members' family certificate, whose margin must be
+    nonnegative.  Both legs come from `_legs`, so the bound and its
+    witnesses are the same in either argument order.  As l_mid <= l_b,
+    the point is admissible.
     """
     _require_certified(s1, s2)
     if s1.n != s2.n:
@@ -326,17 +322,15 @@ def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
     if s1.certificate is not s2.certificate:
         raise PreconditionFailed(
             "a deformation leg needs members of one amplitude family")
-    n = s1.n
-    a_leg = abs(math.log(s2.k) - math.log(s1.k)) / n
-    big, small = (s1, s2) if s1.k >= s2.k else (s2, s1)
-    l_mid = (small.k / big.k) ** (1.0 / n) * big.l
+    a_leg, _, gray_val = _legs(s1, s2)
+    small, big = sorted((s1, s2), key=lambda s: (s.k, s.l))
+    l_mid = (small.k / big.k) ** (1.0 / s1.n) * big.l
     if math.log(l_mid) >= epsilon_bound(s1.ambient_floor_a,
                                         s1.compensator_floor_b):
         raise DomainViolation(
             f"intermediate point l = {l_mid:.6g} leaves the admissible "
             "half-plane")
     margin = s1.certificate.gray_margin()
-    gray_val = abs(math.log(s2.u / s1.u))
     wit = {"scaling_leg": a_leg, "gray_leg": gray_val,
            "intermediate_l": l_mid, "margin": margin}
     return BoundCertificate(lower=0.0, upper=a_leg + gray_val,
@@ -345,10 +339,8 @@ def triangle_ub(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
 
 
 def bound_certificate(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
-    """Combined two-sided certificate for a pair of members."""
-    if s1 is s2 or (s1.k == s2.k and s1.l == s2.l and s1.n == s2.n):
-        return BoundCertificate(0.0, 0.0, "max", "gray_path",
-                                {"identical": True})
+    """Combined two-sided certificate for a pair of members; identical
+    members get (0, 0) through the same checks as any other pair."""
     return lower_bound(s1, s2).combined_with(triangle_ub(s1, s2))
 
 
@@ -390,9 +382,12 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
     1e-12, 1e-9 and 1e-6 on the three links, and reports the worst slack
     across the grid.  Rows come in pair order.  Every member lives in the
     model's one amplitude family, whose certificate covers [u_ref, U_CAP]
-    once per model, so each pair's Gray leg is |ln(u2/u1)| as long as its
-    margin is nonnegative.  Fewer than two points give no pair to certify
-    and raise PreconditionFailed.
+    once per model, so each pair's Gray leg is |ln(u1/u2)| as long as its
+    margin is nonnegative.  A row's lower and upper are read from `_legs`
+    as `lower_bound` and `triangle_ub` read them, so they equal the pair's
+    `bound_certificate` bitwise in either order; the witnesses those
+    certificates carry are not built.  Fewer than two points give no pair
+    to certify and raise PreconditionFailed.
     """
     points = list(points)
     if len(points) < 2:
@@ -414,8 +409,8 @@ def bilipschitz_sweep(points, ambient_floor_a: float = 1.0,
     for i, s1 in enumerate(specs):
         for s2 in specs[i + 1:]:
             dinf = max(abs(s1.a - s2.a), abs(s1.b - s2.b))
-            low = max(_channels(s1, s2))
-            up = abs(s1.a - s2.a) + abs(math.log(s2.u / s1.u))
+            vol, act, gray = _legs(s1, s2)
+            low, up = max(vol, act), vol + gray
             ok = (dinf <= low + 1e-12 and low <= up + 1e-9
                   and up <= 2.0 * dinf + 1e-6)
             slack = max(dinf - low, low - up, up - 2.0 * dinf)

@@ -1,11 +1,13 @@
 """Shared quadrature and 1-d search utilities.
 
-Adaptive Simpson is the workhorse scalar quadrature (absolute tolerance
-1e-11 by default).  Convolution tables use fixed-order Gauss-Legendre
-panels split at integrand kinks; the two routes cross-check each other in
-the test suite.  `grid_sup` is the one sup refiner: the Gray integrand and
-the smoothing bound both take a grid argmax and shrink a bracket around it.
-It samples, so it does not enclose the sup between its samples.
+Adaptive Simpson (absolute tolerance 1e-11 by default) serves only two
+callers: the Gray-integral oracle `distance.gray_integral` and the
+open-book profiles of `reeb.openbook_profiles`.  Convolution tables and
+tube volumes use fixed-order Gauss-Legendre panels split at integrand
+kinks; the two routes cross-check each other in the test suite.
+`grid_sup` is the one sup refiner: the Gray integrand and the smoothing
+bound both take a grid argmax and shrink a bracket around it.  It samples,
+so it does not enclose the sup between its samples.
 """
 
 from __future__ import annotations

@@ -118,35 +118,33 @@ class FilteredDGA:
         return (self.word_length(word) <= self.word_cap
                 and self.word_action(word) <= self.action_cap)
 
-    def _flatten(self, word: Word) -> list:
-        out = []
-        for gi, e in word:
-            out.extend([gi] * e)
-        return out
+    def _product(self, a: Word, b: Word) -> Tuple[int, Optional[Word]]:
+        """Koszul sign and sorted word of the product a*b of two sorted
+        monomials, merged in one pass; (0, None) if it dies.
 
-    def _sort_sign(self, flat: list) -> Tuple[int, Optional[Word]]:
-        """Koszul sign of sorting a flat factor sequence; None if it dies.
-
-        Only swaps of two odd generators contribute a sign; a repeated odd
-        generator kills the monomial.
+        Each odd letter y of b moves left past the odd letters x > y of a,
+        so the sign is (-1)^#{(x odd in a, y odd in b): x > y}; an odd
+        generator in both factors kills the product.
         """
-        degs = [self.generators[gi].degree for gi in flat]
-        sign = 1
-        # insertion sort, counting odd-odd inversions
-        arr = list(zip(flat, degs))
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1][0] > arr[j][0]:
-                if arr[j - 1][1] == 1 and arr[j][1] == 1:
-                    sign = -sign
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                j -= 1
-        counts: Dict[int, int] = {}
-        for gi, dg in arr:
-            counts[gi] = counts.get(gi, 0) + 1
-            if dg == 1 and counts[gi] > 1:
-                return 0, None
-        return sign, tuple(sorted(counts.items()))
+        odd = [self.generators[gi].degree for gi, _ in a]
+        odd_after = sum(odd)  # odd letters of a not merged yet
+        out: list = []
+        sign, i = 1, 0
+        for gi, e in b:
+            while i < len(a) and a[i][0] < gi:
+                out.append(a[i])
+                odd_after -= odd[i]
+                i += 1
+            if i < len(a) and a[i][0] == gi:
+                if odd[i]:
+                    return 0, None
+                e += a[i][1]
+                i += 1
+            elif self.generators[gi].degree and odd_after % 2:
+                sign = -sign
+            out.append((gi, e))
+        out.extend(a[i:])
+        return sign, tuple(out)
 
     # -- the boundary operator ----------------------------------------------
 
@@ -166,13 +164,12 @@ class FilteredDGA:
                     rest[pos] = (gi, e - 1)
                 prefix_sign = -1 if flat_prefix_deg % 2 else 1
                 for coeff, dword in terms:
-                    sign, prod = self._sort_sign(
-                        self._flatten(tuple(rest[:pos]))
-                        + self._flatten(dword)
-                        + self._flatten(tuple(rest[pos:])))
-                    if sign == 0 or coeff == 0:
+                    s1, head = self._product(rest[:pos], dword)
+                    s2, prod = (self._product(head, rest[pos:])
+                                if s1 else (0, None))
+                    if s2 == 0 or coeff == 0:
                         continue
-                    c = coeff * (e * prefix_sign * sign)
+                    c = coeff * (e * prefix_sign * s1 * s2)
                     out[prod] = out[prod] + c if prod in out else c
             flat_prefix_deg += e * gdeg
         return {w: c for w, c in out.items() if c != 0}
@@ -216,7 +213,8 @@ class FilteredDGA:
 
     def _order_key(self, word: Word):
         return (self.word_action(word),
-                tuple(self.generators[gi].name for gi in self._flatten(word)),
+                tuple(self.generators[gi].name
+                      for gi, e in word for _ in range(e)),
                 self.word_length(word))
 
     # -- json ------------------------------------------------------------

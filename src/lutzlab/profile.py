@@ -610,11 +610,6 @@ class ContactReport:
                 "passed": self.passed, "grid_size": self.grid_size}
 
 
-def wronskian(pair: ProfilePair, r):
-    """Never-parallel determinant D(r) = h1 h2' - h1' h2."""
-    return pair.wronskian(r)
-
-
 def contact_radii(pair: ProfilePair, grid_size: int) -> np.ndarray:
     """The radii every sampled check of D takes: `grid_size` uniform steps
     of (0, eps] joined with the pair's knots (`ProfilePair.knots`) but 0,

@@ -83,7 +83,7 @@ def test_criterion_04_gray_integral_equality():
     t0 = time.time()
     base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
     family = prof.TwistedPathFamily(base, 0.04, 0.06)
-    res = dist.gray_integral(dist.GrayPathSpec(family, 0.04, 0.06))
+    res = dist.gray_integral(family, 0.04, 0.06)
     elapsed = time.time() - t0
     rel = abs(res.value - math.log(1.5)) / math.log(1.5)
     assert rel <= 1e-4

@@ -20,8 +20,9 @@ def gray_family():
 # --- conformal machinery -----------------------------------------------------
 
 def test_ub_conformal_constant():
-    f = dist.ConformalSample(np.full(7, 3.0), np.arange(7))
-    assert dist.ub_conformal(f) == pytest.approx(math.log(3.0))
+    for c in (0.3, 1.0, 3.0, 5.0):
+        f = dist.ConformalSample(np.full(7, c), np.arange(7))
+        assert dist.ub_conformal(f) == pytest.approx(abs(math.log(c)))
     g = dist.ConformalSample(np.ones(7), np.arange(7))
     assert dist.ub_conformal(g) == 0.0
 
@@ -32,20 +33,14 @@ def test_ub_conformal_asymmetric_range():
     assert dist.ub_conformal(f) == pytest.approx(math.log(4.0))
 
 
-def test_d_cf_values():
+def test_ub_conformal_values():
+    # max |ln f| over the samples
     f = dist.ConformalSample(np.array([2.0, 4.0, 6.0]), np.arange(3))
-    assert dist.d_cf(f) == pytest.approx(math.log(6.0))
+    assert dist.ub_conformal(f) == pytest.approx(math.log(6.0))
     g = dist.ConformalSample(np.array([0.5, 1.0, 2.0]), np.arange(3))
-    assert dist.d_cf(g) == pytest.approx(math.log(2.0))
+    assert dist.ub_conformal(g) == pytest.approx(math.log(2.0))
     one = dist.ConformalSample(np.ones(3), np.arange(3))
-    assert dist.d_cf(one) == 0.0
-
-
-def test_ub_equals_dcf_for_constants():
-    for c in (0.3, 1.0, 5.0):
-        f = dist.ConformalSample(np.full(5, c), np.arange(5))
-        assert dist.ub_conformal(f) == pytest.approx(abs(math.log(c)))
-        assert dist.d_cf(f) == pytest.approx(abs(math.log(c)))
+    assert dist.ub_conformal(one) == 0.0
 
 
 def test_conformal_sample_validation():
@@ -100,27 +95,27 @@ def test_folding_requires_embedding_hypothesis():
 # --- gray integral -----------------------------------------------------------
 
 def test_gray_integral_equality(gray_family):
-    res = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
+    res = dist.gray_integral(gray_family, 0.04, 0.06)
     assert res.value == pytest.approx(math.log(1.5), rel=1e-6)
     for _, r in res.sup_locations:
         assert abs(r - 0.25) < 1e-3
 
 
 def test_gray_integral_zero_leg(gray_family):
-    res = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.05, 0.05))
+    res = dist.gray_integral(gray_family, 0.05, 0.05)
     assert res.value == 0.0
 
 
 def test_gray_integral_orientation_free(gray_family):
-    fwd = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
-    bwd = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.06, 0.04))
+    fwd = dist.gray_integral(gray_family, 0.04, 0.06)
+    bwd = dist.gray_integral(gray_family, 0.06, 0.04)
     assert fwd.value == pytest.approx(bwd.value, abs=1e-12)
 
 
 def test_gray_integral_additive(gray_family):
-    whole = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
-    left = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.052))
-    right = dist.gray_integral(dist.GrayPathSpec(gray_family, 0.052, 0.06))
+    whole = dist.gray_integral(gray_family, 0.04, 0.06)
+    left = dist.gray_integral(gray_family, 0.04, 0.052)
+    right = dist.gray_integral(gray_family, 0.052, 0.06)
     assert abs(left.value + right.value - whole.value) < 1e-8
 
 
@@ -139,8 +134,7 @@ def test_gray_du_affine(gray_family):
 def test_gray_values_straddling_breakpoints(gray_family):
     # brackets across h2's joint at 1/2 and the h1/h2 joint at 3/4 take the
     # piecewise route for the profiles whose segment does not cover them
-    integrand = dist._GrayIntegrand(
-        dist.GrayPathSpec(gray_family, 0.04, 0.06))
+    integrand = dist._GrayIntegrand(gray_family, 0.04, 0.06)
     p1, p2 = integrand.pair1, integrand.pair2
     du = integrand.u2 - integrand.u1
     for joint in (0.5, 0.75):
@@ -161,7 +155,7 @@ def test_gray_zero_leg_needs_no_room_above(gray_family):
     # a leg of zero length is worth 0 without building a member, even in a
     # family that admits no amplitude above u_ref
     flat = prof.TwistedPathFamily(gray_family.params, 0.04, 0.04)
-    res = dist.gray_integral(dist.GrayPathSpec(flat, 0.04, 0.04))
+    res = dist.gray_integral(flat, 0.04, 0.04)
     assert res.value == 0.0
 
 
@@ -182,7 +176,7 @@ def test_gray_leg_work_counts(gray_family, monkeypatch):
 
     monkeypatch.setattr(prof.TwistedPathFamily, "pair", counting_pair)
     monkeypatch.setattr(fam, "contact_report", counting_check)
-    dist.gray_integral(dist.GrayPathSpec(gray_family, 0.04, 0.06))
+    dist.gray_integral(gray_family, 0.04, 0.06)
     assert calls == {"pair": 3, "contact": 2}
 
 
@@ -192,8 +186,7 @@ def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
     # opposite sign, leave a zero of D somewhere on the leg: the oracle and
     # the family certificate behind the closed-form legs both refuse it
     real_check = fam.contact_report
-    legs = (lambda: dist.gray_integral(
-                dist.GrayPathSpec(gray_family, 0.04, 0.06)),
+    legs = (lambda: dist.gray_integral(gray_family, 0.04, 0.06),
             lambda: fam.certify_family(gray_family, 0.04, 0.06, 2))
     for leg in legs:
         for signs in ((0, 1), (1, 0), (1, -1), (-1, 1)):
@@ -210,7 +203,7 @@ def test_gray_leg_needs_one_contact_sign_at_both_ends(gray_family,
 
 def test_gray_leg_must_start_inside_the_family(gray_family):
     with pytest.raises(InvalidGeometry):
-        dist.gray_integral(dist.GrayPathSpec(gray_family, 0.039, 0.06))
+        dist.gray_integral(gray_family, 0.039, 0.06)
 
 
 # --- the closed-form legs and their domination certificate ------------------
@@ -297,7 +290,7 @@ def test_domination_rejects_a_deformed_family(at, k, region):
     assert cert.margin < 0.0
     with pytest.raises(PreconditionFailed):
         cert.gray_margin()
-    oracle = dist.gray_integral(dist.GrayPathSpec(fam_d, u_lo, u_hi)).value
+    oracle = dist.gray_integral(fam_d, u_lo, u_hi).value
     assert oracle > 1.5 * math.log(u_hi / u_lo)
 
 
@@ -345,7 +338,7 @@ def test_oracle_agrees_with_the_closed_form_legs(model):
                      for a, b in pts})
         assert len(us) == 25
         for u1, u2 in zip(us, us[1:]):
-            res = dist.gray_integral(dist.GrayPathSpec(model.family, u1, u2))
+            res = dist.gray_integral(model.family, u1, u2)
             assert abs(res.value - math.log(u2 / u1)) <= 1e-14
 
 
@@ -404,8 +397,7 @@ def test_lower_bound_example(model):
     cert = dist.lower_bound(s1, s2)
     assert cert.lower == pytest.approx(math.log(2.0), abs=1e-12)
     assert cert.lower_method == "volume"
-    assert dist.lower_bound(s2, s1).lower == pytest.approx(cert.lower,
-                                                           abs=1e-12)
+    assert dist.lower_bound(s2, s1).lower == cert.lower
 
 
 def test_lower_bound_identical(model):
@@ -459,8 +451,7 @@ def test_triangle_ub_certifies_both_orders():
         assert cert.witnesses["intermediate_l"] == pytest.approx(0.02 / 1.7,
                                                                  rel=1e-14)
     assert ab.witnesses["scaling_leg"] == ba.witnesses["scaling_leg"]
-    # each order rounds its gray leg |ln(u2/u1)| on its own
-    assert ab.upper == pytest.approx(ba.upper, rel=1e-15)
+    assert ab.upper == ba.upper
     assert ab.upper == pytest.approx(1.4667216102325049, rel=1e-15)
 
 
@@ -478,8 +469,17 @@ def test_certificate_symmetry(model):
     s2 = model.embed_point((0.3, math.log(0.05)))
     c12 = dist.bound_certificate(s1, s2)
     c21 = dist.bound_certificate(s2, s1)
-    assert abs(c12.lower - c21.lower) < 1e-12
-    assert abs(c12.upper - c21.upper) < 1e-12
+    assert c12.lower == c21.lower
+    assert c12.upper == c21.upper
+
+
+def test_certificate_of_identical_members(model):
+    s = model.embed_point((0.1, math.log(0.04)))
+    cert = dist.bound_certificate(s, s)
+    assert (cert.lower, cert.upper) == (0.0, 0.0)
+    uncertified = replace(s, certified=False)
+    with pytest.raises(PreconditionFailed):
+        dist.bound_certificate(uncertified, uncertified)
 
 
 # --- sandwich sweep ----------------------------------------------------------
@@ -498,12 +498,27 @@ def test_bilipschitz_sweep_small(model):
             assert row.lower == pytest.approx(abs(row.b1 - row.b2),
                                               abs=1e-12)
             assert row.upper == pytest.approx(row.lower, abs=1e-9)
-    # the cumulative legs agree with one direct leg per pair
+    # every row is the pair's own certificate
     specs = {p: model.embed_point(p) for p in pts}
     for row in rep.rows:
         direct = dist.triangle_ub(specs[(row.a1, row.b1)],
                                   specs[(row.a2, row.b2)])
-        assert abs(row.upper - direct.upper) <= 1e-10
+        assert row.upper == direct.upper
+
+
+def test_sweep_rows_are_the_pair_certificates(model):
+    # the README 5x5 grid: a row's bounds are bitwise those of
+    # bound_certificate, whichever member comes first
+    pts = [(float(a), float(b)) for a in np.linspace(0.0, 0.18, 5)
+           for b in np.linspace(-4.30, -2.82, 5)]
+    rep = dist.bilipschitz_sweep(pts, 1.0, 1.0, model=model)
+    specs = {p: model.embed_point(p) for p in pts}
+    assert len(rep.rows) == 300
+    for row in rep.rows:
+        s1, s2 = specs[(row.a1, row.b1)], specs[(row.a2, row.b2)]
+        for cert in (dist.bound_certificate(s1, s2),
+                     dist.bound_certificate(s2, s1)):
+            assert (row.lower, row.upper) == (cert.lower, cert.upper)
 
 
 def test_bilipschitz_sweep_rejects_mismatched_model(model):

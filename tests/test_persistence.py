@@ -51,6 +51,48 @@ def test_odd_square_dies(xy_dga):
         xy_dga._parse_word(["y", "y"])
 
 
+def _insertion_sort_product(dga, a, b):
+    """Reference: flatten a*b, insertion-sort it, flipping the sign on
+    every swap of two odd letters; a repeated odd letter kills it."""
+    arr = [(gi, dga.generators[gi].degree)
+           for gi, e in a + b for _ in range(e)]
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1][0] > arr[j][0]:
+            if arr[j - 1][1] == 1 and arr[j][1] == 1:
+                sign = -sign
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    counts = {}
+    for gi, dg in arr:
+        counts[gi] = counts.get(gi, 0) + 1
+        if dg == 1 and counts[gi] > 1:
+            return 0, None
+    return sign, tuple(sorted(counts.items()))
+
+
+def test_product_matches_the_insertion_sort_rule():
+    rng = np.random.default_rng(46)
+    degrees = [1, 0, 1, 1, 0, 1, 0, 1]
+    dga = ps.FilteredDGA(
+        [ps.Generator(f"g{i}", d, 1.0) for i, d in enumerate(degrees)],
+        {}, action_cap=100.0, word_cap=20)
+
+    def random_word():
+        picked = np.flatnonzero(rng.random(len(degrees)) < 0.45)
+        return tuple((int(gi), 1 if degrees[gi] else int(rng.integers(1, 4)))
+                     for gi in picked)
+
+    signs = set()
+    for _ in range(2000):
+        a, b = random_word(), random_word()
+        got = dga._product(a, b)
+        assert got == _insertion_sort_product(dga, a, b)
+        signs.add(got[0])
+    assert signs == {-1, 0, 1}
+
+
 def _overflow_dga(dy):
     # a two-letter differential word pushes products past the word cap
     diff = {"x": [(1, ["y", "z"])]}

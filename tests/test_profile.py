@@ -225,8 +225,8 @@ def test_extension_requires_dominant_second_intercept(solved_params):
 # --- wronskian --------------------------------------------------------------
 
 def test_wronskian_cap(cap_pair):
-    assert prof.wronskian(cap_pair, 0.1) == pytest.approx(0.2, abs=1e-14)
-    assert prof.wronskian(cap_pair, 0.0) == 0.0
+    assert cap_pair.wronskian(0.1) == pytest.approx(0.2, abs=1e-14)
+    assert cap_pair.wronskian(0.0) == 0.0
 
 
 def test_wronskian_constant_on_arc(raw_pair, solved_params):
