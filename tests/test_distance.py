@@ -20,9 +20,8 @@ def gray_family():
 # --- conformal machinery -----------------------------------------------------
 
 def test_ub_conformal_constant():
-    for c in (0.3, 1.0, 3.0, 5.0):
-        f = dist.ConformalSample(np.full(7, c), np.arange(7))
-        assert dist.ub_conformal(f) == pytest.approx(abs(math.log(c)))
+    f = dist.ConformalSample(np.full(7, 3.0), np.arange(7))
+    assert dist.ub_conformal(f) == pytest.approx(math.log(3.0))
     g = dist.ConformalSample(np.ones(7), np.arange(7))
     assert dist.ub_conformal(g) == 0.0
 
@@ -41,6 +40,13 @@ def test_ub_conformal_values():
     assert dist.ub_conformal(g) == pytest.approx(math.log(2.0))
     one = dist.ConformalSample(np.ones(3), np.arange(3))
     assert dist.ub_conformal(one) == 0.0
+
+
+def test_ub_equals_dcf_for_constants():
+    # for a constant factor c the bound is d_cf = |ln c|, below and above 1
+    for c in (0.3, 1.0, 5.0):
+        f = dist.ConformalSample(np.full(5, c), np.arange(5))
+        assert dist.ub_conformal(f) == pytest.approx(abs(math.log(c)))
 
 
 def test_conformal_sample_validation():
