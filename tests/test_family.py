@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from lutzlab import family as fam
 from lutzlab import profile as prof
 from lutzlab import reeb
 from lutzlab.errors import (DomainViolation, InfeasibleCompensation,
-                            InvalidGeometry, PreconditionFailed)
+                            InvalidGeometry, PreconditionFailed,
+                            QuadratureFailure)
+from lutzlab.numerics import gl_panel_nodes
 
 FOUR_PI2 = 4.0 * math.pi ** 2
 
@@ -61,6 +64,53 @@ def test_tube_volume_montecarlo_crosscheck(smooth_pair):
     v = fam.tube_volume(smooth_pair)
     mc = fam.tube_volume_montecarlo(smooth_pair, 20_000_000, seed=0)
     assert abs(mc - v) / v < 1e-3
+
+
+def _reference_profile_product(pair, n):
+    """int_0^eps h1^(n-2) D dr with Gauss-Legendre order 20 on every panel
+    between the pair's knots, checked against order 12: the oracle of
+    `_integrate_profile_product`, which takes a lower exact order on the
+    mollified-table panels."""
+    knots = pair.knots()
+    vals = []
+    for order in (12, 20):
+        rs, weights = gl_panel_nodes(knots[:-1], knots[1:], order)
+        flat = rs.ravel()
+        d = pair.wronskian(flat)
+        if n > 2:
+            d = pair.h1.value(flat) ** (n - 2) * d
+        vals.append(float(np.sum(weights * d.reshape(rs.shape))))
+    assert abs(vals[1] - vals[0]) <= 1e-10 * max(abs(vals[1]), 1.0)
+    return vals[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_profile_product_matches_all_panel_oracle(n, model, cap_pair,
+                                                  raw_pair, solved_params):
+    # family members at both ends of the model's range and between them,
+    # the untwisted cap and a raw path, the last two with no table, and a
+    # 5-knot window table, whose wide panels show a table order too low
+    # for the cubics (order 1 is off by about 1e-8 there)
+    pairs = [model.family.pair(u)
+             for u in (model.defaults.u_ref, 0.05, fam.U_CAP)]
+    coarse = prof.mollify(raw_pair, replace(
+        prof.default_window(solved_params), n_table=5))
+    for pair in pairs + [cap_pair, raw_pair, coarse]:
+        want = _reference_profile_product(pair, n)
+        got = fam._integrate_profile_product(pair, n)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_volume_guard_fires_off_the_tables():
+    # h1 = 1, h2 = r^2 + r^40 on the one panel [0, 1]: orders 12 and 20
+    # disagree on the degree-39 integrand
+    bps = [0.0, 1.0]
+    h1 = prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, (1.0,))])
+    coeffs = np.zeros(41)
+    coeffs[[2, 40]] = 1.0
+    h2 = prof.PiecewiseProfile(bps, [prof.PolySegment(0.0, coeffs)])
+    with pytest.raises(QuadratureFailure, match="disagree"):
+        fam._integrate_profile_product(prof.ProfilePair(h1, h2, 1.0), 2)
 
 
 def test_tube_volume_orientation():
