@@ -23,9 +23,10 @@ import json
 import os
 import platform
 import sys
+from functools import cache
+from importlib.metadata import version
 
 import numpy as np
-import scipy
 
 from . import __version__, distance, family, persistence, profile, reeb
 from .errors import LutzLabError
@@ -34,6 +35,13 @@ from .numerics import format_float
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INPUT = 2
+
+
+@cache
+def _scipy_version() -> str:
+    """scipy's version from its installed metadata, which takes a few ms
+    to read and none of scipy's import time; looked up once per process."""
+    return version("scipy")
 
 
 class RunContext:
@@ -86,7 +94,7 @@ class RunContext:
                            "round_trip_volume": family.VOLUME_ROUND_TRIP},
             "versions": {"lutzlab": __version__,
                          "numpy": np.__version__,
-                         "scipy": scipy.__version__,
+                         "scipy": _scipy_version(),
                          "python": platform.python_version()},
         }
         if self.family_certificate is not None:

@@ -135,7 +135,9 @@ class ParamDomain:
     eps: float
 
     def contains(self, point) -> bool:
-        return point[1] < self.eps
+        """A finite (a, b) with b below eps."""
+        return (math.isfinite(point[0]) and math.isfinite(point[1])
+                and point[1] < self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +569,9 @@ class FamilyModel:
         a, b = float(point[0]), float(point[1])
         if not self.domain.contains((a, b)):
             raise DomainViolation(
-                f"b = {b:.6g} is not below eps = {self.eps_bound:.6g}")
+                f"b = {b:.6g} is not below eps = {self.eps_bound:.6g}"
+                if math.isfinite(a) and math.isfinite(b)
+                else f"(a, b) = ({a:.6g}, {b:.6g}) is not a finite point")
         k = math.exp(self.n * a)
         l = math.exp(b)
         u = self.amplitude_for(k, l)

@@ -14,6 +14,10 @@ polynomials, take order 20, guarded by order 12.
 `grid_sup` is the one sup refiner: the Gray integrand and the smoothing
 bound both take a grid argmax and shrink a bracket around it.  It samples,
 so it does not enclose the sup between its samples.
+`brentq` is the one bracketed root finder, the resonance polish of
+`reeb.resonance_scan`: Brent's method (Brent, *Algorithms for Minimization
+without Derivatives*, 1973) step for step as scipy's `brentq` takes it, so
+it returns the same float; the package imports no scipy module.
 """
 
 from __future__ import annotations
@@ -103,6 +107,68 @@ def grid_sup(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
         lo = rs[max(j - 1, 0)]
         hi = rs[min(j + 1, 32)]
     return best_x, best_v
+
+
+BRENT_RTOL = 4.0 * np.finfo(float).eps
+BRENT_MAXITER = 100
+
+
+def brentq(f: Callable[[float], float], a: float, b: float,
+           xtol: float = 2e-12) -> float:
+    """A root of the scalar f in the bracket [a, b] by Brent's method.
+
+    Inverse quadratic interpolation or a secant step where it is short
+    enough, bisection otherwise, until half the bracket is below
+    (xtol + 4 eps |x|) / 2.  An end where f vanishes is returned as is.
+    Raises ValueError when f has the same sign at both ends, returns NaN,
+    or the bracket has not closed after 100 iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("f returned NaN at a bracket end")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)       # secant
+            else:                                # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"f returned NaN at {xcur!r}")
+    raise ValueError(
+        f"Brent's method did not converge in {BRENT_MAXITER} iterations")
 
 
 def format_float(x: float) -> str:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidGeometry, QuadratureFailure
 from .numerics import format_float, gl_panel_nodes, grid_sup
@@ -136,29 +135,58 @@ class TrigSegment:
 
 
 class TableSegment:
-    """Dense mollified samples with not-a-knot cubic spline interpolation.
+    """Dense mollified samples on uniform knots with cubic Hermite
+    interpolation (de Boor, *A Practical Guide to Splines*).
 
-    Derivatives are the spline's own, the derivatives of the interpolating
-    cubics, unlike the closed forms carried by the other segment kinds.
+    The slope at each knot is the fourth-order 5-point difference of the
+    values: central inside, one-sided at the two ends, so at least 5 knots
+    are needed.  On knot interval i the interpolant is sum_k c[3 - k, i] x^k
+    in x = r - r_i (the layout of scipy's `PPoly.c`), evaluated by Horner;
+    it takes the table's values at the knots exactly and is C^1, so its
+    second derivative jumps there.  Derivatives are the interpolant's own,
+    unlike the closed forms carried by the other segment kinds.
     """
 
     kind = "table"
 
+    # 12 h times the slope at the first two points of 5 equally spaced ones
+    _END_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                              [-3.0, -10.0, 18.0, -6.0, 1.0]])
+
     def __init__(self, rs, vals):
         self.rs = np.asarray(rs, dtype=float)
-        self.vals = np.asarray(vals, dtype=float)
-        self._spline = CubicSpline(self.rs, self.vals)
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        self.vals = f = np.asarray(vals, dtype=float)
+        twelve_h = 12.0 * (self.rs[-1] - self.rs[0]) / (len(self.rs) - 1)
+        m = np.empty_like(f)
+        m[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / twelve_h
+        m[:2] = self._END_STENCILS @ f[:5] / twelve_h
+        m[:-3:-1] = -(self._END_STENCILS @ f[:-6:-1]) / twelve_h
+        h = np.diff(self.rs)
+        secant = np.diff(f) / h
+        self.c = np.stack([(m[:-1] + m[1:] - 2.0 * secant) / h ** 2,
+                           (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h,
+                           m[:-1], f[:-1]])
+
+    def _local(self, r):
+        """(r, the coefficient columns of r's knot intervals, r - r_i)."""
+        r = np.asarray(r, dtype=float)
+        # past either end, the end interval extends
+        i = np.searchsorted(self.rs[1:-1], r, side="right")
+        return r, self.c.take(i, axis=1), r - self.rs.take(i)
 
     def value(self, r):
-        return self._spline(np.asarray(r, dtype=float))
+        r, c, x = self._local(r)
+        v = ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+        # the last knot closes interval n - 2, where Horner would round
+        return np.where(r == self.rs[-1], self.vals[-1], v)
 
     def deriv(self, r):
-        return self._d1(np.asarray(r, dtype=float))
+        _, c, x = self._local(r)
+        return (3.0 * c[0] * x + 2.0 * c[1]) * x + c[2]
 
     def deriv2(self, r):
-        return self._d2(np.asarray(r, dtype=float))
+        _, c, x = self._local(r)
+        return 6.0 * c[0] * x + 2.0 * c[1]
 
     def scaled(self, c: float) -> "TableSegment":
         return TableSegment(self.rs, self.vals * c)
@@ -166,7 +194,7 @@ class TableSegment:
     def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
         """Roots of the interpolating cubics inside the open (lo, hi).
 
-        On knot interval i the spline is sum_k a_k x^k in x = r - r_i,
+        On knot interval i the interpolant is sum_k a_k x^k in x = r - r_i,
         0 <= x <= h.  The bound |a_0| > |a_1| h + |a_2| h^2 + |a_3| h^3
         proves an interval free of zeros, so it is skipped; the cubics of
         the remaining intervals are solved as in `PolySegment`, to the same
@@ -175,7 +203,7 @@ class TableSegment:
         computed root.  The candidates are zeros of the interpolant, which
         is what `value` evaluates.  Never raises.
         """
-        c = self._spline.c              # c[3 - k, i] multiplies x^k
+        c = self.c                      # c[3 - k, i] multiplies x^k
         h = np.diff(self.rs)
         tail = np.abs(c[2]) * h + np.abs(c[1]) * h ** 2 + np.abs(c[0]) * h ** 3
         x = np.concatenate(
@@ -664,9 +692,9 @@ def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> tuple:
     owns the panel.  A doubled-order recomputation on a subsample guards
     each profile's quadrature.
     """
-    if not window.half_width > 0.0 or window.n_table < 2:
+    if not window.half_width > 0.0 or window.n_table < 5:
         raise InvalidGeometry(
-            "smoothing window needs half_width > 0 and n_table >= 2")
+            "smoothing window needs half_width > 0 and n_table >= 5")
     d = window.half_width
     cuts = sorted(set(float(b) for p in profiles for b in p.breakpoints
                       if window.lo - d < b < window.hi + d))
@@ -806,13 +834,11 @@ class TwistedPathFamily:
 
     def pair(self, u: float) -> ProfilePair:
         """Mollified member at amplitude u (requires u_ref <= u <= u_max)."""
-        if u < self.u_ref - 1e-12:
+        if not (self.u_ref - 1e-12 <= u <= self.u_max + 1e-12):
             raise InvalidGeometry(
-                f"amplitude {u} below the family reference {self.u_ref}; "
-                "the junction bridge would violate the contact condition")
-        if u > self.u_max + 1e-12:
-            raise InvalidGeometry(
-                f"amplitude {u} above the family cap {self.u_max}; "
+                f"amplitude {u} lies outside the family's "
+                f"[{self.u_ref}, {self.u_max}]: below the reference the "
+                "junction bridge would violate the contact condition, and "
                 "the extension depth is sized for amplitudes up to the cap")
         raw = build_twisted_path(replace(self.params, u=u))
         rs, t_cap, t_arc = self._h2_tables

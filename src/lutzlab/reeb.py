@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (InvalidGeometry, NotSymplectic, PreconditionFailed,
                      SingularLocus)
-from .numerics import adaptive_simpson, format_float
+from .numerics import adaptive_simpson, brentq, format_float
 from .profile import TWO_PI, ProfilePair, TwistParams
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -140,6 +140,22 @@ def test_input_error_exit_code(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("family", "embed", "--a", "nan", "--b", "-3.2"),
+    ("family", "embed", "--a", "inf", "--b", "-3.2"),
+    ("family", "embed", "--a", "0", "--b", "nan"),
+    ("distance", "upper", "--a1", "nan", "--b1", "-3.2", "--a2", "0.1",
+     "--b2", "-3.0"),
+    ("family", "sweep", "--a-grid", "0", "nan", "3", "--b-grid", "-3.6",
+     "-2.9", "3"),
+], ids=["embed_a_nan", "embed_a_inf", "embed_b_nan", "upper_a1_nan",
+        "sweep_grid_nan"])
+def test_non_finite_point_is_input_error(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert "is not a finite point" in capsys.readouterr().err
+
+
 def test_gray_command(tmp_path, capsys):
     code, out = run(tmp_path, "distance", "gray", "--u-start", "0.04",
                     "--u-end", "0.06", "--u", "0.04")
@@ -228,11 +244,13 @@ def test_family_sweep_and_bounds_commands(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # only the perturbed-return-time oracle integrates an ODE
+    # no scipy module at all: only the perturbed-return-time oracle
+    # integrates an ODE, and it imports scipy.integrate when it runs
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, lutzlab.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
+            "sys.exit(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy') or 0)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -327,6 +327,15 @@ def test_embed_domain_violation(model):
         model.embed_point((0.0, 0.1))
 
 
+@pytest.mark.parametrize("point", [(math.nan, -3.2), (0.0, math.nan),
+                                   (math.inf, -3.2), (-math.inf, -3.2),
+                                   (0.0, -math.inf)])
+def test_embed_rejects_a_non_finite_point(model, point):
+    assert not model.domain.contains(point)
+    with pytest.raises(DomainViolation, match="not a finite point"):
+        model.embed_point(point)
+
+
 def test_embed_below_floor_rejected(model):
     with pytest.raises(InvalidGeometry):
         model.embed_point((math.log(4.0) / 2, math.log(0.005)))

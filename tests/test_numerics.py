@@ -60,3 +60,54 @@ def test_format_float_round_trip():
     for x in (0.1, 1.0 / 3.0, 2.0 ** -40, 123456.789):
         assert float(num.format_float(x)) == x
     assert num.format_float(math.inf) == "inf"
+
+
+def test_brentq_matches_scipy():
+    # scipy's brentq is the oracle: the port takes the same steps, so it
+    # returns the same float, not merely a root within xtol
+    from scipy.optimize import brentq
+    cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-15),
+             (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12),
+             (lambda x: math.exp(x) - 1e6, 0.0, 20.0, 1e-15),
+             (lambda x: math.atan(x - 0.3) ** 3, -4.0, 5.0, 1e-4)]
+    for f, a, b, xtol in cases:
+        for lo, hi in ((a, b), (b, a)):
+            assert num.brentq(f, lo, hi, xtol) == brentq(f, lo, hi, xtol=xtol)
+            assert num.brentq(f, lo, hi, 1e-3) == brentq(f, lo, hi, xtol=1e-3)
+
+
+def test_brentq_unclosed_bracket_raises():
+    # a triple root flattens f to underflow, so the bracket never closes to
+    # 1e-12 within 100 steps, in scipy's iteration and in the port alike
+    from scipy.optimize import brentq
+    f = lambda x: math.atan(x - 0.3) ** 3
+    with pytest.raises(RuntimeError):
+        brentq(f, -4.0, 5.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="did not converge"):
+        num.brentq(f, -4.0, 5.0, xtol=1e-12)
+
+
+def test_brentq_same_sign_ends_raise():
+    with pytest.raises(ValueError, match="different signs"):
+        num.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        num.brentq(lambda x: -x * x - 1.0, -1.0, 1.0)
+
+
+def test_brentq_zero_at_an_end_is_returned():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+    assert num.brentq(f, 1.0, 3.0) == 1.0
+    assert num.brentq(f, -2.0, 1.0) == 1.0
+    assert calls == [1.0, 3.0, -2.0, 1.0]
+
+
+def test_brentq_nan_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        num.brentq(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        num.brentq(lambda x: math.sqrt(x) - 0.5 if x >= 0.0 else math.nan,
+                   -0.5, 0.5)

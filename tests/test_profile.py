@@ -333,7 +333,7 @@ def test_family_pair_rejects_amplitudes_above_cap():
     base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
     fam = prof.TwistedPathFamily(base, 0.04, 0.06)
     fam.pair(fam.u_max + 5e-13)
-    for u in (fam.u_max + 1e-9, 2.0 * fam.u_max):
+    for u in (fam.u_max + 1e-9, 2.0 * fam.u_max, math.inf, math.nan):
         with pytest.raises(InvalidGeometry):
             fam.pair(u)
 
@@ -374,9 +374,10 @@ def test_splice_window_must_sit_inside_the_profile(raw_pair, center):
         prof._splice_window(raw_pair.h1, window, table)
 
 
-def _convolve_against_kernel(profile, window, rs, order):
+def _convolve_against_kernel(profile, window, rs, order, method="value"):
     """Oracle: (f * g)(rs) for one profile on its own panels, split at its
-    breakpoints and evaluated through `PiecewiseProfile.value`."""
+    breakpoints and evaluated through `PiecewiseProfile.value` (or, with
+    method="deriv", (f' * g)(rs))."""
     d = window.half_width
     cuts = [b for b in profile.breakpoints
             if window.lo - d < b < window.hi + d]
@@ -391,7 +392,7 @@ def _convolve_against_kernel(profile, window, rs, order):
         a = np.where(valid, a, rs)
         b = np.where(valid, b, rs)
         nodes, weights = gl_panel_nodes(a, b, order)
-        vals = profile.value(nodes.ravel()).reshape(nodes.shape)
+        vals = getattr(profile, method)(nodes.ravel()).reshape(nodes.shape)
         kern = window.kernel(rs[:, None] - nodes)
         out += np.where(valid, np.sum(weights * vals * kern, axis=1), 0.0)
     return out
@@ -437,6 +438,59 @@ def test_family_tables_match_per_profile_oracle():
     assert np.array_equal(t_arc, _oracle_table(unit_arc, w))
 
 
+def _oracle_slopes(profile, window, rs):
+    """d/dr of (1 - w) f + w (f * g) = (1 - w) f' + w (f' * g)
+    + w' ((f * g) - f), with f' * g by quadrature; f is continuous, so
+    (f * g)' = f' * g."""
+    conv = _convolve_against_kernel(profile, window, rs, prof._GL_ORDER)
+    dconv = _convolve_against_kernel(profile, window, rs, prof._GL_ORDER,
+                                     "deriv")
+    w = window.blend_weight(rs)
+    y = (rs - window.center) / window.half_width
+    s = np.clip((7.0 / 8.0 - np.abs(y)) / (3.0 / 8.0), 0.0, 1.0)
+    dw = -30.0 * s ** 2 * (1.0 - s) ** 2 * np.sign(y) / (
+        3.0 / 8.0 * window.half_width)
+    return ((1.0 - w) * profile.deriv(rs) + w * dconv
+            + dw * (conv - profile.value(rs)))
+
+
+def test_table_reproduces_its_values_at_the_knots(smooth_pair):
+    for fn in (smooth_pair.h1, smooth_pair.h2):
+        table = _table(fn)
+        assert np.array_equal(table.value(table.rs), table.vals)
+        assert np.array_equal(fn.value(table.rs), table.vals)
+
+
+def test_table_slopes_match_quadrature_oracle(raw_pair, smooth_pair,
+                                              solved_params):
+    # the 5-point slopes carry rounding at the 2.4e-7 knot spacing, up to
+    # 2e-8 of the largest slope; exact f' * g slopes would not, at 1.7 to
+    # 2 times the cost of the blend
+    w = prof.default_window(solved_params)
+    for raw, smooth in ((raw_pair.h1, smooth_pair.h1),
+                        (raw_pair.h2, smooth_pair.h2)):
+        table = _table(smooth)
+        want = _oracle_slopes(raw, w, table.rs)
+        err = np.max(np.abs(table.deriv(table.rs) - want))
+        assert err <= 5e-8 * np.max(np.abs(want))
+
+
+def test_family_table_coefficients_are_affine_in_u():
+    # the slopes are linear in the values, so the member table's cubics
+    # are the cap's plus u times the arc's, to rounding
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    fam = prof.TwistedPathFamily(base, 0.04, 0.06)
+    rs, t_cap, t_arc = fam._h2_tables
+    cap, arc = prof.TableSegment(rs, t_cap), prof.TableSegment(rs, t_arc)
+    # coefficient k, times h^k, is its share of the cubic on the interval
+    powers = np.diff(rs)[None, :] ** np.arange(3, -1, -1)[:, None]
+    for u in (fam.u_ref, 0.05, fam.u_max):
+        member = _table(fam.pair(u).h2)
+        scale = np.max(np.abs(member.vals))
+        gap = np.abs(member.c - (cap.c + u * arc.c)) * powers
+        assert np.max(gap) <= 1e-14 * scale
+
+
 def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = prof.SmoothingWindow.kernel
@@ -469,8 +523,11 @@ def test_mollify_quadrature_guard(raw_pair, solved_params, monkeypatch):
 @pytest.mark.parametrize("window", [prof.SmoothingWindow(0.05, 0.0),
                                     prof.SmoothingWindow(0.05, -0.0005),
                                     prof.SmoothingWindow(0.05, 0.0005,
-                                                         n_table=1)],
-                         ids=["zero_width", "negative_width", "one_knot"])
+                                                         n_table=1),
+                                    prof.SmoothingWindow(0.05, 0.0005,
+                                                         n_table=4)],
+                         ids=["zero_width", "negative_width", "one_knot",
+                              "four_knots"])
 def test_mollify_degenerate_window_fails_fast(raw_pair, window, monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     with pytest.raises(InvalidGeometry):

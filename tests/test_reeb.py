@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from lutzlab import numerics
 from lutzlab import profile as prof
 from lutzlab import reeb
 from lutzlab.errors import (InvalidGeometry, NotSymplectic,
@@ -157,6 +158,32 @@ def test_scan_matches_scalar_reference(name, request):
     fams = reeb.resonance_scan(pair, 2, grid=2000)
     assert fams
     assert key(fams) == key(scalar_scan(pair, 2, 2000))
+
+
+# (epsilon0, delta0, u) of the README profile and the dynamics benchmark's
+# profile pool
+SCAN_PROFILES = [(0.05, 0.0005, 0.05), (0.04, 0.0005, 0.04),
+                 (0.06, 0.0005, 0.06), (0.05, 0.0004, 0.045),
+                 (0.045, 0.0005, 0.045), (0.055, 0.0005, 0.055)]
+
+
+def test_scan_polish_is_scipy_brentq(monkeypatch):
+    # numerics' Brent port returns scipy's float on every bracket the scan
+    # polishes, so no orbit moves with the port
+    assert reeb.brentq is numerics.brentq
+    polished = []
+
+    def both(f, a, b, xtol):
+        got = numerics.brentq(f, a, b, xtol)
+        assert got == brentq(f, a, b, xtol=xtol), (a, b)
+        polished.append(got)
+        return got
+    monkeypatch.setattr(reeb, "brentq", both)
+    for e0, d0, u in SCAN_PROFILES:
+        pair = prof.build_mollified_path(
+            prof.TwistParams(epsilon0=e0, delta0=d0, u=u))
+        reeb.resonance_scan(pair, 3)
+    assert len(polished) == 6 * 33      # 33 brackets per profile
 
 
 # --- action minima ----------------------------------------------------------
