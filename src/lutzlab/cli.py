@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -104,6 +105,15 @@ class RunContext:
             fh.write("\n")
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are refused
+    as input errors that name the flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _twist_from_args(args) -> profile.TwistParams:
     return profile.TwistParams(
         epsilon0=args.epsilon0, delta0=args.delta0, delta=args.delta,
@@ -120,21 +130,24 @@ def _load_twist(ctx: RunContext, path: str) -> profile.TwistParams:
 
 
 def _add_twist_flags(p, u_default=0.05):
-    p.add_argument("--epsilon0", type=float, default=0.05)
-    p.add_argument("--delta0", type=float, default=0.0005)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--mu-minus", dest="mu_minus", type=float, default=-1.0)
-    p.add_argument("--mu-plus", dest="mu_plus", type=float, default=1.0)
-    p.add_argument("--u", type=float, default=u_default)
+    p.add_argument("--epsilon0", type=finite_float, default=0.05)
+    p.add_argument("--delta0", type=finite_float, default=0.0005)
+    p.add_argument("--delta", type=finite_float, default=0.01)
+    p.add_argument("--mu-minus", dest="mu_minus", type=finite_float,
+                   default=-1.0)
+    p.add_argument("--mu-plus", dest="mu_plus", type=finite_float,
+                   default=1.0)
+    p.add_argument("--u", type=finite_float, default=u_default)
 
 
 def _add_model_flags(p, grid=False):
     """The model's floors and dimension, after an (a, b) grid if asked."""
     for axis in ("a", "b") if grid else ():
         p.add_argument(f"--{axis}-grid", dest=f"{axis}_grid", nargs=3,
-                       type=float, required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--floor-a", dest="floor_a", type=float, default=1.0)
-    p.add_argument("--floor-b", dest="floor_b", type=float, default=1.0)
+                       type=finite_float, required=True,
+                       metavar=("LO", "HI", "N"))
+    p.add_argument("--floor-a", dest="floor_a", type=finite_float, default=1.0)
+    p.add_argument("--floor-b", dest="floor_b", type=finite_float, default=1.0)
     p.add_argument("--n", type=int, default=2)
 
 
@@ -405,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("embed", cmd_family_embed),
                      ("scaling", cmd_family_scaling)):
         p = g.add_parser(name)
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
+        p.add_argument("--a", type=finite_float, required=True)
+        p.add_argument("--b", type=finite_float, required=True)
         _add_model_flags(p)
         if name == "scaling":
-            p.add_argument("--c", type=float, required=True)
+            p.add_argument("--c", type=finite_float, required=True)
         p.set_defaults(func=fn)
     p = g.add_parser("sweep")
     _add_model_flags(p, grid=True)
@@ -420,19 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
                      ("upper", cmd_distance_upper)):
         p = g.add_parser(name)
         for flag in ("a1", "b1", "a2", "b2"):
-            p.add_argument(f"--{flag}", type=float, required=True)
+            p.add_argument(f"--{flag}", type=finite_float, required=True)
         _add_model_flags(p)
         p.set_defaults(func=fn)
     p = g.add_parser("gray")
-    p.add_argument("--u-start", dest="u_start", type=float, required=True)
-    p.add_argument("--u-end", dest="u_end", type=float, required=True)
+    p.add_argument("--u-start", dest="u_start", type=finite_float,
+                   required=True)
+    p.add_argument("--u-end", dest="u_end", type=finite_float, required=True)
     _add_twist_flags(p)
     p.set_defaults(func=cmd_distance_gray)
     p = g.add_parser("fold")
-    p.add_argument("--a1", type=float, required=True)
-    p.add_argument("--a2", type=float, required=True)
-    p.add_argument("--ball", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--a1", type=finite_float, required=True)
+    p.add_argument("--a2", type=finite_float, required=True)
+    p.add_argument("--ball", type=finite_float, required=True)
+    p.add_argument("--delta", type=finite_float, required=True)
     p.set_defaults(func=cmd_distance_fold)
     p = g.add_parser("sandwich")
     _add_model_flags(p, grid=True)

@@ -39,7 +39,7 @@ from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
                      PreconditionFailed, QuadratureFailure, SingularLocus)
 from .numerics import format_float, gauss_legendre, gl_panel_nodes
 from . import reeb
-from .profile import (TWO_PI, TableSegment, TwistedPathFamily, ProfilePair,
+from .profile import (CHEB_DEGREES, TWO_PI, ProfilePair, TwistedPathFamily,
                       TwistParams, contact_radii, contact_report)
 
 
@@ -47,55 +47,27 @@ from .profile import (TWO_PI, TableSegment, TwistedPathFamily, ProfilePair,
 # volumes
 # ---------------------------------------------------------------------------
 
-def _table_panels(pair: ProfilePair, lo: np.ndarray,
-                  hi: np.ndarray) -> np.ndarray:
-    """Mask of the panels [lo, hi] that lie inside a mollified table
-    (`TableSegment`) of both profiles."""
-    inside = []
-    for prof in (pair.h1, pair.h2):
-        bps = prof.breakpoints
-        mask = np.zeros(len(lo), dtype=bool)
-        for seg, s_lo, s_hi in zip(prof.segments, bps[:-1], bps[1:]):
-            if isinstance(seg, TableSegment):
-                mask |= (lo >= s_lo) & (hi <= s_hi)
-        inside.append(mask)
-    return inside[0] & inside[1]
-
-
 def _integrate_profile_product(pair: ProfilePair, n: int) -> float:
     """int_0^eps h1^(n-2) D dr by Gauss-Legendre panels.
 
     Panel edges are the pair's knots (`ProfilePair.knots`), so on each
-    panel both profiles are one polynomial or trigonometric closed form.
-    On a panel inside a mollified table of both profiles, h1 and h2 are
-    cubics, so h1^(n-2) D is a polynomial of degree at most 3(n-2) + 5,
-    and order m = (3(n-2) + 5) // 2 + 1, exact to degree 2m - 1, integrates
-    it exactly.  The bound does not rely on the x^5 terms of D cancelling,
-    which in floating point they do only to rounding.  The other panels
-    (the cap, the twist arc, the extension, or every panel of a pair with
-    no table) take orders 12 and 20.  Every panel is guarded: the
-    disagreements of orders m and m + 1 on the table panels and of 12 and
-    20 on the others must sum to at most 1e-10 of the integral.
+    panel both profiles are one closed form: a polynomial, an arc, or a
+    Chebyshev piece of a mollified window, whose coefficients decay to
+    rounding by its degree.  Every panel takes order 20, guarded by order
+    12: their disagreements must sum to at most 1e-10 of the integral.
     """
     knots = pair.knots()
-    a, b = knots[:-1], knots[1:]
-    table = _table_panels(pair, a, b)
-    m = (3 * (n - 2) + 5) // 2 + 1
 
-    def scan(mask, order):
-        rs, weights = gl_panel_nodes(a[mask], b[mask], order)
+    def scan(order):
+        rs, weights = gl_panel_nodes(knots[:-1], knots[1:], order)
         flat = rs.ravel()
         d = pair.wronskian(flat)
         if n > 2:
             d = pair.h1.value(flat) ** (n - 2) * d
         return float(np.sum(weights * d.reshape(rs.shape)))
 
-    err = total = 0.0
-    for mask, (lo_order, hi_order) in ((table, (m, m + 1)),
-                                       (~table, (12, 20))):
-        lo, hi = scan(mask, lo_order), scan(mask, hi_order)
-        err += abs(hi - lo)
-        total += hi
+    lo, total = scan(12), scan(20)
+    err = abs(total - lo)
     if err > 1e-10 * max(abs(total), 1.0):
         raise QuadratureFailure(f"tube volume panels disagree by {err:.3g}")
     return total
@@ -362,11 +334,12 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     """Certify every member on [u_lo, u_hi] from the members at the ends.
 
     The members share one h1, and h2 = A + u B is affine in u; a probe
-    checks that the midpoint member's h2 is the mean of the ends' on 4
-    Gauss-Legendre nodes per panel between the pair's knots.  On each
-    panel every segment is a cubic or a closed-form arc, and on a table
-    panel the departure from the mean is a cubic, which 4 distinct nodes
-    pin.
+    checks that the midpoint member's h2 is the mean of the ends' on
+    max(CHEB_DEGREES) + 1 Gauss-Legendre nodes per panel between the
+    pair's knots.  On each panel every segment is a polynomial of degree
+    at most max(CHEB_DEGREES) (a cubic, or a Chebyshev piece of the
+    window) or a closed-form arc, so the departure from the mean is one
+    too, which that many distinct nodes pin.
     Hence, for every u in range:
     - D_u = D_A + u D_B, so contact with one sign at both ends (on
       `contact_radii(p_lo, CONTACT_GRID)`) holds at u, and the path,
@@ -400,7 +373,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
             f"the member at u = {u_hi} is not a full-twist path")
 
     knots = p_lo.knots()
-    nodes = gl_panel_nodes(knots[:-1], knots[1:], 4)[0].ravel()
+    nodes = gl_panel_nodes(knots[:-1], knots[1:],
+                           max(CHEB_DEGREES) + 1)[0].ravel()
     p_mid = family.pair(0.5 * (u_lo + u_hi))
     lo, hi, mid = (p.h2.value(nodes) for p in (p_lo, p_hi, p_mid))
     scale = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))

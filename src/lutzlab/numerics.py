@@ -2,15 +2,11 @@
 
 Adaptive Simpson (absolute tolerance 1e-11 by default) serves only two
 callers: the Gray-integral oracle `distance.gray_integral` and the
-open-book profiles of `reeb.openbook_profiles`.  Convolution tables and
-tube volumes use fixed-order Gauss-Legendre panels split at integrand
-kinks; the two routes cross-check each other in the test suite.  A tube
-volume (`family._integrate_profile_product`) takes the lowest exact order
-on the panels inside a mollified table of both profiles: there h1 and h2
-are cubics, so h1^(n-2) D has degree at most 3(n-2) + 5, which order
-m = (3(n-2) + 5) // 2 + 1, exact to degree 2m - 1, integrates exactly;
-order m + 1 guards it.  Its other panels, closed-form arcs and
-polynomials, take order 20, guarded by order 12.
+open-book profiles of `reeb.openbook_profiles`.  The mollifier's
+convolutions and tube volumes use fixed-order Gauss-Legendre panels split
+at integrand kinks; the two routes cross-check each other in the test
+suite.  A tube volume (`family._integrate_profile_product`) takes order 20
+on every panel, guarded by order 12.
 `grid_sup` is the one sup refiner: the Gray integrand and the smoothing
 bound both take a grid argmax and shrink a bracket around it.  It samples,
 so it does not enclose the sup between its samples.

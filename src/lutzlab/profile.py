@@ -22,7 +22,7 @@ The twisted path built by `build_twisted_path` is:
 with dm = delta * mu_minus.  The corrections d1, d2 are solved so the raw
 path is continuous at eps0; the kink there is removed by `mollify`, which
 blends each profile with its truncated-Gaussian convolution on a small
-window around eps0.
+window around eps0, as three Chebyshev pieces (`ChebSegment`).
 """
 
 from __future__ import annotations
@@ -31,9 +31,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.chebyshev import (chebder, chebpts1, chebroots, chebval,
+                                        chebvander)
 
 from .errors import InvalidGeometry, QuadratureFailure
 from .numerics import format_float, gl_panel_nodes, grid_sup
@@ -53,8 +56,6 @@ R_RETURN = 0.9375        # h2 is exactly r^2 beyond this radius
 
 class PolySegment:
     """Polynomial in (r - a) with closed-form derivatives."""
-
-    kind = "poly"
 
     def __init__(self, a: float, coeffs):
         self.a = float(a)
@@ -94,8 +95,6 @@ class PolySegment:
 class TrigSegment:
     """amp * cos(2 pi r) or amp * sin(2 pi r), period fixed at one."""
 
-    kind = "trig"
-
     def __init__(self, func: str, amp: float):
         if func not in ("cos", "sin"):
             raise ValueError(f"unknown trig segment '{func}'")
@@ -134,82 +133,52 @@ class TrigSegment:
         return x[(x > lo) & (x < hi)]
 
 
-class TableSegment:
-    """Dense mollified samples on uniform knots with cubic Hermite
-    interpolation (de Boor, *A Practical Guide to Splines*).
+class ChebSegment:
+    """Chebyshev series sum_k c_k T_k(t) in t = (2r - lo - hi)/(hi - lo) on
+    [lo, hi] (Trefethen, *Approximation Theory and Approximation Practice*,
+    2013); derivatives are the series' own, through `chebder`."""
 
-    The slope at each knot is the fourth-order 5-point difference of the
-    values: central inside, one-sided at the two ends, so at least 5 knots
-    are needed.  On knot interval i the interpolant is sum_k c[3 - k, i] x^k
-    in x = r - r_i (the layout of scipy's `PPoly.c`), evaluated by Horner;
-    it takes the table's values at the knots exactly and is C^1, so its
-    second derivative jumps there.  Derivatives are the interpolant's own,
-    unlike the closed forms carried by the other segment kinds.
-    """
+    def __init__(self, lo: float, hi: float, coeffs):
+        self.lo = float(lo)
+        self.hi = float(hi)
+        self.coeffs = np.asarray(coeffs, dtype=float)
 
-    kind = "table"
-
-    # 12 h times the slope at the first two points of 5 equally spaced ones
-    _END_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                              [-3.0, -10.0, 18.0, -6.0, 1.0]])
-
-    def __init__(self, rs, vals):
-        self.rs = np.asarray(rs, dtype=float)
-        self.vals = f = np.asarray(vals, dtype=float)
-        twelve_h = 12.0 * (self.rs[-1] - self.rs[0]) / (len(self.rs) - 1)
-        m = np.empty_like(f)
-        m[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / twelve_h
-        m[:2] = self._END_STENCILS @ f[:5] / twelve_h
-        m[:-3:-1] = -(self._END_STENCILS @ f[:-6:-1]) / twelve_h
-        h = np.diff(self.rs)
-        secant = np.diff(f) / h
-        self.c = np.stack([(m[:-1] + m[1:] - 2.0 * secant) / h ** 2,
-                           (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h,
-                           m[:-1], f[:-1]])
-
-    def _local(self, r):
-        """(r, the coefficient columns of r's knot intervals, r - r_i)."""
+    def _t(self, r):
         r = np.asarray(r, dtype=float)
-        # past either end, the end interval extends
-        i = np.searchsorted(self.rs[1:-1], r, side="right")
-        return r, self.c.take(i, axis=1), r - self.rs.take(i)
+        return (2.0 * r - (self.lo + self.hi)) / (self.hi - self.lo)
+
+    @cached_property
+    def _d1(self) -> np.ndarray:
+        return chebder(self.coeffs, scl=2.0 / (self.hi - self.lo))
 
     def value(self, r):
-        r, c, x = self._local(r)
-        v = ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
-        # the last knot closes interval n - 2, where Horner would round
-        return np.where(r == self.rs[-1], self.vals[-1], v)
+        return chebval(self._t(r), self.coeffs)
 
     def deriv(self, r):
-        _, c, x = self._local(r)
-        return (3.0 * c[0] * x + 2.0 * c[1]) * x + c[2]
+        return chebval(self._t(r), self._d1)
 
     def deriv2(self, r):
-        _, c, x = self._local(r)
-        return 6.0 * c[0] * x + 2.0 * c[1]
+        return chebval(self._t(r),
+                       chebder(self._d1, scl=2.0 / (self.hi - self.lo)))
 
-    def scaled(self, c: float) -> "TableSegment":
-        return TableSegment(self.rs, self.vals * c)
+    def scaled(self, c: float) -> "ChebSegment":
+        return ChebSegment(self.lo, self.hi, self.coeffs * c)
 
     def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
-        """Roots of the interpolating cubics inside the open (lo, hi).
+        """Real parts of the series' roots inside the open (lo, hi).
 
-        On knot interval i the interpolant is sum_k a_k x^k in x = r - r_i,
-        0 <= x <= h.  The bound |a_0| > |a_1| h + |a_2| h^2 + |a_3| h^3
-        proves an interval free of zeros, so it is skipped; the cubics of
-        the remaining intervals are solved as in `PolySegment`, to the same
-        rounding.  Their roots are not clipped to the knot interval, so a
-        zero on a knot stays listed whichever side of it rounding puts the
-        computed root.  The candidates are zeros of the interpolant, which
-        is what `value` evaluates.  Never raises.
+        None when |c_0| > sum_(k>=1) |c_k|, which proves the segment free
+        of zeros since |T_k| <= 1; else the colleague matrix's eigenvalues
+        (`chebroots`) within 1e-3 of the real axis in t, to their rounding:
+        a multiple root may come out as a nearly real pair, while rounding
+        in the tail puts spurious roots about 1 off the axis.  Never raises.
         """
-        c = self.c                      # c[3 - k, i] multiplies x^k
-        h = np.diff(self.rs)
-        tail = np.abs(c[2]) * h + np.abs(c[1]) * h ** 2 + np.abs(c[0]) * h ** 3
-        x = np.concatenate(
-            [np.empty(0)]
-            + [np.polynomial.polynomial.polyroots(c[::-1, i]).real + self.rs[i]
-               for i in np.flatnonzero(np.abs(c[3]) <= tail)])
+        c = self.coeffs
+        if abs(c[0]) > np.sum(np.abs(c[1:])):
+            return np.empty(0)
+        t = chebroots(c)
+        x = self.lo + 0.5 * (t.real[np.abs(t.imag) < 1e-3] + 1.0) * (
+            self.hi - self.lo)
         return x[(x > lo) & (x < hi)]
 
 
@@ -353,7 +322,7 @@ class TwistParams:
             raise InvalidGeometry("mu_minus must be below mu_plus")
         if 1.0 + self.delta * self.mu_minus <= 0.0:
             raise InvalidGeometry("1 + delta*mu_minus must stay positive")
-        if self.u <= 0.0:
+        if not self.u > 0.0:
             raise InvalidGeometry("twist amplitude u must be positive")
 
     @property
@@ -405,7 +374,6 @@ class SmoothingWindow:
     """
     center: float
     half_width: float
-    n_table: int = 4096
 
     @property
     def sigma(self) -> float:
@@ -454,14 +422,9 @@ class ProfilePair:
         return ProfilePair(self.h1.scaled(c), self.h2.scaled(c), self.epsilon)
 
     def knots(self) -> np.ndarray:
-        """Sorted distinct breakpoints and mollified-table knots of both
-        profiles: between two of them each profile is one polynomial or
-        trigonometric closed form."""
-        profiles = (self.h1, self.h2)
-        return np.unique(np.concatenate(
-            [prof.breakpoints for prof in profiles]
-            + [seg.rs for prof in profiles for seg in prof.segments
-               if isinstance(seg, TableSegment)]))
+        """Sorted distinct breakpoints of both profiles: between two of them
+        each profile is one closed-form segment."""
+        return np.union1d(self.h1.breakpoints, self.h2.breakpoints)
 
     def winding_number(self) -> int:
         """Turns of r -> (h1, h2) around the origin over [0, eps].
@@ -531,7 +494,7 @@ def solve_continuity_params(epsilon0: float, u: float, delta: float,
     """
     if not (0.0 < epsilon0 < 0.25):
         raise InvalidGeometry("epsilon0 must lie in (0, 1/4)")
-    if u <= 0.0:
+    if not u > 0.0:
         raise InvalidGeometry("amplitude u must be positive")
     morse = 1.0 + delta * mu_minus
     if morse <= 0.0:
@@ -640,11 +603,14 @@ class ContactReport:
 
 def contact_radii(pair: ProfilePair, grid_size: int) -> np.ndarray:
     """The radii every sampled check of D takes: `grid_size` uniform steps
-    of (0, eps] joined with the pair's knots (`ProfilePair.knots`) but 0,
-    so no segment or table interval goes unsampled, however narrow."""
+    of (0, eps] joined with the pair's knots (`ProfilePair.knots`) but 0
+    and with both profiles' `window_radii`, so no segment goes unsampled,
+    however narrow."""
     knots = pair.knots()
     return np.union1d(np.linspace(0.0, pair.epsilon, grid_size + 1)[1:],
-                      knots[knots > 0.0])
+                      np.concatenate([knots[knots > 0.0],
+                                      window_radii(pair.h1),
+                                      window_radii(pair.h2)]))
 
 
 def contact_report(rs: np.ndarray, d_over_r: np.ndarray,
@@ -679,90 +645,139 @@ def check_contact_condition(pair: ProfilePair,
 
 _GL_ORDER = 40
 
+# The blend's analytic pieces in window units x = (r - center)/half_width,
+# each interpolated at the first-kind Chebyshev points of its degree: w is
+# a quintic on the outer two and 1 on the middle one, and the kernel's
+# ends cross no breakpoint for |x| < 1.  On |x| >= 7/8, w = 0 and the raw
+# profile stays.  The last two coefficients of a piece may reach
+# _CHEB_TAIL of its largest.
+_BLEND_PIECES = ((-7.0 / 8.0, -0.5), (-0.5, 0.5), (0.5, 7.0 / 8.0))
+CHEB_DEGREES = (24, 40, 24)
+_CHEB_TAIL = 1e-13
 
-def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> tuple:
-    """(rs, [(1 - w) raw + w conv for each profile]) on the window's table
-    grid, every profile convolved by one quadrature rule.
+# Uniform radii across a mollification window at which the sampled checks
+# of D (`contact_radii`) and of the smoothing bound look.
+WINDOW_SAMPLES = 4096
 
+
+def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> list:
+    """[the ChebSegment pieces of (1 - w) f + w (f * g) for each profile f],
+    every profile convolved by one quadrature rule at the pieces' nodes.
+
+    (f * g)(r) = int f(r - y) g(y) dy is integrated in the kernel offset
+    y, so the kernel's steep flanks see nodes free of the rounding of r - y.
     The kernel support is split into panels at the profiles' breakpoints,
     so each panel lies inside one segment of every profile and its
     integrand is smooth: fixed-order Gauss-Legendre per panel is accurate
     to rounding.  The nodes, weights and kernel values of a panel are built
-    once and shared by all profiles, each evaluated on the segment that
-    owns the panel.  A doubled-order recomputation on a subsample guards
-    each profile's quadrature.
+    once and shared by all profiles.  A doubled-order recomputation guards
+    each profile's quadrature, and the tail of each piece's coefficients
+    its degree.
     """
-    if not window.half_width > 0.0 or window.n_table < 5:
-        raise InvalidGeometry(
-            "smoothing window needs half_width > 0 and n_table >= 5")
+    if not window.half_width > 0.0:
+        raise InvalidGeometry("smoothing window needs half_width > 0")
     d = window.half_width
     cuts = sorted(set(float(b) for p in profiles for b in p.breakpoints
                       if window.lo - d < b < window.hi + d))
+    spans = [(window.center + xa * d, window.center + xb * d)
+             for xa, xb in _BLEND_PIECES]
+    ts = [chebpts1(deg + 1) for deg in CHEB_DEGREES]
+    rs = np.concatenate([lo + 0.5 * (t + 1.0) * (hi - lo)
+                         for (lo, hi), t in zip(spans, ts)])
 
-    def convolve(rs: np.ndarray, order: int) -> list:
+    def convolve(order: int) -> list:
+        """f * g at rs for each profile, by Gauss-Legendre of `order`."""
         edges = sorted(set([float(rs[0] - d)] + cuts + [float(rs[-1] + d)]))
         outs = [np.zeros_like(rs) for _ in profiles]
         for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-            a = np.maximum(rs - d, lo_e)
-            b = np.minimum(rs + d, hi_e)
+            a = np.maximum(rs - hi_e, -d)
+            b = np.minimum(rs - lo_e, d)
             valid = b > a
             if not np.any(valid):
                 continue
-            a = np.where(valid, a, rs)
-            b = np.where(valid, b, rs)
-            nodes, weights = gl_panel_nodes(a, b, order)
-            kern = window.kernel(rs[:, None] - nodes)
+            a = np.where(valid, a, 0.0)
+            b = np.where(valid, b, 0.0)
+            ys, weights = gl_panel_nodes(a, b, order)
+            kern = window.kernel(ys)
             for profile, out in zip(profiles, outs):
                 # the nodes of an empty row may leave the panel; `valid`
                 # drops whatever the segment returns there
                 seg = profile.segment_span(0.5 * (lo_e + hi_e))[0]
-                vals = seg.value(nodes)
+                vals = seg.value(rs[:, None] - ys)
                 out += np.where(valid, np.sum(weights * vals * kern, axis=1),
                                 0.0)
         return outs
 
-    rs = np.linspace(window.lo, window.hi, window.n_table)
-    step = max(window.n_table // 64, 1)
     w = window.blend_weight(rs)
     blends = []
-    for profile, conv, conv_hi in zip(profiles, convolve(rs, _GL_ORDER),
-                                      convolve(rs[::step], 2 * _GL_ORDER)):
-        err = np.max(np.abs(conv[::step] - conv_hi))
+    for profile, conv, conv_hi in zip(profiles, convolve(_GL_ORDER),
+                                      convolve(2 * _GL_ORDER)):
+        err = np.max(np.abs(conv - conv_hi))
         scale = max(1.0, float(np.max(np.abs(conv))))
         if err > 1e-11 * scale:
             raise QuadratureFailure(
                 f"convolution panels disagree by {err:.3g} on the window")
-        blends.append((1.0 - w) * profile.value(rs) + w * conv)
-    return rs, blends
+        vals = np.split((1.0 - w) * profile.value(rs) + w * conv,
+                        np.cumsum([len(t) for t in ts])[:-1])
+        pieces = []
+        for (lo, hi), t, v in zip(spans, ts, vals):
+            # the interpolant through the values at the nodes, step for
+            # step as `chebinterpolate` computes it, of the values less
+            # their mean, so the rounding of T_k scales with their spread
+            mean = float(np.mean(v))
+            c = np.dot(chebvander(t, len(t) - 1).T, v - mean)
+            c[0] /= len(t)
+            c[1:] /= 0.5 * len(t)
+            c[0] += mean
+            tail = float(np.max(np.abs(c[-2:])))
+            if tail > _CHEB_TAIL * float(np.max(np.abs(c))):
+                raise QuadratureFailure(
+                    f"Chebyshev tail {tail:.3g} on [{lo}, {hi}] exceeds "
+                    f"{_CHEB_TAIL:g} of the piece's largest coefficient")
+            pieces.append(ChebSegment(lo, hi, c))
+        blends.append(pieces)
+    return blends
 
 
-def _splice_window(profile: PiecewiseProfile, window: SmoothingWindow,
-                   table: TableSegment) -> PiecewiseProfile:
-    """`profile` with `table` in place of its pieces on the window; its
-    breakpoints within 1e-15 of the window go."""
-    if not profile.breakpoints[0] <= window.lo < window.hi <= profile.eps:
+def _splice_window(profile: PiecewiseProfile,
+                   pieces: list) -> PiecewiseProfile:
+    """`profile` with the consecutive `pieces` in place on their span; its
+    breakpoints within 1e-15 of the span go."""
+    lo, hi = pieces[0].lo, pieces[-1].hi
+    if not profile.breakpoints[0] <= lo < hi <= profile.eps:
         raise InvalidGeometry("window does not sit inside the profile")
     bps = sorted(set([b for b in profile.breakpoints
-                      if b < window.lo - 1e-15 or b > window.hi + 1e-15]
-                     + [window.lo, window.hi]))
+                      if b < lo - 1e-15 or b > hi + 1e-15]
+                     + [p.lo for p in pieces] + [hi]))
+    by_lo = {p.lo: p for p in pieces}
     return PiecewiseProfile(bps, [
-        table if lo == window.lo else profile.segment_span(0.5 * (lo + hi))[0]
-        for lo, hi in zip(bps[:-1], bps[1:])])
+        by_lo.get(a) or profile.segment_span(0.5 * (a + b))[0]
+        for a, b in zip(bps[:-1], bps[1:])])
+
+
+def window_radii(profile: PiecewiseProfile) -> np.ndarray:
+    """`WINDOW_SAMPLES` uniform radii across the mollification window whose
+    Chebyshev pieces `profile` carries (their span is its middle 7/8);
+    none when it carries none."""
+    pieces = [s for s in profile.segments if isinstance(s, ChebSegment)]
+    if not pieces:
+        return np.empty(0)
+    lo, hi = pieces[0].lo, pieces[-1].hi
+    mid, half = 0.5 * (lo + hi), (hi - lo) * (4.0 / 7.0)
+    return np.linspace(mid - half, mid + half, WINDOW_SAMPLES)
 
 
 def mollify(pair: ProfilePair, window: SmoothingWindow) -> ProfilePair:
     """Replace both profiles on the window by truncated-Gaussian blends.
 
-    Outside the window the pair is returned unchanged; at the window
-    endpoints the blend weight vanishes so the table matches the raw
-    profiles exactly.
+    Outside the middle 7/8 of the window, where the blend weight vanishes,
+    the pair is returned unchanged.
     """
     if not (0.0 < window.lo and window.hi < pair.epsilon / 2.0):
         raise InvalidGeometry("smoothing window must sit inside (0, eps/2)")
-    rs, (t1, t2) = _blend(window, pair.h1, pair.h2)
-    return ProfilePair(_splice_window(pair.h1, window, TableSegment(rs, t1)),
-                       _splice_window(pair.h2, window, TableSegment(rs, t2)),
-                       pair.epsilon)
+    p1, p2 = _blend(window, pair.h1, pair.h2)
+    return ProfilePair(_splice_window(pair.h1, p1),
+                       _splice_window(pair.h2, p2), pair.epsilon)
 
 
 def default_window(params: TwistParams) -> SmoothingWindow:
@@ -772,19 +787,17 @@ def default_window(params: TwistParams) -> SmoothingWindow:
 def verify_smoothing_bound(pair_smoothed: ProfilePair, u: float) -> tuple:
     """Check sup |{-H1'}/D| <= 1/u over the mollified window.
 
-    Returns (max_ratio, passed).  The sup is refined from the knots of
-    h1's mollified table, which span the window.
+    Returns (max_ratio, passed).  The sup is refined from h1's
+    `window_radii`.
     """
-    tables = [s for s in pair_smoothed.h1.segments
-              if isinstance(s, TableSegment)]
-    if not tables:
+    rs = window_radii(pair_smoothed.h1)
+    if not len(rs):
         raise InvalidGeometry("pair carries no mollified window")
 
     def ratio(rs: np.ndarray) -> np.ndarray:
         d = pair_smoothed.wronskian(rs)
         return np.abs(-pair_smoothed.h1.deriv(rs) / d)
 
-    rs = tables[0].rs
     _, max_ratio = grid_sup(ratio, rs, ratio(rs))
     return max_ratio, max_ratio <= 1.0 / u
 
@@ -819,7 +832,7 @@ class TwistedPathFamily:
         self.window = default_window(self.params)
 
         # h2 on the window neighbourhood splits as cap + u * (unit arc);
-        # mollification is linear, so two tables cover every member.
+        # mollification is linear, so two sets of pieces cover every member.
         eps0 = self.params.epsilon0
         cap = PiecewiseProfile([0.0, eps0, 0.5],
                                [PolySegment(0.0, (0.0, 0.0, 1.0)),
@@ -828,9 +841,9 @@ class TwistedPathFamily:
                                     [PolySegment(0.0, (0.0,)),
                                      TrigSegment("sin", self.amp_per_u)])
         h1 = build_twisted_path(self.params).h1
-        rs, (t_h1, t_cap, t_arc) = _blend(self.window, h1, cap, unit_arc)
-        self._h1_moll = _splice_window(h1, self.window, TableSegment(rs, t_h1))
-        self._h2_tables = (rs, t_cap, t_arc)
+        p_h1, self._cap_pieces, self._arc_pieces = _blend(
+            self.window, h1, cap, unit_arc)
+        self._h1_moll = _splice_window(h1, p_h1)
 
     def pair(self, u: float) -> ProfilePair:
         """Mollified member at amplitude u (requires u_ref <= u <= u_max)."""
@@ -841,9 +854,9 @@ class TwistedPathFamily:
                 "junction bridge would violate the contact condition, and "
                 "the extension depth is sized for amplitudes up to the cap")
         raw = build_twisted_path(replace(self.params, u=u))
-        rs, t_cap, t_arc = self._h2_tables
-        h2 = _splice_window(raw.h2, self.window,
-                            TableSegment(rs, t_cap + u * t_arc))
+        h2 = _splice_window(raw.h2, [
+            ChebSegment(c.lo, c.hi, c.coeffs + u * a.coeffs)
+            for c, a in zip(self._cap_pieces, self._arc_pieces)])
         return ProfilePair(self._h1_moll, h2, self.params.epsilon)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -151,9 +152,46 @@ def test_input_error_exit_code(tmp_path):
 ], ids=["embed_a_nan", "embed_a_inf", "embed_b_nan", "upper_a1_nan",
         "sweep_grid_nan"])
 def test_non_finite_point_is_input_error(tmp_path, capsys, argv):
+    # refused while parsing, by the flag that carries the value
     code, _ = run(tmp_path, *argv)
     assert code == 2
-    assert "is not a finite point" in capsys.readouterr().err
+    i = next(i for i, v in enumerate(argv) if v in ("nan", "inf"))
+    flag = next(a for a in reversed(argv[:i]) if a.startswith("--"))
+    assert f"argument {flag}: not a finite number" in capsys.readouterr().err
+
+
+def _float_flags():
+    """(command, flag, nargs) of every option that takes a float."""
+    for group, sub in _subparsers(cli.build_parser()):
+        for cmd, leaf in _subparsers(sub):
+            for action in leaf._actions:
+                assert action.type is not float, (group, cmd, action.dest)
+                if action.type is cli.finite_float:
+                    yield (group, cmd), action.option_strings[0], action.nargs
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices.items()
+
+
+_FLOAT_FLAGS = list(_float_flags())
+
+
+@pytest.mark.parametrize("command, flag, nargs", _FLOAT_FLAGS,
+                         ids=[f"{group}-{cmd}{flag}"
+                              for (group, cmd), flag, _ in _FLOAT_FLAGS])
+def test_every_float_flag_refuses_non_finite_values(tmp_path, capsys,
+                                                    command, flag, nargs):
+    # "-inf" would read as an option unless joined to its flag
+    for value in ("nan", "inf") + (("-inf",) if nargs is None else ()):
+        argv = ([*command, f"{flag}={value}"] if nargs is None
+                else [*command, flag, value] + ["1"] * (nargs - 1))
+        code, _ = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not a finite number: '{value}'" in err
 
 
 def test_gray_command(tmp_path, capsys):

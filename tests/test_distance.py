@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebinterpolate
 
 from lutzlab import distance as dist
 from lutzlab import family as fam
@@ -216,8 +217,9 @@ def test_gray_leg_must_start_inside_the_family(gray_family):
 
 class _Deformed(prof.TwistedPathFamily):
     """The model's amplitude family with k (u - U_C) phi added to h2 on the
-    piece of h2 that contains `at`: B = dh2/du grows by k phi there, while
-    members within 1e-8 of U_C keep D within a few percent."""
+    piece of h2 that contains `at`, or across all three Chebyshev pieces
+    when `at` lies in the mollification window: B = dh2/du grows by k phi
+    there, while members within 1e-8 of U_C keep D within a few percent."""
 
     U_C = 0.05
 
@@ -231,16 +233,25 @@ class _Deformed(prof.TwistedPathFamily):
     def pair(self, u):
         p = super().pair(u)
         segs = list(p.h2.segments)
-        seg, lo, hi = p.h2.segment_span(self.at)
+        seg, _, _ = p.h2.segment_span(self.at)
         c = self.coefficient(u)
-        if isinstance(seg, prof.TableSegment):
-            phi = np.sin(np.pi * (seg.rs - lo) / (hi - lo)) ** 2
-            new = prof.TableSegment(seg.rs, seg.vals + c * phi)
+        if isinstance(seg, prof.ChebSegment):
+            # sin^2(pi (r - lo)/(hi - lo)) across the pieces' span [lo, hi],
+            # in each piece's own degree: unit peak, flat at both ends
+            pieces = [s for s in segs if isinstance(s, prof.ChebSegment)]
+            lo, hi = pieces[0].lo, pieces[-1].hi
+            for piece in pieces:
+                def phi(t, piece=piece):
+                    r = piece.lo + 0.5 * (t + 1.0) * (piece.hi - piece.lo)
+                    return np.sin(np.pi * (r - lo) / (hi - lo)) ** 2
+                segs[segs.index(piece)] = prof.ChebSegment(
+                    piece.lo, piece.hi, piece.coeffs + c * chebinterpolate(
+                        phi, len(piece.coeffs) - 1))
         else:  # 256 x^2 (1/4 - x)^2 on [1/2, 3/4], x = r - 1/2: unit peak
             bump = (0.0, 0.0, 16.0, -128.0, 256.0)
-            new = prof.PolySegment(seg.a, np.polynomial.polynomial.polyadd(
-                seg.coeffs, c * np.array(bump)))
-        segs[segs.index(seg)] = new
+            segs[segs.index(seg)] = prof.PolySegment(
+                seg.a, np.polynomial.polynomial.polyadd(
+                    seg.coeffs, c * np.array(bump)))
         return prof.ProfilePair(
             p.h1, prof.PiecewiseProfile(p.h2.breakpoints, segs), p.epsilon)
 
@@ -250,6 +261,21 @@ class _Curved(_Deformed):
 
     def coefficient(self, u):
         return self.k * (u - self.U_C) ** 2
+
+
+class _Hidden(_Curved):
+    """h2's window piece at `at` gains k (u - U_C)^2 P_40(t) instead: the
+    Legendre polynomial vanishes at the piece's 40 Gauss-Legendre nodes."""
+
+    def pair(self, u):
+        p = prof.TwistedPathFamily.pair(self, u)
+        segs = list(p.h2.segments)
+        seg, _, _ = p.h2.segment_span(self.at)
+        p40 = chebinterpolate(np.polynomial.legendre.Legendre.basis(40), 40)
+        segs[segs.index(seg)] = prof.ChebSegment(
+            seg.lo, seg.hi, seg.coeffs + self.coefficient(u) * p40)
+        return prof.ProfilePair(
+            p.h1, prof.PiecewiseProfile(p.h2.breakpoints, segs), p.epsilon)
 
 
 @pytest.mark.parametrize("at, k, u, region", [
@@ -276,7 +302,7 @@ def _max_uf(family, u_lo, u_hi, rs):
 
 
 @pytest.mark.parametrize("at, k, region", [
-    (0.01, 30.0, (0.0099, 0.0101)),   # the mollification window
+    (0.01, 60.0, (0.0099, 0.0101)),   # the mollification window
     (0.6, 50.0, (0.5, 0.75)),         # the dip of h2 past the twist arc
 ])
 def test_domination_rejects_a_deformed_family(at, k, region):
@@ -308,6 +334,12 @@ def test_certificate_rejects_a_family_not_affine_in_u(at, k):
     with pytest.raises(InvalidGeometry, match="not affine"):
         fam.certify_family(_Curved(at, k), 0.01, U_CAP, 2)
     assert fam.certify_family(_Deformed(at, k), 0.01, U_CAP, 2).margin > 0.0
+
+
+def test_certificate_probe_pins_a_degree_40_piece():
+    # only the 41st probe node per panel sees this departure from the mean
+    with pytest.raises(InvalidGeometry, match="not affine"):
+        fam.certify_family(_Hidden(0.01, 1e-8), 0.01, U_CAP, 2)
 
 
 def test_domination_margin_on_the_model(model):

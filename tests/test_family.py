@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,9 +51,6 @@ def test_panel_knots_match_set_construction(smooth_pair, cap_pair, model):
         edges = set()
         for p in (pair.h1, pair.h2):
             edges.update(float(b) for b in p.breakpoints)
-            for seg in p.segments:
-                if isinstance(seg, prof.TableSegment):
-                    edges.update(float(r) for r in seg.rs)
         want = np.array(sorted(edges))
         got = pair.knots()
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -67,13 +63,13 @@ def test_tube_volume_montecarlo_crosscheck(smooth_pair):
 
 
 def _reference_profile_product(pair, n):
-    """int_0^eps h1^(n-2) D dr with Gauss-Legendre order 20 on every panel
-    between the pair's knots, checked against order 12: the oracle of
-    `_integrate_profile_product`, which takes a lower exact order on the
-    mollified-table panels."""
+    """int_0^eps h1^(n-2) D dr with Gauss-Legendre order 40 on every panel
+    between the pair's knots, checked against order 30: the oracle of
+    `_integrate_profile_product`, which takes order 20, also on the
+    degree-40 Chebyshev pieces of a mollified window."""
     knots = pair.knots()
     vals = []
-    for order in (12, 20):
+    for order in (30, 40):
         rs, weights = gl_panel_nodes(knots[:-1], knots[1:], order)
         flat = rs.ravel()
         d = pair.wronskian(flat)
@@ -86,16 +82,13 @@ def _reference_profile_product(pair, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_profile_product_matches_all_panel_oracle(n, model, cap_pair,
-                                                  raw_pair, solved_params):
+                                                  raw_pair, smooth_pair):
     # family members at both ends of the model's range and between them,
-    # the untwisted cap and a raw path, the last two with no table, and a
-    # 5-knot window table, whose wide panels show a table order too low
-    # for the cubics (order 1 is off by about 1e-8 there)
+    # the README's mollified pair, and the untwisted cap and a raw path,
+    # the last two with no window
     pairs = [model.family.pair(u)
              for u in (model.defaults.u_ref, 0.05, fam.U_CAP)]
-    coarse = prof.mollify(raw_pair, replace(
-        prof.default_window(solved_params), n_table=5))
-    for pair in pairs + [cap_pair, raw_pair, coarse]:
+    for pair in pairs + [smooth_pair, cap_pair, raw_pair]:
         want = _reference_profile_product(pair, n)
         got = fam._integrate_profile_product(pair, n)
         assert abs(got - want) <= 1e-14 * abs(want)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebinterpolate, chebpts1
 
 from lutzlab import profile as prof
 from lutzlab.errors import InvalidGeometry, QuadratureFailure
@@ -45,6 +46,15 @@ def test_solve_continuity_invalid_geometry():
         prof.solve_continuity_params(0.05, 0.05, 0.9, -2.0)
     with pytest.raises(InvalidGeometry):
         prof.solve_continuity_params(0.3, 0.05, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("u", [0.0, -0.05, math.nan])
+def test_amplitude_must_be_positive(u):
+    # NaN fails `u > 0` as it fails `u <= 0`, so only the first refuses it
+    with pytest.raises(InvalidGeometry, match="must be positive"):
+        prof.solve_continuity_params(0.05, u, 0.0, -1.0)
+    with pytest.raises(InvalidGeometry, match="must be positive"):
+        prof.TwistParams(u=u).validate()
 
 
 # --- raw path ---------------------------------------------------------------
@@ -116,12 +126,18 @@ def test_segment_zero_candidates():
     assert np.allclose(cubic.zero_candidates(0.4, 2.0), [0.5, 1.5],
                        atol=1e-15)
     assert len(prof.PolySegment(0.0, (1.0,)).zero_candidates(0.0, 1.0)) == 0
-    # a table through a sine: one candidate at the crossing, none elsewhere
-    rs = np.linspace(0.3, 0.7, 401)
-    table = prof.TableSegment(rs, np.sin(TWO_PI * rs))
-    cands = table.zero_candidates(0.3, 0.7)
-    assert len(cands) >= 1 and np.max(np.abs(cands - 0.5)) < 1e-9
-    assert len(table.zero_candidates(0.3, 0.45)) == 0
+    # a Chebyshev piece through a sine: one candidate at the crossing, none
+    # elsewhere; on [0.3, 0.45] its constant term dominates, so none at all
+    def sine_piece(lo, hi):
+        return prof.ChebSegment(lo, hi, chebinterpolate(
+            lambda t: np.sin(TWO_PI * (lo + 0.5 * (t + 1.0) * (hi - lo))), 30))
+    piece = sine_piece(0.3, 0.7)
+    rs = np.linspace(0.3, 0.7, 101)
+    assert np.max(np.abs(piece.value(rs) - np.sin(TWO_PI * rs))) < 1e-13
+    cands = piece.zero_candidates(0.3, 0.7)
+    assert len(cands) >= 1 and np.max(np.abs(cands - 0.5)) < 1e-12
+    assert len(piece.zero_candidates(0.3, 0.45)) == 0
+    assert len(sine_piece(0.3, 0.45).zero_candidates(0.3, 0.45)) == 0
 
 
 @pytest.mark.parametrize("u", ["u_ref", 0.05, "U_CAP"])
@@ -349,7 +365,8 @@ def test_mollified_second_differences_bounded(smooth_pair):
 
 def test_table_derivatives_match_first_differences(smooth_pair):
     # step scaled to the window: the slope itself turns over ~1e-4, so a
-    # coarser step would measure genuine curvature, not table error
+    # coarser step would measure genuine curvature, not the window pieces'
+    # error
     h = 1e-6
     rs = np.linspace(0.0496, 0.0504, 33)
     for fn in (smooth_pair.h1, smooth_pair.h2):
@@ -368,57 +385,88 @@ def test_mollify_window_must_sit_low(raw_pair):
 def test_splice_window_must_sit_inside_the_profile(raw_pair, center):
     # a window across either end, or past the profile, is refused
     window = prof.SmoothingWindow(center, 0.001)
-    table = prof.TableSegment(np.linspace(window.lo, window.hi, 8),
-                              np.zeros(8))
+    edges = [center + x * window.half_width for x in (-7 / 8, -0.5, 0.5,
+                                                      7 / 8)]
+    pieces = [prof.ChebSegment(lo, hi, np.zeros(8))
+              for lo, hi in zip(edges[:-1], edges[1:])]
     with pytest.raises(InvalidGeometry, match="does not sit inside"):
-        prof._splice_window(raw_pair.h1, window, table)
+        prof._splice_window(raw_pair.h1, pieces)
 
 
 def _convolve_against_kernel(profile, window, rs, order, method="value"):
     """Oracle: (f * g)(rs) for one profile on its own panels, split at its
-    breakpoints and evaluated through `PiecewiseProfile.value` (or, with
-    method="deriv", (f' * g)(rs))."""
+    breakpoints, in the kernel offset y = r - x, and evaluated through
+    `PiecewiseProfile.value` (or, with method="deriv", (f' * g)(rs))."""
     d = window.half_width
     cuts = [b for b in profile.breakpoints
             if window.lo - d < b < window.hi + d]
     edges = sorted(set([float(rs[0] - d)] + cuts + [float(rs[-1] + d)]))
     out = np.zeros_like(rs)
     for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        a = np.maximum(rs - d, lo_e)
-        b = np.minimum(rs + d, hi_e)
+        a = np.maximum(rs - hi_e, -d)
+        b = np.minimum(rs - lo_e, d)
         valid = b > a
         if not np.any(valid):
             continue
-        a = np.where(valid, a, rs)
-        b = np.where(valid, b, rs)
-        nodes, weights = gl_panel_nodes(a, b, order)
-        vals = getattr(profile, method)(nodes.ravel()).reshape(nodes.shape)
-        kern = window.kernel(rs[:, None] - nodes)
-        out += np.where(valid, np.sum(weights * vals * kern, axis=1), 0.0)
+        a = np.where(valid, a, 0.0)
+        b = np.where(valid, b, 0.0)
+        ys, weights = gl_panel_nodes(a, b, order)
+        xs = rs[:, None] - ys
+        vals = getattr(profile, method)(xs.ravel()).reshape(xs.shape)
+        out += np.where(valid, np.sum(weights * vals * window.kernel(ys),
+                                      axis=1), 0.0)
     return out
 
 
-def _oracle_table(profile, window):
-    rs = np.linspace(window.lo, window.hi, window.n_table)
+def _window_spans(window):
+    """The window's three Chebyshev pieces as (lo, hi, degree)."""
+    edges = [window.center + x * window.half_width
+             for x in (-7 / 8, -0.5, 0.5, 7 / 8)]
+    return list(zip(edges[:-1], edges[1:], prof.CHEB_DEGREES))
+
+
+def _oracle_blend(profile, window, rs):
     conv = _convolve_against_kernel(profile, window, rs, prof._GL_ORDER)
     w = window.blend_weight(rs)
     return (1.0 - w) * profile.value(rs) + w * conv
 
 
-def _table(profile):
-    (table,) = [s for s in profile.segments
-                if isinstance(s, prof.TableSegment)]
-    return table
+def _oracle_coefficients(profile, window):
+    """Each window piece's interpolant of the blend at its Chebyshev
+    points, by `chebinterpolate` of the values less their mean; the blend
+    is sampled at every piece's points at once, as `mollify` does."""
+    spans = _window_spans(window)
+    ts = [chebpts1(deg + 1) for _, _, deg in spans]
+    rs = np.concatenate([lo + 0.5 * (t + 1.0) * (hi - lo)
+                         for (lo, hi, _), t in zip(spans, ts)])
+    vals = np.split(_oracle_blend(profile, window, rs),
+                    np.cumsum([len(t) for t in ts])[:-1])
+    out = []
+    for (_, _, deg), v in zip(spans, vals):
+        mean = float(np.mean(v))
+        # chebinterpolate samples at chebpts1(deg + 1), where v was taken
+        c = chebinterpolate(lambda t: v - mean, deg)
+        c[0] += mean
+        out.append(c)
+    return out
+
+
+def _pieces(profile):
+    return [s for s in profile.segments if isinstance(s, prof.ChebSegment)]
 
 
 def test_mollify_tables_match_per_profile_oracle(raw_pair, smooth_pair,
                                                  solved_params):
+    # bit for bit: the shared rule at all nodes at once is the per-profile
+    # rule at each piece's nodes
     w = prof.default_window(solved_params)
     for raw, smooth in ((raw_pair.h1, smooth_pair.h1),
                         (raw_pair.h2, smooth_pair.h2)):
-        table = _table(smooth)
-        assert np.array_equal(table.rs, np.linspace(w.lo, w.hi, w.n_table))
-        assert np.array_equal(table.vals, _oracle_table(raw, w))
+        pieces = _pieces(smooth)
+        assert [(p.lo, p.hi, len(p.coeffs) - 1) for p in pieces] \
+            == _window_spans(w)
+        for piece, want in zip(pieces, _oracle_coefficients(raw, w)):
+            assert np.array_equal(piece.coeffs, want)
 
 
 def test_family_tables_match_per_profile_oracle():
@@ -432,10 +480,10 @@ def test_family_tables_match_per_profile_oracle():
                                      [prof.PolySegment(0.0, (0.0,)),
                                       prof.TrigSegment("sin", fam.amp_per_u)])
     h1 = prof.build_twisted_path(fam.params).h1
-    assert np.array_equal(_table(fam.pair(0.05).h1).vals, _oracle_table(h1, w))
-    _, t_cap, t_arc = fam._h2_tables
-    assert np.array_equal(t_cap, _oracle_table(cap, w))
-    assert np.array_equal(t_arc, _oracle_table(unit_arc, w))
+    for pieces, raw in ((_pieces(fam.pair(0.05).h1), h1),
+                        (fam._cap_pieces, cap), (fam._arc_pieces, unit_arc)):
+        for piece, want in zip(pieces, _oracle_coefficients(raw, w)):
+            assert np.array_equal(piece.coeffs, want)
 
 
 def _oracle_slopes(profile, window, rs):
@@ -454,41 +502,68 @@ def _oracle_slopes(profile, window, rs):
             + dw * (conv - profile.value(rs)))
 
 
-def test_table_reproduces_its_values_at_the_knots(smooth_pair):
-    for fn in (smooth_pair.h1, smooth_pair.h2):
-        table = _table(fn)
-        assert np.array_equal(table.value(table.rs), table.vals)
-        assert np.array_equal(fn.value(table.rs), table.vals)
-
-
-def test_table_slopes_match_quadrature_oracle(raw_pair, smooth_pair,
-                                              solved_params):
-    # the 5-point slopes carry rounding at the 2.4e-7 knot spacing, up to
-    # 2e-8 of the largest slope; exact f' * g slopes would not, at 1.7 to
-    # 2 times the cost of the blend
+def test_table_reproduces_its_values_at_the_knots(raw_pair, smooth_pair,
+                                                  solved_params):
+    # each piece, and the profile that carries it, takes the blend's values
+    # at the piece's Chebyshev points to rounding, and the profile stays
+    # continuous across the pieces' ends, where the raw segments resume
     w = prof.default_window(solved_params)
     for raw, smooth in ((raw_pair.h1, smooth_pair.h1),
                         (raw_pair.h2, smooth_pair.h2)):
-        table = _table(smooth)
-        want = _oracle_slopes(raw, w, table.rs)
-        err = np.max(np.abs(table.deriv(table.rs) - want))
-        assert err <= 5e-8 * np.max(np.abs(want))
+        for piece, (lo, hi, deg) in zip(_pieces(smooth), _window_spans(w)):
+            rs = lo + 0.5 * (chebpts1(deg + 1) + 1.0) * (hi - lo)
+            want = _oracle_blend(raw, w, rs)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(piece.value(rs) - want)) <= 4e-15 * scale
+            assert np.array_equal(smooth.value(rs), piece.value(rs))
+        segs, bps = smooth.segments, smooth.breakpoints
+        for i in range(1, len(bps) - 1):
+            if w.lo < bps[i] < w.hi:
+                right = segs[i].value(bps[i])
+                jump = segs[i - 1].value(bps[i]) - right
+                assert abs(jump) <= 4e-15 * abs(right)
+
+
+# the README window, and the model family's default window at its
+# reference amplitude, where the raw h2 is continuous too
+_SLOPE_WINDOWS = {
+    "readme": prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01,
+                               u=0.05),
+    "family": prof.TwistParams(epsilon0=0.01, delta0=1e-4, delta=0.01,
+                               u=0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOPE_WINDOWS))
+def test_window_slopes_match_quadrature_oracle(name):
+    # the pieces' slopes are their series' exact derivatives, against
+    # f' * g by quadrature on 201 radii per piece
+    params = _SLOPE_WINDOWS[name].solved()
+    raw = prof.build_twisted_path(params)
+    w = prof.default_window(params)
+    smooth = prof.mollify(raw, w)
+    for f, fs in ((raw.h1, smooth.h1), (raw.h2, smooth.h2)):
+        rs = np.concatenate([np.linspace(p.lo, p.hi, 201)
+                             for p in _pieces(fs)])
+        want = _oracle_slopes(f, w, rs)
+        err = np.max(np.abs(fs.deriv(rs) - want))
+        assert err <= 2e-7 * np.max(np.abs(want))
 
 
 def test_family_table_coefficients_are_affine_in_u():
-    # the slopes are linear in the values, so the member table's cubics
-    # are the cap's plus u times the arc's, to rounding
+    # blending is linear, so a member's h2 pieces are the cap's plus u
+    # times the arc's, which its own blend reproduces to rounding
     base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
     fam = prof.TwistedPathFamily(base, 0.04, 0.06)
-    rs, t_cap, t_arc = fam._h2_tables
-    cap, arc = prof.TableSegment(rs, t_cap), prof.TableSegment(rs, t_arc)
-    # coefficient k, times h^k, is its share of the cubic on the interval
-    powers = np.diff(rs)[None, :] ** np.arange(3, -1, -1)[:, None]
     for u in (fam.u_ref, 0.05, fam.u_max):
-        member = _table(fam.pair(u).h2)
-        scale = np.max(np.abs(member.vals))
-        gap = np.abs(member.c - (cap.c + u * arc.c)) * powers
-        assert np.max(gap) <= 1e-14 * scale
+        member = _pieces(fam.pair(u).h2)
+        own = _pieces(prof.mollify(
+            prof.build_twisted_path(replace(fam.params, u=u)), fam.window).h2)
+        for m, o, cap, arc in zip(member, own, fam._cap_pieces,
+                                  fam._arc_pieces):
+            assert np.array_equal(m.coeffs, cap.coeffs + u * arc.coeffs)
+            scale = np.max(np.abs(o.coeffs))
+            assert np.max(np.abs(m.coeffs - o.coeffs)) <= 1e-14 * scale
 
 
 def _count_kernel_calls(monkeypatch):
@@ -520,14 +595,17 @@ def test_mollify_quadrature_guard(raw_pair, solved_params, monkeypatch):
         prof.mollify(raw_pair, prof.default_window(solved_params))
 
 
+@pytest.mark.parametrize("degrees", [(24, 12, 24), (8, 40, 24)])
+def test_chebyshev_tail_guard(raw_pair, solved_params, monkeypatch, degrees):
+    # a degree too low for its piece leaves a tail far above rounding
+    monkeypatch.setattr(prof, "CHEB_DEGREES", degrees)
+    with pytest.raises(QuadratureFailure, match="Chebyshev tail"):
+        prof.mollify(raw_pair, prof.default_window(solved_params))
+
+
 @pytest.mark.parametrize("window", [prof.SmoothingWindow(0.05, 0.0),
-                                    prof.SmoothingWindow(0.05, -0.0005),
-                                    prof.SmoothingWindow(0.05, 0.0005,
-                                                         n_table=1),
-                                    prof.SmoothingWindow(0.05, 0.0005,
-                                                         n_table=4)],
-                         ids=["zero_width", "negative_width", "one_knot",
-                              "four_knots"])
+                                    prof.SmoothingWindow(0.05, -0.0005)],
+                         ids=["zero_width", "negative_width"])
 def test_mollify_degenerate_window_fails_fast(raw_pair, window, monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     with pytest.raises(InvalidGeometry):
@@ -556,7 +634,7 @@ def test_smoothing_bound_flat_region_is_free(cap_pair, solved_params):
     w = prof.default_window(solved_params)
     sm = prof.mollify(cap_pair, w)
     ratio, ok = prof.verify_smoothing_bound(sm, 0.05)
-    assert ok and ratio < 1e-6  # zero up to table interpolation noise
+    assert ok and ratio < 1e-6  # zero up to the pieces' rounding
 
 
 def _golden_window_sup(pair, lo, hi, n=4096, tol=1e-12):
