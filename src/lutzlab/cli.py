@@ -129,7 +129,7 @@ def _load_twist(ctx: RunContext, path: str) -> profile.TwistParams:
     return params
 
 
-def _add_twist_flags(p, u_default=0.05):
+def _add_twist_flags(p):
     p.add_argument("--epsilon0", type=finite_float, default=0.05)
     p.add_argument("--delta0", type=finite_float, default=0.0005)
     p.add_argument("--delta", type=finite_float, default=0.01)
@@ -137,7 +137,6 @@ def _add_twist_flags(p, u_default=0.05):
                    default=-1.0)
     p.add_argument("--mu-plus", dest="mu_plus", type=finite_float,
                    default=1.0)
-    p.add_argument("--u", type=finite_float, default=u_default)
 
 
 def _add_model_flags(p, grid=False):
@@ -386,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("profile").add_subparsers(dest="cmd", required=True)
     p = g.add_parser("build")
     _add_twist_flags(p)
+    p.add_argument("--u", type=finite_float, default=0.05)
     p.add_argument("--samples", type=int, default=2001)
     p.set_defaults(func=cmd_profile_build)
     p = g.add_parser("check")

@@ -9,16 +9,27 @@ recomputes them by dense row reduction as an independent check.  The
 unit's bar is the longest finite one; its right endpoint is the lowest
 action of a primitive of the empty word.
 
-Each of `barcode`, `unit_vanishing_level` and `brute_force_oracle`
-computes each basis word's boundary once, into one table per call that
-builds the columns; d^2 = 0 is checked from it on one-letter words only,
-as d^2 = [d, d]/2 is an even derivation (`_squares_to_zero`).
+`barcode` and `unit_vanishing_level` build a boundary column only when
+elimination reaches it.  Before any, they check d^2 = 0 on the one-letter
+words alone, as d^2 = [d, d]/2 is an even derivation (`_squares_to_zero`),
+and then that every boundary stays in the basis: d strictly lowers action,
+so only words whose length plus some letter's differential length, less
+one, exceeds the word cap (or whose action is within rounding of the
+action cap) are expanded to check it (`_on_demand_columns`).  d changes
+the degree, so odd and even columns share no pivot row.
+`unit_vanishing_level` reduces the odd columns alone, which hold the
+unit's row, and stops at the first one that kills the unit.  `barcode`
+reduces the odd columns, then the even ones, and clears each even column
+whose word is already a pivot row: it would reduce to zero.
+`brute_force_oracle` expands every column first, as an independent check
+of these shortcuts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -149,29 +160,34 @@ class FilteredDGA:
     # -- the boundary operator ----------------------------------------------
 
     def boundary_word(self, word: Word) -> Dict[Word, Fraction]:
-        """Graded Leibniz expansion of the differential on one monomial."""
+        """Graded Leibniz expansion of the differential on one monomial.
+
+        The term of the letter g^e is (-1)^|prefix| e prefix g^(e-1) dg
+        suffix (e = 1 for odd g).  It is merged once, as rest * dg with
+        rest the word less one g, and dg (of degree |g| + 1) moved back
+        past the suffix for a sign (-1)^(|dg| |suffix|).
+        """
         out: Dict[Word, Fraction] = {}
-        flat_prefix_deg = 0
+        prefix_deg = 0
+        suffix_deg = sum(e * self.generators[gi].degree for gi, e in word)
         for pos, (gi, e) in enumerate(word):
-            terms = self.differential.get(gi, [])
             gdeg = self.generators[gi].degree
+            suffix_deg -= e * gdeg
+            terms = self.differential.get(gi)
             if terms:
                 # d(g^e) = e g^(e-1) dg for even g; e = 1 for odd g
-                rest = list(word)
-                if e == 1:
-                    rest.pop(pos)
-                else:
-                    rest[pos] = (gi, e - 1)
-                prefix_sign = -1 if flat_prefix_deg % 2 else 1
+                rest = word[:pos] + (((gi, e - 1),) if e > 1 else ()) \
+                    + word[pos + 1:]
+                odd = (prefix_deg + (gdeg + 1) * suffix_deg) % 2
+                outer = -e if odd else e
                 for coeff, dword in terms:
-                    s1, head = self._product(rest[:pos], dword)
-                    s2, prod = (self._product(head, rest[pos:])
-                                if s1 else (0, None))
-                    if s2 == 0 or coeff == 0:
+                    if coeff == 0:
                         continue
-                    c = coeff * (e * prefix_sign * s1 * s2)
-                    out[prod] = out[prod] + c if prod in out else c
-            flat_prefix_deg += e * gdeg
+                    s, prod = self._product(rest, dword)
+                    if s:
+                        c = coeff * (outer * s)
+                        out[prod] = out[prod] + c if prod in out else c
+            prefix_deg += e * gdeg
         return {w: c for w, c in out.items() if c != 0}
 
     def boundary(self, element: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
@@ -193,11 +209,16 @@ class FilteredDGA:
     # -- basis enumeration ---------------------------------------------------
 
     def basis(self) -> List[Word]:
-        """All monomials under the caps, ordered by (action, name, length)."""
-        words: List[Word] = []
+        """All monomials under the caps, ordered by (action, name, length).
 
-        def grow(word: list, start: int, length: int, action: float):
-            words.append(tuple(word))
+        Each word's sort key grows with it, its action summed letter by
+        letter in the order `word_action` sums it, so both agree exactly.
+        """
+        keyed = []
+        stack = [((), 0, 0.0, (), 0)]
+        while stack:
+            word, length, action, names, start = stack.pop()
+            keyed.append(((action, names, length), word))
             for gi in range(start, len(self.generators)):
                 g = self.generators[gi]
                 max_e = 1 if g.degree == 1 else self.word_cap - length
@@ -206,16 +227,10 @@ class FilteredDGA:
                     new_act = action + e * g.action
                     if new_len > self.word_cap or new_act > self.action_cap:
                         break
-                    grow(word + [(gi, e)], gi + 1, new_len, new_act)
-
-        grow([], 0, 0, 0.0)
-        return sorted(words, key=self._order_key)
-
-    def _order_key(self, word: Word):
-        return (self.word_action(word),
-                tuple(self.generators[gi].name
-                      for gi, e in word for _ in range(e)),
-                self.word_length(word))
+                    stack.append((word + ((gi, e),), new_len, new_act,
+                                  names + (g.name,) * e, gi + 1))
+        keyed.sort()  # the names tell words apart, so no word is compared
+        return [word for _, word in keyed]
 
     # -- json ------------------------------------------------------------
 
@@ -334,12 +349,14 @@ class Barcode:
 
 
 def _checked_columns(dga: FilteredDGA, basis: List[Word]):
-    """Sparse boundary columns over `basis`, one boundary per basis word.
+    """Sparse boundary columns over `basis`, every one expanded up front.
 
-    d^2 = 0 is checked first from the same table, on the letters alone as
-    d^2 is a derivation (`_squares_to_zero`), so a failing differential
-    raises PreconditionFailed before an image outside the basis raises
-    BasisOverflow.
+    `brute_force_oracle` builds its matrix from these, so it tests every
+    boundary against the basis, independently of the shortcut in
+    `_on_demand_columns`.  d^2 = 0 is checked first from the same table,
+    on the letters alone as d^2 is a derivation (`_squares_to_zero`), so a
+    failing differential raises PreconditionFailed before an image outside
+    the basis raises BasisOverflow.
     """
     table = {w: dga.boundary_word(w) for w in basis}
     if not _squares_to_zero(dga, table):
@@ -357,29 +374,70 @@ def _checked_columns(dga: FilteredDGA, basis: List[Word]):
     return cols
 
 
-def _eliminate(cols):
-    """Yield each column reduced left to right against recorded pivots
-    (pivot = the largest remaining row index), in column order."""
-    pivot_of_row: Dict[int, int] = {}
-    reduced: List[Dict[int, Fraction]] = []
-    for j, col in enumerate(cols):
-        col = dict(col)
-        while col:
-            low = max(col)
-            owner = pivot_of_row.get(low)
-            if owner is None:
-                break
-            factor = col[low] / reduced[owner][low]
-            for i, c in reduced[owner].items():
-                new = col.get(i, Fraction(0)) - factor * c
-                if new == 0:
-                    col.pop(i, None)
-                else:
-                    col[i] = new
-        reduced.append(col)
-        if col:
-            pivot_of_row[max(col)] = j
-        yield col
+def _on_demand_columns(dga: FilteredDGA, basis: List[Word]):
+    """A function giving the sparse boundary column of basis[j], built when
+    first asked for, after two checks that cover every basis word.
+
+    d^2 = 0 is checked first, on the letters alone as d^2 is a derivation
+    (`_squares_to_zero`), so a failing differential raises
+    PreconditionFailed before a boundary outside the basis raises
+    BasisOverflow.  Closure is then checked exactly, expanding only the
+    words that could leave a cap.  A term of d(w) swaps one letter g for a
+    word of d(g), so it has len(w) - 1 + len(that word) letters: only words
+    with a letter whose differential is long enough can leave the word
+    cap.  d strictly lowers action, so only words within rounding of the
+    action cap, whose float sums may round past it, can leave that cap.
+    """
+    table: Dict[Word, Dict[Word, Fraction]] = {}
+    if not _squares_to_zero(dga, table):
+        raise PreconditionFailed("differential does not square to zero")
+    pos = {w: i for i, w in enumerate(basis)}
+    grow = {gi: max((dga.word_length(w) for _, w in terms), default=0) - 1
+            for gi, terms in dga.differential.items()}
+    grow = {gi: g for gi, g in grow.items() if g > 0}
+    suspects = [w for w in basis
+                if max((grow.get(gi, 0) for gi, _ in w), default=0)
+                > dga.word_cap - dga.word_length(w)] if grow else []
+    # the float actions of w and of a term, sums of at most n positive
+    # terms, are each within about n eps / 2 of their exact values, so a
+    # term can round past the cap only from a word within ~2 n eps of it
+    n = dga.word_cap + max(grow.values(), default=0) + 1
+    near_cap = dga.action_cap * (1.0 - 8 * n * sys.float_info.epsilon)
+    first = len(basis)
+    while first and dga.word_action(basis[first - 1]) > near_cap:
+        first -= 1  # the basis is sorted by action
+    for w in suspects + basis[first:]:
+        if w not in table:
+            table[w] = dga.boundary_word(w)
+        for word in table[w]:
+            if word not in pos:
+                raise BasisOverflow(
+                    f"boundary of {dga.word_name(w)} leaves the basis")
+
+    def column(j: int) -> Dict[int, Fraction]:
+        w = basis[j]
+        image = table.pop(w) if w in table else dga.boundary_word(w)
+        return {pos[word]: coeff for word, coeff in image.items()}
+    return column
+
+
+def _reduce(col: Dict[int, Fraction], pivots) -> Dict[int, Fraction]:
+    """`col` reduced against `pivots` ({row: (column index, reduced column)}):
+    its largest row is cancelled while another column has it as pivot."""
+    while col:
+        low = max(col)
+        owner = pivots.get(low)
+        if owner is None:
+            break
+        other = owner[1]
+        factor = col[low] / other[low]
+        for i, c in other.items():
+            new = col.get(i, Fraction(0)) - factor * c
+            if new == 0:
+                col.pop(i, None)
+            else:
+                col[i] = new
+    return col
 
 
 def barcode(dga: FilteredDGA) -> Barcode:
@@ -387,20 +445,32 @@ def barcode(dga: FilteredDGA) -> Barcode:
 
     A column that reduces to zero births a class at its own action, and a
     pivot pair (i, j) closes the bar of basis element i at the action of j.
-    Raises PreconditionFailed unless d^2 = 0 on every basis word: d^2 is a
-    derivation, so the columns' boundary table checks it on the letters.
+    d changes the degree, so an odd column has even rows and an even column
+    odd rows: the two degrees share no pivot row and reduce apart, each
+    left to right.  The odd columns go first.  An even column whose index
+    is then a pivot row reduces to zero, as the reduced column with that
+    pivot is a cycle with that word as its last term, so it is recorded
+    as a birth and never built (clearing; Chen & Kerber, 2011).
+    Raises PreconditionFailed unless d^2 = 0 on every basis word, and
+    BasisOverflow if a boundary leaves the basis (`_on_demand_columns`).
     """
     basis = dga.basis()
-    reduced = list(_eliminate(_checked_columns(dga, basis)))
-    death_of = {max(col): j for j, col in enumerate(reduced) if col}
+    column = _on_demand_columns(dga, basis)
+    degree = [dga.word_degree(w) for w in basis]
+    pivots: Dict[int, Tuple[int, Dict[int, Fraction]]] = {}
+    for parity in (1, 0):
+        for j in range(len(basis)):
+            if degree[j] == parity and j not in pivots:
+                col = _reduce(column(j), pivots)
+                if col:
+                    pivots[max(col)] = (j, col)
+    deaths = {j for j, _ in pivots.values()}
     bars = []
     for i, w in enumerate(basis):
-        if i in death_of:
+        if i in pivots:
             bars.append(Bar(dga.word_name(w), dga.word_action(w),
-                            dga.word_action(basis[death_of[i]])))
-        elif reduced[i]:
-            continue  # i is a death column, not a class
-        else:
+                            dga.word_action(basis[pivots[i][0]])))
+        elif i not in deaths:
             bars.append(Bar(dga.word_name(w), dga.word_action(w), INF))
     return Barcode(tuple(bars))
 
@@ -458,16 +528,24 @@ def brute_force_oracle(dga: FilteredDGA) -> Barcode:
 def unit_vanishing_level(dga: FilteredDGA):
     """Least action t with the unit in the image of the t-sublevel boundary.
 
-    Incremental elimination in filtration order, stopping at the first
-    column whose reduced form is supported on the unit alone.  Returns
+    Elimination in filtration order of the odd columns alone: only they
+    have the even unit's row, and they share no pivot row with the even
+    ones (`barcode`).  It stops at the first column whose reduced form is
+    supported on the unit alone, and builds no column past it.  Returns
     math.inf when no primitive exists under the caps.  Raises
-    PreconditionFailed unless d^2 = 0 on every basis word: d^2 is a
-    derivation, so the columns' boundary table checks it on the letters.
+    PreconditionFailed unless d^2 = 0 on every basis word, and
+    BasisOverflow if any boundary, past the stop too, leaves the basis.
     """
     basis = dga.basis()
-    for j, col in enumerate(_eliminate(_checked_columns(dga, basis))):
-        if col and max(col) == 0:  # the unit's row
-            return dga.word_action(basis[j])
+    column = _on_demand_columns(dga, basis)
+    pivots: Dict[int, Tuple[int, Dict[int, Fraction]]] = {}
+    for j, w in enumerate(basis):
+        if dga.word_degree(w):
+            col = _reduce(column(j), pivots)
+            if col:
+                if max(col) == 0:  # the unit's row
+                    return dga.word_action(w)
+                pivots[max(col)] = (j, col)
     return INF
 
 

@@ -196,10 +196,19 @@ def test_every_float_flag_refuses_non_finite_values(tmp_path, capsys,
 
 def test_gray_command(tmp_path, capsys):
     code, out = run(tmp_path, "distance", "gray", "--u-start", "0.04",
-                    "--u-end", "0.06", "--u", "0.04")
+                    "--u-end", "0.06")
     assert code == 0
     doc = json.loads((out / "gray.json").read_text())
     assert doc["value"] == pytest.approx(math.log(1.5), rel=1e-6)
+
+
+def test_gray_refuses_u(tmp_path, capsys):
+    # the leg runs from --u-start to --u-end, so there is no --u to take
+    code, _ = run(tmp_path, "distance", "gray", "--u-start", "0.04",
+                  "--u-end", "0.06", "--u", "0.04")
+    assert code == 2
+    assert "ambiguous option: --u could match --u-start, --u-end" \
+        in capsys.readouterr().err
 
 
 def test_sandwich_determinism(tmp_path):

@@ -93,6 +93,62 @@ def test_product_matches_the_insertion_sort_rule():
     assert signs == {-1, 0, 1}
 
 
+def _two_merge_boundary_word(dga, word):
+    """Reference: each Leibniz term merged as (prefix * dg) * (g^(e-1)
+    suffix), two Koszul-signed products, with the sign of the prefix."""
+    out = {}
+    prefix_deg = 0
+    for pos, (gi, e) in enumerate(word):
+        rest = list(word)
+        if e == 1:
+            rest.pop(pos)
+        else:
+            rest[pos] = (gi, e - 1)
+        for coeff, dword in dga.differential.get(gi, []):
+            s1, head = dga._product(tuple(rest[:pos]), dword)
+            s2, prod = (dga._product(head, tuple(rest[pos:]))
+                        if s1 else (0, None))
+            if s2 == 0 or coeff == 0:
+                continue
+            c = coeff * (e * (-1) ** prefix_deg * s1 * s2)
+            out[prod] = out.get(prod, 0) + c
+        prefix_deg += e * dga.generators[gi].degree
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def test_boundary_word_matches_the_two_merge_reference():
+    rng = np.random.default_rng(47)
+    degrees = [1, 0, 1, 0, 1, 1, 0, 1]
+    gens = [ps.Generator(f"g{i}", d, 2.5 ** i) for i, d in enumerate(degrees)]
+    diff = {}
+    for i in range(1, len(degrees)):
+        # one to three terms on earlier letters, of one or two letters
+        # (or the unit), in the degree the parity rule asks for
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            for _ in range(50):
+                js = [int(j) for j in rng.integers(0, i, rng.integers(0, 3))]
+                odd = [j for j in js if degrees[j]]
+                if len(odd) % 2 != degrees[i] and len(set(odd)) == len(odd):
+                    terms.append((Fraction(int(rng.integers(-3, 4)) or 1, 2),
+                                  [f"g{j}" for j in js]))
+                    break
+        diff[f"g{i}"] = terms
+    dga = ps.FilteredDGA(gens, diff, action_cap=1e6, word_cap=20)
+    assert max(dga.word_length(w) for terms in dga.differential.values()
+               for _, w in terms) == 2
+    nonzero = 0
+    for _ in range(2000):
+        picked = np.flatnonzero(rng.random(len(degrees)) < 0.5)
+        word = tuple((int(gi), 1 if degrees[gi] else int(rng.integers(1, 4)))
+                     for gi in picked)
+        got = dga.boundary_word(word)
+        assert list(got.items()) == list(
+            _two_merge_boundary_word(dga, word).items())
+        nonzero += bool(got)
+    assert nonzero > 1000
+
+
 def _overflow_dga(dy):
     # a two-letter differential word pushes products past the word cap
     diff = {"x": [(1, ["y", "z"])]}
@@ -117,6 +173,46 @@ def test_d_squared_failure_wins_over_overflow(fn):
         fn(_overflow_dga(dy=True))
     with pytest.raises(BasisOverflow):
         fn(_overflow_dga(dy=False))
+
+
+@pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level])
+def test_overflow_past_the_unit_level_still_raises(fn):
+    # dt = 1 puts the unit level at t's column (action 0.5); the one word
+    # whose boundary leaves the word cap is x*t (d(xt) = yzt - x), later
+    dga = ps.FilteredDGA(
+        [ps.Generator("y", 1, 1.0), ps.Generator("z", 1, 2.0),
+         ps.Generator("x", 1, 5.0), ps.Generator("t", 1, 0.5)],
+        {"x": [(1, ["y", "z"])], "t": [(1, [])]},
+        action_cap=50.0, word_cap=2)
+    basis = dga.basis()
+    assert basis[1] == dga._parse_word(["t"])
+    leaving = [w for w in basis
+               if not all(map(dga.in_caps, dga.boundary_word(w)))]
+    assert leaving == [dga._parse_word(["x", "t"])]
+    with pytest.raises(BasisOverflow):
+        fn(dga)
+
+
+@pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
+                                ps.brute_force_oracle])
+def test_boundary_leaving_the_action_cap_by_rounding_raises(fn):
+    # dq = s lowers action by 2 ulp, yet d(pqr) = p r s (summed in another
+    # order) rounds above pqr's action, which is the cap
+    a_s = 0.20626039469180996
+    dga = ps.FilteredDGA(
+        [ps.Generator("p", 0, 0.4081988490867068),
+         ps.Generator("q", 1, 0.20626039469181),
+         ps.Generator("r", 0, 0.8540817562275901),
+         ps.Generator("s", 0, a_s)],
+        {"q": [(1, ["s"])]}, action_cap=1.4685410000061068, word_cap=3)
+    pqr = dga._parse_word(["p", "q", "r"])
+    prs = dga._parse_word(["p", "r", "s"])
+    assert dga.word_action(pqr) == dga.action_cap < dga.word_action(prs)
+    assert sum(map(Fraction, (0.4081988490867068, 0.8540817562275901, a_s))) \
+        < sum(Fraction(g.action) for g in dga.generators[:3])
+    assert list(dga.boundary_word(pqr)) == [prs]
+    with pytest.raises(BasisOverflow):
+        fn(dga)
 
 
 def test_differential_validation():
@@ -285,10 +381,11 @@ def test_random_three_generator_oracle_equality():
 
 def test_random_chain_oracle_equality():
     rng = np.random.default_rng(43)
-    for _ in range(25):
-        dga = ps.random_chain_dga(rng)
-        assert ps.d_squared_check(dga)
-        assert ps.barcode(dga).bars == ps.brute_force_oracle(dga).bars
+    for word_cap in (4, 5):
+        for _ in range(25):
+            dga = ps.random_chain_dga(rng, word_cap=word_cap)
+            assert ps.d_squared_check(dga)
+            assert ps.barcode(dga).bars == ps.brute_force_oracle(dga).bars
 
 
 def test_filtration_monotonicity_random():
@@ -301,10 +398,10 @@ def test_filtration_monotonicity_random():
                 assert dga.word_action(w2) < dga.word_action(w)
 
 
-def _koszul_dga():
+def _koszul_dga(pairs=4):
     """Even e_i, odd o_i with d o_i = c_i e_i, and odd t with dt = 1."""
     gens, diff = [], {}
-    for i in range(4):
+    for i in range(pairs):
         gens += [ps.Generator(f"e{i}", 0, 1.0 + 0.1 * i),
                  ps.Generator(f"o{i}", 1, 1.5 + 0.1 * i)]
         diff[f"o{i}"] = [(Fraction((-1) ** i * (i + 1), 2), [f"e{i}"])]
@@ -313,27 +410,61 @@ def _koszul_dga():
     return ps.FilteredDGA(gens, diff, action_cap=1e6, word_cap=5)
 
 
+def _cleared(dga, bars):
+    """Even basis words with a finite bar: the pivot rows of odd columns,
+    whose own columns `barcode` clears."""
+    finite = {b.label for b in bars.finite_bars()}
+    return {w for w in dga.basis()
+            if dga.word_degree(w) == 0 and dga.word_name(w) in finite}
+
+
 @pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
                                 ps.d_squared_check])
 def test_one_boundary_per_basis_word(monkeypatch, fn):
-    # the eliminations expand each basis word once; the d^2 check alone
-    # expands only the one-letter basis words and their images outside
-    # them (here the nine letters and the unit)
+    # no word is expanded twice.  The d^2 check expands only the one-letter
+    # basis words and their images outside them (here the nine letters and
+    # the unit); no boundary leaves a cap here, so the closure check adds
+    # none.  The unit level then builds the odd columns up to its stop at
+    # t, which are letters; barcode builds every column it does not clear.
     dga = _koszul_dga()
     basis = dga.basis()
     assert len(basis) == 1002
     letters = [w for w in basis if len(w) == 1 and w[0][1] == 1]
     images = {w for x in letters for w in dga.boundary_word(x)}
+    checked = set(letters) | images
+    cleared = _cleared(dga, ps.barcode(dga))
     calls = []
     inner = ps.FilteredDGA.boundary_word
     monkeypatch.setattr(ps.FilteredDGA, "boundary_word",
                         lambda self, w: calls.append(w) or inner(self, w))
     fn(dga)
     assert len(calls) == len(set(calls))
-    if fn is ps.d_squared_check:
-        assert set(calls) == set(letters) | images and len(calls) == 10
+    if fn is ps.barcode:
+        assert set(calls) == (set(basis) - cleared) | checked
+        assert (len(cleared), len(calls)) == (253, 754)
     else:
-        assert set(calls) == set(basis)
+        stop = basis.index(dga._parse_word(["t"]))
+        odd = {w for w in basis[:stop + 1] if dga.word_degree(w)}
+        assert odd <= set(letters)
+        assert set(calls) == checked and len(calls) == 10
+
+
+def test_cleared_koszul_oracle_equality():
+    dga = _koszul_dga(pairs=3)
+    bars = ps.barcode(dga)
+    assert len(dga.basis()) == 360 and len(_cleared(dga, bars)) == 92
+    assert bars.bars == ps.brute_force_oracle(dga).bars
+
+
+def test_unit_level_is_the_unit_bars_death():
+    # cmd_persist_barcode reports the unit's bar death as the unit level
+    rng = np.random.default_rng(48)
+    dgas = [ps.random_admissible_dga(rng) for _ in range(120)]
+    dgas += [ps.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
+             for _ in range(120)]
+    levels = [ps.unit_vanishing_level(dga) for dga in dgas]
+    assert levels == [ps.barcode(dga).unit_bar().death for dga in dgas]
+    assert 40 < sum(map(math.isinf, levels)) < 200
 
 
 def test_determinism_bit_reproducible(xy_dga):
