@@ -4,10 +4,18 @@ Generators carry a mod-2 degree and a positive action; the differential
 strictly decreases action and drops degree by one (mod 2), extended to
 monomials by the graded Leibniz rule with Koszul signs.  Sublevel
 complexes then form a persistence module; `barcode` computes its bars by
-filtered elimination over exact rationals and `brute_force_oracle`
-recomputes them by dense row reduction as an independent check.  The
-unit's bar is the longest finite one; its right endpoint is the lowest
-action of a primitive of the empty word.
+filtered elimination and `brute_force_oracle` recomputes them by dense
+row reduction over `Fraction`s as an independent check.  The unit's bar
+is the longest finite one; its right endpoint is the lowest action of a
+primitive of the empty word.
+
+The eliminations are exact but fraction-free.  A column is the integer
+vector L d(w), with L the least common denominator of the differential's
+coefficients (`_IntegerBoundary`), and a reduction step scales it by an
+integer before subtracting an integer multiple of the pivot column
+(`_reduce`).  Each column so stays a nonzero rational multiple of the one
+elimination over Q gives, so it has the same support and pivot: the bars
+are those over Q.
 
 `barcode` and `unit_vanishing_level` build a boundary column only when
 elimination reaches it.  Before any, they check d^2 = 0 on the one-letter
@@ -70,7 +78,14 @@ class FilteredDGA:
             raise ValueError("generator names must be distinct")
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         self.action_cap = float(action_cap)
-        self.word_cap = int(word_cap)
+        if not self.action_cap >= 0.0:  # NaN fails this too
+            raise ValueError(
+                f"action_cap must be >= 0 or inf, got {action_cap!r}")
+        word_cap_f = float(word_cap)
+        if not (word_cap_f.is_integer() and word_cap_f >= 0.0):
+            raise ValueError(
+                f"word_cap must be a whole number >= 0, got {word_cap!r}")
+        self.word_cap = int(word_cap_f)
         # differential: generator index -> list of (Fraction, Word)
         self.differential: Dict[int, List[Tuple[Fraction, Word]]] = {}
         for name, terms in differential.items():
@@ -129,66 +144,15 @@ class FilteredDGA:
         return (self.word_length(word) <= self.word_cap
                 and self.word_action(word) <= self.action_cap)
 
-    def _product(self, a: Word, b: Word) -> Tuple[int, Optional[Word]]:
-        """Koszul sign and sorted word of the product a*b of two sorted
-        monomials, merged in one pass; (0, None) if it dies.
-
-        Each odd letter y of b moves left past the odd letters x > y of a,
-        so the sign is (-1)^#{(x odd in a, y odd in b): x > y}; an odd
-        generator in both factors kills the product.
-        """
-        odd = [self.generators[gi].degree for gi, _ in a]
-        odd_after = sum(odd)  # odd letters of a not merged yet
-        out: list = []
-        sign, i = 1, 0
-        for gi, e in b:
-            while i < len(a) and a[i][0] < gi:
-                out.append(a[i])
-                odd_after -= odd[i]
-                i += 1
-            if i < len(a) and a[i][0] == gi:
-                if odd[i]:
-                    return 0, None
-                e += a[i][1]
-                i += 1
-            elif self.generators[gi].degree and odd_after % 2:
-                sign = -sign
-            out.append((gi, e))
-        out.extend(a[i:])
-        return sign, tuple(out)
-
     # -- the boundary operator ----------------------------------------------
 
     def boundary_word(self, word: Word) -> Dict[Word, Fraction]:
-        """Graded Leibniz expansion of the differential on one monomial.
-
-        The term of the letter g^e is (-1)^|prefix| e prefix g^(e-1) dg
-        suffix (e = 1 for odd g).  It is merged once, as rest * dg with
-        rest the word less one g, and dg (of degree |g| + 1) moved back
-        past the suffix for a sign (-1)^(|dg| |suffix|).
-        """
-        out: Dict[Word, Fraction] = {}
-        prefix_deg = 0
-        suffix_deg = sum(e * self.generators[gi].degree for gi, e in word)
-        for pos, (gi, e) in enumerate(word):
-            gdeg = self.generators[gi].degree
-            suffix_deg -= e * gdeg
-            terms = self.differential.get(gi)
-            if terms:
-                # d(g^e) = e g^(e-1) dg for even g; e = 1 for odd g
-                rest = word[:pos] + (((gi, e - 1),) if e > 1 else ()) \
-                    + word[pos + 1:]
-                odd = (prefix_deg + (gdeg + 1) * suffix_deg) % 2
-                outer = -e if odd else e
-                for coeff, dword in terms:
-                    if coeff == 0:
-                        continue
-                    s, prod = self._product(rest, dword)
-                    if s:
-                        c = coeff * (outer * s)
-                        out[prod] = out[prod] + c if prod in out else c
-            prefix_deg += e * gdeg
-        return {w: c for w, c in out.items() if c != 0}
+        """Graded Leibniz expansion of the differential on one monomial,
+        with exact rational coefficients: `_IntegerBoundary`'s L d(w),
+        divided by L."""
+        lift = _IntegerBoundary(self)
+        return {w: Fraction(c, lift.scale)
+                for w, c in lift.expand(word).items()}
 
     def boundary(self, element: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
         """Boundary of a rational combination of monomials.
@@ -281,35 +245,114 @@ def boundary(dga: FilteredDGA, element) -> Dict[Word, Fraction]:
     return dga.boundary(elem)
 
 
-def _squares_to_zero(dga: FilteredDGA, table) -> bool:
+def _product(degree, a: Word, b: Word) -> Tuple[int, Optional[Word]]:
+    """Koszul sign and sorted word of the product a*b of two sorted
+    monomials, merged in one pass; (0, None) if it dies.
+
+    `degree` holds each generator's degree.  Each odd letter y of b moves
+    left past the odd letters x > y of a, those not merged yet, so the
+    sign is (-1)^#{(x odd in a, y odd in b): x > y}; an odd generator in
+    both factors kills the product.
+    """
+    out: list = []
+    sign, i, n = 1, 0, len(a)
+    for gi, e in b:
+        while i < n and a[i][0] < gi:
+            out.append(a[i])
+            i += 1
+        if i < n and a[i][0] == gi:
+            if degree[gi]:
+                return 0, None
+            e += a[i][1]
+            i += 1
+        elif degree[gi] and sum(degree[x] for x, _ in a[i:]) % 2:
+            sign = -sign
+        out.append((gi, e))
+    out.extend(a[i:])
+    return sign, tuple(out)
+
+
+class _IntegerBoundary:
+    """L d over the integers, with L (`scale`) the least common denominator
+    of the differential's coefficients.
+
+    Each call that expands boundaries (an elimination, `d_squared_check`,
+    `boundary_word`) builds one and drops it on return, so the DGA keeps no
+    integer copy of its differential.  L d(w) has the support of d(w), and
+    L^2 d^2 = 0 iff d^2 = 0.
+    """
+
+    def __init__(self, dga: FilteredDGA):
+        self.degree = tuple(g.degree for g in dga.generators)
+        self.scale = math.lcm(*(c.denominator
+                                for terms in dga.differential.values()
+                                for c, _ in terms))
+        self.differential = {
+            gi: [(int(c * self.scale), w) for c, w in terms if c]
+            for gi, terms in dga.differential.items()}
+
+    def expand(self, word: Word) -> Dict[Word, int]:
+        """Graded Leibniz expansion of L d on one monomial.
+
+        The term of the letter g^e is (-1)^|prefix| e prefix g^(e-1) dg
+        suffix (e = 1 for odd g).  It is merged once, as rest * dg with
+        rest the word less one g, and dg (of degree |g| + 1) moved back
+        past the suffix for a sign (-1)^(|dg| |suffix|).  For odd g that
+        leaves (-1)^|prefix|; for even g, (-1)^(|prefix| + |suffix|) =
+        (-1)^|word|.
+        """
+        degree = self.degree
+        word_deg = sum(e * degree[gi] for gi, e in word)
+        out: Dict[Word, int] = {}
+        prefix_deg = 0
+        for pos, (gi, e) in enumerate(word):
+            gdeg = degree[gi]
+            terms = self.differential.get(gi)
+            if terms:
+                # d(g^e) = e g^(e-1) dg for even g; e = 1 for odd g
+                rest = word[:pos] + (((gi, e - 1),) if e > 1 else ()) \
+                    + word[pos + 1:]
+                odd = (prefix_deg if gdeg else word_deg) % 2
+                outer = -e if odd else e
+                for coeff, dword in terms:
+                    s, prod = _product(degree, rest, dword)
+                    if s:
+                        out[prod] = out.get(prod, 0) + coeff * outer * s
+            prefix_deg += e * gdeg
+        return {w: c for w, c in out.items() if c}
+
+
+def _squares_to_zero(dga: FilteredDGA, lift: _IntegerBoundary,
+                     table) -> bool:
     """True iff d^2 = 0 on each one-letter basis word, hence on every word.
 
     d is odd, so d^2 = [d, d]/2 is an even derivation: it vanishes on a
     word once it vanishes on each letter, and every letter of a basis word
-    is itself a basis word.  Boundaries are read from `table`, and a word
-    missing from it is expanded into it once.
+    is itself a basis word.  The test runs on L d, as L^2 d^2 = 0 iff
+    d^2 = 0.  Boundaries are read from `table`, and a word missing from it
+    is expanded into it once.
     """
     def bd(word):
         if word not in table:
-            table[word] = dga.boundary_word(word)
+            table[word] = lift.expand(word)
         return table[word]
 
     for gi in range(len(dga.generators)):
         letter = ((gi, 1),)
         if not dga.in_caps(letter):
             continue
-        second: Dict[Word, Fraction] = {}
+        second: Dict[Word, int] = {}
         for w, c in bd(letter).items():
             for w2, c2 in bd(w).items():
-                second[w2] = second.get(w2, Fraction(0)) + c * c2
-        if any(c != 0 for c in second.values()):
+                second[w2] = second.get(w2, 0) + c * c2
+        if any(second.values()):
             return False
     return True
 
 
 def d_squared_check(dga: FilteredDGA) -> bool:
     """True iff d^2 (a derivation) is zero on the letters, so on all words."""
-    return _squares_to_zero(dga, {})
+    return _squares_to_zero(dga, _IntegerBoundary(dga), {})
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +399,12 @@ def _checked_columns(dga: FilteredDGA, basis: List[Word]):
     `_on_demand_columns`.  d^2 = 0 is checked first from the same table,
     on the letters alone as d^2 is a derivation (`_squares_to_zero`), so a
     failing differential raises PreconditionFailed before an image outside
-    the basis raises BasisOverflow.
+    the basis raises BasisOverflow.  The columns hold d exactly, as
+    `Fraction`s.
     """
-    table = {w: dga.boundary_word(w) for w in basis}
-    if not _squares_to_zero(dga, table):
+    lift = _IntegerBoundary(dga)
+    table = {w: lift.expand(w) for w in basis}
+    if not _squares_to_zero(dga, lift, table):
         raise PreconditionFailed("differential does not square to zero")
     pos = {w: i for i, w in enumerate(basis)}
     cols = []
@@ -369,14 +414,15 @@ def _checked_columns(dga: FilteredDGA, basis: List[Word]):
             if word not in pos:
                 raise BasisOverflow(
                     f"boundary of {dga.word_name(w)} leaves the basis")
-            col[pos[word]] = coeff
+            col[pos[word]] = Fraction(coeff, lift.scale)
         cols.append(col)
     return cols
 
 
 def _on_demand_columns(dga: FilteredDGA, basis: List[Word]):
-    """A function giving the sparse boundary column of basis[j], built when
-    first asked for, after two checks that cover every basis word.
+    """A function giving the sparse integer column L d(basis[j])
+    (`_IntegerBoundary`), built when first asked for, after two checks
+    that cover every basis word.
 
     d^2 = 0 is checked first, on the letters alone as d^2 is a derivation
     (`_squares_to_zero`), so a failing differential raises
@@ -388,8 +434,9 @@ def _on_demand_columns(dga: FilteredDGA, basis: List[Word]):
     cap.  d strictly lowers action, so only words within rounding of the
     action cap, whose float sums may round past it, can leave that cap.
     """
-    table: Dict[Word, Dict[Word, Fraction]] = {}
-    if not _squares_to_zero(dga, table):
+    lift = _IntegerBoundary(dga)
+    table: Dict[Word, Dict[Word, int]] = {}
+    if not _squares_to_zero(dga, lift, table):
         raise PreconditionFailed("differential does not square to zero")
     pos = {w: i for i, w in enumerate(basis)}
     grow = {gi: max((dga.word_length(w) for _, w in terms), default=0) - 1
@@ -408,35 +455,52 @@ def _on_demand_columns(dga: FilteredDGA, basis: List[Word]):
         first -= 1  # the basis is sorted by action
     for w in suspects + basis[first:]:
         if w not in table:
-            table[w] = dga.boundary_word(w)
+            table[w] = lift.expand(w)
         for word in table[w]:
             if word not in pos:
                 raise BasisOverflow(
                     f"boundary of {dga.word_name(w)} leaves the basis")
 
-    def column(j: int) -> Dict[int, Fraction]:
+    def column(j: int) -> Dict[int, int]:
         w = basis[j]
-        image = table.pop(w) if w in table else dga.boundary_word(w)
+        image = table.pop(w) if w in table else lift.expand(w)
         return {pos[word]: coeff for word, coeff in image.items()}
     return column
 
 
-def _reduce(col: Dict[int, Fraction], pivots) -> Dict[int, Fraction]:
-    """`col` reduced against `pivots` ({row: (column index, reduced column)}):
-    its largest row is cancelled while another column has it as pivot."""
+def _reduce(col: Dict[int, int], pivots) -> Dict[int, int]:
+    """Integer column `col` reduced against `pivots` ({row: (column index,
+    reduced column)}): its largest row is cancelled while another column
+    has it as pivot, then it is divided by the gcd of its entries.
+
+    Fraction-free (Bareiss 1968): with g = gcd(p, q) for p = other[low] and
+    q = col[low], a step sets col <- (p/g) col - (q/g) other, which is p/g
+    times the rational step col - (q/p) other.  By induction every column
+    is a nonzero rational multiple of its rational reduction, so supports,
+    pivots and bars are those of elimination over Q.
+    """
     while col:
         low = max(col)
         owner = pivots.get(low)
         if owner is None:
             break
         other = owner[1]
-        factor = col[low] / other[low]
+        p, q = other[low], col[low]
+        g = math.gcd(p, q) if p > 0 else -math.gcd(p, q)
+        a, b = p // g, q // g
+        if a != 1:
+            for i in col:
+                col[i] *= a
         for i, c in other.items():
-            new = col.get(i, Fraction(0)) - factor * c
-            if new == 0:
-                col.pop(i, None)
-            else:
+            new = col.get(i, 0) - b * c
+            if new:
                 col[i] = new
+            else:
+                col.pop(i, None)
+    content = math.gcd(*col.values())
+    if content > 1:
+        for i in col:
+            col[i] //= content
     return col
 
 
@@ -457,7 +521,7 @@ def barcode(dga: FilteredDGA) -> Barcode:
     basis = dga.basis()
     column = _on_demand_columns(dga, basis)
     degree = [dga.word_degree(w) for w in basis]
-    pivots: Dict[int, Tuple[int, Dict[int, Fraction]]] = {}
+    pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
     for parity in (1, 0):
         for j in range(len(basis)):
             if degree[j] == parity and j not in pivots:
@@ -538,7 +602,7 @@ def unit_vanishing_level(dga: FilteredDGA):
     """
     basis = dga.basis()
     column = _on_demand_columns(dga, basis)
-    pivots: Dict[int, Tuple[int, Dict[int, Fraction]]] = {}
+    pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
     for j, w in enumerate(basis):
         if dga.word_degree(w):
             col = _reduce(column(j), pivots)

@@ -87,7 +87,7 @@ def test_product_matches_the_insertion_sort_rule():
     signs = set()
     for _ in range(2000):
         a, b = random_word(), random_word()
-        got = dga._product(a, b)
+        got = ps._product(degrees, a, b)
         assert got == _insertion_sort_product(dga, a, b)
         signs.add(got[0])
     assert signs == {-1, 0, 1}
@@ -96,6 +96,7 @@ def test_product_matches_the_insertion_sort_rule():
 def _two_merge_boundary_word(dga, word):
     """Reference: each Leibniz term merged as (prefix * dg) * (g^(e-1)
     suffix), two Koszul-signed products, with the sign of the prefix."""
+    degree = [g.degree for g in dga.generators]
     out = {}
     prefix_deg = 0
     for pos, (gi, e) in enumerate(word):
@@ -105,8 +106,8 @@ def _two_merge_boundary_word(dga, word):
         else:
             rest[pos] = (gi, e - 1)
         for coeff, dword in dga.differential.get(gi, []):
-            s1, head = dga._product(tuple(rest[:pos]), dword)
-            s2, prod = (dga._product(head, tuple(rest[pos:]))
+            s1, head = ps._product(degree, tuple(rest[:pos]), dword)
+            s2, prod = (ps._product(degree, head, tuple(rest[pos:]))
                         if s1 else (0, None))
             if s2 == 0 or coeff == 0:
                 continue
@@ -130,14 +131,16 @@ def test_boundary_word_matches_the_two_merge_reference():
                 js = [int(j) for j in rng.integers(0, i, rng.integers(0, 3))]
                 odd = [j for j in js if degrees[j]]
                 if len(odd) % 2 != degrees[i] and len(set(odd)) == len(odd):
-                    terms.append((Fraction(int(rng.integers(-3, 4)) or 1, 2),
+                    terms.append((Fraction(int(rng.integers(-3, 4)) or 1,
+                                           int(rng.integers(1, 5))),
                                   [f"g{j}" for j in js]))
                     break
         diff[f"g{i}"] = terms
     dga = ps.FilteredDGA(gens, diff, action_cap=1e6, word_cap=20)
     assert max(dga.word_length(w) for terms in dga.differential.values()
                for _, w in terms) == 2
-    nonzero = 0
+    assert ps._IntegerBoundary(dga).scale == 12
+    nonzero, denominators = 0, set()
     for _ in range(2000):
         picked = np.flatnonzero(rng.random(len(degrees)) < 0.5)
         word = tuple((int(gi), 1 if degrees[gi] else int(rng.integers(1, 4)))
@@ -145,8 +148,10 @@ def test_boundary_word_matches_the_two_merge_reference():
         got = dga.boundary_word(word)
         assert list(got.items()) == list(
             _two_merge_boundary_word(dga, word).items())
+        assert all(type(c) is Fraction for c in got.values())
+        denominators |= {c.denominator for c in got.values()}
         nonzero += bool(got)
-    assert nonzero > 1000
+    assert nonzero > 1000 and {2, 3, 4} <= denominators
 
 
 def _overflow_dga(dy):
@@ -398,13 +403,15 @@ def test_filtration_monotonicity_random():
                 assert dga.word_action(w2) < dga.word_action(w)
 
 
-def _koszul_dga(pairs=4):
-    """Even e_i, odd o_i with d o_i = c_i e_i, and odd t with dt = 1."""
+def _koszul_dga(pairs=4, coeffs=None):
+    """Even e_i, odd o_i with d o_i = c_i e_i, and odd t with dt = 1;
+    c_i = (-1)^i (i + 1)/2 unless `coeffs` gives them."""
     gens, diff = [], {}
     for i in range(pairs):
         gens += [ps.Generator(f"e{i}", 0, 1.0 + 0.1 * i),
                  ps.Generator(f"o{i}", 1, 1.5 + 0.1 * i)]
-        diff[f"o{i}"] = [(Fraction((-1) ** i * (i + 1), 2), [f"e{i}"])]
+        c = coeffs[i] if coeffs else Fraction((-1) ** i * (i + 1), 2)
+        diff[f"o{i}"] = [(c, [f"e{i}"])]
     gens.append(ps.Generator("t", 1, 2.2))
     diff["t"] = [(1, [])]
     return ps.FilteredDGA(gens, diff, action_cap=1e6, word_cap=5)
@@ -421,11 +428,13 @@ def _cleared(dga, bars):
 @pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
                                 ps.d_squared_check])
 def test_one_boundary_per_basis_word(monkeypatch, fn):
-    # no word is expanded twice.  The d^2 check expands only the one-letter
-    # basis words and their images outside them (here the nine letters and
-    # the unit); no boundary leaves a cap here, so the closure check adds
-    # none.  The unit level then builds the odd columns up to its stop at
-    # t, which are letters; barcode builds every column it does not clear.
+    # no word is expanded twice by the one Leibniz expansion
+    # (`_IntegerBoundary.expand`).  The d^2 check expands only the
+    # one-letter basis words and their images outside them (here the nine
+    # letters and the unit); no boundary leaves a cap here, so the closure
+    # check adds none.  The unit level then builds the odd columns up to its
+    # stop at t, which are letters; barcode builds every column it does not
+    # clear.
     dga = _koszul_dga()
     basis = dga.basis()
     assert len(basis) == 1002
@@ -434,8 +443,8 @@ def test_one_boundary_per_basis_word(monkeypatch, fn):
     checked = set(letters) | images
     cleared = _cleared(dga, ps.barcode(dga))
     calls = []
-    inner = ps.FilteredDGA.boundary_word
-    monkeypatch.setattr(ps.FilteredDGA, "boundary_word",
+    inner = ps._IntegerBoundary.expand
+    monkeypatch.setattr(ps._IntegerBoundary, "expand",
                         lambda self, w: calls.append(w) or inner(self, w))
     fn(dga)
     assert len(calls) == len(set(calls))
@@ -454,6 +463,109 @@ def test_cleared_koszul_oracle_equality():
     bars = ps.barcode(dga)
     assert len(dga.basis()) == 360 and len(_cleared(dga, bars)) == 92
     assert bars.bars == ps.brute_force_oracle(dga).bars
+
+
+# --- fraction-free elimination ----------------------------------------------
+
+def _fraction_reduce(col, pivots):
+    """Reference: the elimination step over Q, col - (col[low]/p) other."""
+    while col:
+        low = max(col)
+        owner = pivots.get(low)
+        if owner is None:
+            break
+        other = owner[1]
+        factor = col[low] / other[low]
+        for i, c in other.items():
+            new = col.get(i, Fraction(0)) - factor * c
+            if new == 0:
+                col.pop(i, None)
+            else:
+                col[i] = new
+    return col
+
+
+def _proportional(int_col, frac_col):
+    if int_col.keys() != frac_col.keys():
+        return False
+    ratios = {Fraction(c) / frac_col[i] for i, c in int_col.items()}
+    return len(ratios) <= 1 and 0 not in ratios
+
+
+def test_integer_reduce_is_proportional_to_the_rational_one():
+    # the same random sparse columns reduced into two pivot tables, one
+    # over Q and one in integers, which must stay proportional column by
+    # column; the integer columns end primitive
+    rng = np.random.default_rng(49)
+    scaled = 0
+    for _ in range(40):
+        rows = int(rng.integers(4, 16))
+        int_pivots, frac_pivots = {}, {}
+        for j in range(int(rng.integers(10, 30))):
+            support = np.flatnonzero(rng.random(rows) < 0.4)
+            col = {int(i): int(rng.integers(-6, 7)) or 1 for i in support}
+            low = max(col, default=None)
+            owner = int_pivots.get(low)
+            if owner and col[low] % owner[1][low]:
+                scaled += 1   # the first step must scale col by a != 1
+            got = ps._reduce(dict(col), int_pivots)
+            want = _fraction_reduce(
+                {i: Fraction(c) for i, c in col.items()}, frac_pivots)
+            assert _proportional(got, want)
+            assert all(type(c) is int for c in got.values())
+            if got:
+                assert math.gcd(*got.values()) == 1
+                int_pivots[max(got)] = (j, got)
+                frac_pivots[max(want)] = (j, want)
+        assert int_pivots.keys() == frac_pivots.keys()
+    assert scaled > 50
+
+
+def _count_scalings(monkeypatch):
+    """Wrap `_reduce` to count columns whose first step scales by a != 1."""
+    seen = []
+    inner = ps._reduce
+
+    def wrapped(col, pivots):
+        low = max(col, default=None)
+        if low in pivots:
+            p, q = pivots[low][1][low], col[low]
+            seen.append(abs(p) // math.gcd(p, q) != 1)
+        return inner(col, pivots)
+    monkeypatch.setattr(ps, "_reduce", wrapped)
+    return seen
+
+
+MIXED = (Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6))
+
+
+def test_mixed_denominator_koszul_oracle_equality(monkeypatch):
+    dga = _koszul_dga(pairs=3, coeffs=MIXED)
+    assert ps._IntegerBoundary(dga).scale == 12
+    seen = _count_scalings(monkeypatch)
+    bars = ps.barcode(dga)
+    assert any(seen)
+    assert bars.bars == ps.brute_force_oracle(dga).bars
+    assert ps.unit_vanishing_level(dga) == bars.unit_bar().death == 2.2
+
+
+def test_mixed_denominator_chain_oracle_equality(monkeypatch):
+    # random chain DGAs with each coefficient swapped for one of MIXED:
+    # every differential has a single term on a closed generator or the
+    # unit, so d^2 = 0 still holds.  Doubling the action cap lets products
+    # of generators into the basis, whose columns have several entries
+    rng = np.random.default_rng(50)
+    seen = _count_scalings(monkeypatch)
+    for _ in range(40):
+        base = ps.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
+        diff = {base.generators[gi].name:
+                [(MIXED[int(rng.integers(0, 3))],
+                  [gi for gi, e in w for _ in range(e)]) for _, w in terms]
+                for gi, terms in base.differential.items()}
+        dga = ps.FilteredDGA(base.generators, diff, 2 * base.action_cap,
+                             base.word_cap)
+        assert ps.barcode(dga).bars == ps.brute_force_oracle(dga).bars
+    assert any(seen)
 
 
 def test_unit_level_is_the_unit_bars_death():
@@ -479,6 +591,30 @@ def test_determinism_bit_reproducible(xy_dga):
 def test_json_round_trip(xy_dga):
     back = ps.FilteredDGA.from_json(xy_dga.to_json())
     assert ps.barcode(back).bars == ps.barcode(xy_dga).bars
+
+
+@pytest.mark.parametrize("action_cap, word_cap, bad", [
+    (math.nan, 4, "action_cap"),
+    (-1.0, 4, "action_cap"),
+    (-math.inf, 4, "action_cap"),
+    (10.0, -2, "word_cap"),
+    (10.0, 2.7, "word_cap"),
+    (10.0, math.nan, "word_cap"),
+    (10.0, math.inf, "word_cap"),
+    (math.inf, 4, None),
+    (0.0, 0, None),
+    (10.0, np.int64(3), None),
+    (10.0, 4.0, None),
+])
+def test_caps_are_validated(action_cap, word_cap, bad):
+    gens = [ps.Generator("x", 1, 3.0), ps.Generator("y", 1, 5.0)]
+    if bad:
+        with pytest.raises(ValueError, match=bad):
+            ps.FilteredDGA(gens, {"x": [(1, [])]}, action_cap, word_cap)
+    else:
+        dga = ps.FilteredDGA(gens, {"x": [(1, [])]}, action_cap, word_cap)
+        assert (dga.action_cap, dga.word_cap) == (action_cap, word_cap)
+        assert type(dga.word_cap) is int
 
 
 def test_json_schema_parses():
