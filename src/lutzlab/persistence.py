@@ -17,24 +17,40 @@ integer before subtracting an integer multiple of the pivot column
 elimination over Q gives, so it has the same support and pivot: the bars
 are those over Q.
 
+Each elimination enumerates every basis word at most once, with its keys
+attached (`_keyed_basis`): its action, summed as `word_action` sums it,
+its degree, its bar label and the word packed into one int.  A packed
+word gives each generator a field of B bits, wide enough that no
+exponent a Leibniz expansion makes carries out of it; a product of words
+is then an integer sum, an odd letter in both factors a common bit, and
+a Koszul sign the parity of a popcount (`_PackedBoundary`).
+
 `barcode` and `unit_vanishing_level` build a boundary column only when
 elimination reaches it.  Before any, they check d^2 = 0 on the one-letter
 words alone, as d^2 = [d, d]/2 is an even derivation (`_squares_to_zero`),
 and then that every boundary stays in the basis: d strictly lowers action,
 so only words whose length plus some letter's differential length, less
 one, exceeds the word cap (or whose action is within rounding of the
-action cap) are expanded to check it (`_on_demand_columns`).  d changes
-the degree, so odd and even columns share no pivot row.
-`unit_vanishing_level` reduces the odd columns alone, which hold the
-unit's row, and stops at the first one that kills the unit.  `barcode`
-reduces the odd columns, then the even ones, and clears each even column
-whose word is already a pivot row: it would reduce to zero.
-`brute_force_oracle` expands every column first, as an independent check
-of these shortcuts.
+action cap) are expanded to check it (`_Columns`).  d changes the degree,
+so odd and even columns share no pivot row.  `unit_vanishing_level`
+reduces the odd columns alone, which hold the unit's row, and stops at
+the first one that kills the unit.  When no term of d is longer than one
+letter and word_cap times the largest generator action stays below the
+rounding margin of the action cap, no boundary can leave a cap, and it
+pops the words from a heap in `basis()` order up to that stop instead of
+enumerating them all.  `barcode` reduces the odd columns, then the even
+ones, and clears each even column whose word is already a pivot row: it
+would reduce to zero.
+
+`brute_force_oracle`, `boundary_word` and `d_squared_check` expand tuple
+words (`_IntegerBoundary`, `_product`) and `brute_force_oracle` expands
+every column first, as an independent check of the packed words and of
+these shortcuts.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import sys
@@ -54,13 +70,20 @@ Word = Tuple[Tuple[int, int], ...]
 UNIT: Word = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
     degree: int          # 0 or 1
     action: float
 
     def __post_init__(self):
+        # bar labels join names with '*' and powers with '^', and CSV rows
+        # with ',': only such names keep every label to one word
+        if not (isinstance(self.name, str) and self.name) or any(
+                c in "*^," or c.isspace() for c in self.name):
+            raise ValueError(
+                "generator name must be non-empty and free of '*', '^', "
+                f"',' and whitespace, got {self.name!r}")
         if self.degree not in (0, 1):
             raise ValueError("degree must be 0 or 1 (mod-2 grading)")
         if not self.action > 0.0:
@@ -70,13 +93,15 @@ class Generator:
 class FilteredDGA:
     """Generators, a sparse rational differential, and truncation caps."""
 
+    # callers may hold many DGAs at once: keep each one small
+    __slots__ = ("generators", "action_cap", "word_cap", "differential")
+
     def __init__(self, generators, differential, action_cap: float,
                  word_cap: int):
         self.generators: List[Generator] = list(generators)
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        index = self.index
+        if len(index) != len(self.generators):
             raise ValueError("generator names must be distinct")
-        self.index = {g.name: i for i, g in enumerate(self.generators)}
         self.action_cap = float(action_cap)
         if not self.action_cap >= 0.0:  # NaN fails this too
             raise ValueError(
@@ -87,19 +112,24 @@ class FilteredDGA:
                 f"word_cap must be a whole number >= 0, got {word_cap!r}")
         self.word_cap = int(word_cap_f)
         # differential: generator index -> list of (Fraction, Word)
-        self.differential: Dict[int, List[Tuple[Fraction, Word]]] = {}
-        for name, terms in differential.items():
-            gi = self.index[name]
-            parsed = []
-            for coeff, word in terms:
-                parsed.append((Fraction(coeff), self._parse_word(word)))
-            self.differential[gi] = parsed
+        self.differential: Dict[int, List[Tuple[Fraction, Word]]] = {
+            index[name]: [
+                (coeff if isinstance(coeff, Fraction) else Fraction(coeff),
+                 self._parse_word(word, index)) for coeff, word in terms]
+            for name, terms in differential.items()}
         self._validate()
 
-    def _parse_word(self, word) -> Word:
+    @property
+    def index(self) -> Dict[str, int]:
+        """Generator name -> position, built on each call."""
+        return {g.name: i for i, g in enumerate(self.generators)}
+
+    def _parse_word(self, word, index=None) -> Word:
+        if index is None:
+            index = self.index
         counts: Dict[int, int] = {}
         for w in word:
-            gi = self.index[w] if isinstance(w, str) else int(w)
+            gi = index[w] if isinstance(w, str) else int(w)
             counts[gi] = counts.get(gi, 0) + 1
         for gi, e in counts.items():
             if self.generators[gi].degree == 1 and e > 1:
@@ -175,26 +205,10 @@ class FilteredDGA:
     def basis(self) -> List[Word]:
         """All monomials under the caps, ordered by (action, name, length).
 
-        Each word's sort key grows with it, its action summed letter by
-        letter in the order `word_action` sums it, so both agree exactly.
+        Each word's action is summed letter by letter in the order
+        `word_action` sums it, so both agree exactly (`_keyed_basis`).
         """
-        keyed = []
-        stack = [((), 0, 0.0, (), 0)]
-        while stack:
-            word, length, action, names, start = stack.pop()
-            keyed.append(((action, names, length), word))
-            for gi in range(start, len(self.generators)):
-                g = self.generators[gi]
-                max_e = 1 if g.degree == 1 else self.word_cap - length
-                for e in range(1, max_e + 1):
-                    new_len = length + e
-                    new_act = action + e * g.action
-                    if new_len > self.word_cap or new_act > self.action_cap:
-                        break
-                    stack.append((word + ((gi, e),), new_len, new_act,
-                                  names + (g.name,) * e, gi + 1))
-        keyed.sort()  # the names tell words apart, so no word is compared
-        return [word for _, word in keyed]
+        return [entry[4] for entry in _keyed_basis(self, _word_bits(self))]
 
     # -- json ------------------------------------------------------------
 
@@ -243,6 +257,71 @@ def boundary(dga: FilteredDGA, element) -> Dict[Word, Fraction]:
             w = _as_word(dga, word)
             elem[w] = elem.get(w, Fraction(0)) + Fraction(coeff)
     return dga.boundary(elem)
+
+
+# ---------------------------------------------------------------------------
+# keyed enumeration
+# ---------------------------------------------------------------------------
+
+# A basis entry is (action, names, length, degree, word, packed, label): the
+# sort key (action, names, length), the word's mod-2 degree, the word, the
+# word packed into one int (`_PackedBoundary`) and its bar label, equal to
+# `word_name`.  Distinct words have distinct names tuples, so sorting or
+# heaping entries never compares past the key.
+_ROOT = (0.0, (), 0, 0, UNIT, 0, "1")
+
+
+def _word_bits(dga: FilteredDGA) -> int:
+    """Bits per generator of a packed word: every exponent that a Leibniz
+    expansion makes, in a basis word's boundary or in the boundary of a
+    letter's image, stays below 2^bits, so packed products never carry."""
+    top = max((e for terms in dga.differential.values()
+               for _, w in terms for _, e in w), default=0)
+    return max(1, (max(dga.word_cap, top) + top).bit_length())
+
+
+def _children(dga: FilteredDGA, bits: int):
+    """A function listing the entries of the basis words that extend a
+    given one by a power of a later generator.
+
+    A child's action adds a positive term to its parent's, summed in
+    `word_action`'s order, and its names extend the parent's, so its key
+    exceeds its parent's.  Every basis word but the unit is the child of
+    exactly one other.
+    """
+    gens = [(gi, g.name, int(g.degree), g.action, bits * gi)
+            for gi, g in enumerate(dga.generators)]
+    word_cap, action_cap = dga.word_cap, dga.action_cap
+
+    def children(entry) -> list:
+        action, names, length, degree, word, packed, label = entry
+        out = []
+        for gi, name, gdeg, gact, shift in gens[
+                word[-1][0] + 1 if word else 0:]:
+            for e in range(1, 2 if gdeg else word_cap - length + 1):
+                new_len = length + e
+                new_act = action + e * gact
+                if new_len > word_cap or new_act > action_cap:
+                    break
+                part = name if e == 1 else f"{name}^{e}"
+                out.append((new_act, names + (name,) * e, new_len,
+                            degree ^ gdeg, word + ((gi, e),),
+                            packed + (e << shift),
+                            f"{label}*{part}" if word else part))
+        return out
+    return children
+
+
+def _keyed_basis(dga: FilteredDGA, bits: int) -> list:
+    """Every basis entry (see `_ROOT`) once, in `basis()` order."""
+    children = _children(dga, bits)
+    out, stack = [], [_ROOT]
+    while stack:
+        entry = stack.pop()
+        out.append(entry)
+        stack.extend(children(entry))
+    out.sort()
+    return out
 
 
 def _product(degree, a: Word, b: Word) -> Tuple[int, Optional[Word]]:
@@ -322,26 +401,101 @@ class _IntegerBoundary:
         return {w: c for w, c in out.items() if c}
 
 
-def _squares_to_zero(dga: FilteredDGA, lift: _IntegerBoundary,
-                     table) -> bool:
-    """True iff d^2 = 0 on each one-letter basis word, hence on every word.
+class _PackedBoundary(_IntegerBoundary):
+    """L d on words packed into one int, for the eliminations.
+
+    Generator i holds bits [i B, (i + 1) B) of a packed word, B = `bits`
+    (`_word_bits`), which no exponent reached here overflows.  A product
+    is then an integer sum; two factors that share an odd letter have a
+    common bit in `odd`, the bits of the odd generators; and the Koszul
+    sign of rest * dg, (-1)^#{(x odd in rest, y odd in dg): x > y}, is
+    the parity of the popcount of rest & above(dg), where above(dg) holds
+    the odd letters x with an odd number of odd letters of dg below x.
+    `expand` so agrees with `_IntegerBoundary.expand` word for word.
+    """
+
+    def __init__(self, dga: FilteredDGA):
+        super().__init__(dga)
+        self.bits = bits = _word_bits(dga)
+        self.mask = (1 << bits) - 1
+        ones = [1 << (bits * gi) for gi in range(len(self.degree))]
+        self.odd = odd = sum(o for o, d in zip(ones, self.degree) if d)
+        # per generator with a differential: its shift, its unit, the odd
+        # letters before it, its degree, and (L c, dg, dg's odd letters,
+        # above(dg)) per term
+        self.letters = []
+        for gi, terms in sorted(self.differential.items()):
+            packed_terms = []
+            for coeff, dword in terms:
+                above, below, exps = 0, 0, dict(dword)
+                for gj, one in enumerate(ones):
+                    if below % 2 and self.degree[gj]:
+                        above |= one
+                    below += self.degree[gj] * exps.get(gj, 0)
+                dp = self.pack(dword)
+                packed_terms.append((coeff, dp, dp & odd, above))
+            if packed_terms:
+                self.letters.append((bits * gi, ones[gi],
+                                     odd & (ones[gi] - 1),
+                                     self.degree[gi], packed_terms))
+
+    def pack(self, word: Word) -> int:
+        return sum(e << (self.bits * gi) for gi, e in word)
+
+    def unpack(self, packed: int) -> Word:
+        return tuple((gi, packed >> (self.bits * gi) & self.mask)
+                     for gi in range(len(self.degree))
+                     if packed >> (self.bits * gi) & self.mask)
+
+    def expand(self, packed: int) -> Dict[int, int]:
+        """`_IntegerBoundary.expand` on a packed word, with the same signs:
+        (-1)^|prefix| for an odd letter, e (-1)^|word| for g^e even."""
+        odd, mask = self.odd, self.mask
+        word_odd = (packed & odd).bit_count() % 2
+        out: Dict[int, int] = {}
+        for shift, one, below, gdeg, terms in self.letters:
+            e = packed >> shift & mask
+            if not e:
+                continue
+            rest = packed - one
+            if gdeg:
+                outer = -1 if (packed & below).bit_count() % 2 else 1
+            else:
+                outer = -e if word_odd else e
+            for coeff, dp, dodd, above in terms:
+                if rest & dodd:
+                    continue  # an odd letter squared
+                c = coeff * outer
+                if (rest & above).bit_count() % 2:
+                    c = -c
+                w = rest + dp
+                out[w] = out.get(w, 0) + c
+        return {w: c for w, c in out.items() if c}
+
+
+def _letters(dga: FilteredDGA) -> List[int]:
+    """Indices of the generators whose one-letter word is a basis word."""
+    return [gi for gi in range(len(dga.generators))
+            if dga.in_caps(((gi, 1),))]
+
+
+def _squares_to_zero(letters, expand, table) -> bool:
+    """True iff d^2 = 0 on each of the one-letter basis words `letters`,
+    hence on every word.
 
     d is odd, so d^2 = [d, d]/2 is an even derivation: it vanishes on a
     word once it vanishes on each letter, and every letter of a basis word
-    is itself a basis word.  The test runs on L d, as L^2 d^2 = 0 iff
-    d^2 = 0.  Boundaries are read from `table`, and a word missing from it
-    is expanded into it once.
+    is itself a basis word.  The test runs on L d (`expand`, on tuple or
+    packed words), as L^2 d^2 = 0 iff d^2 = 0.  Boundaries are read from
+    `table`, and a word missing from it is expanded into it once.
     """
     def bd(word):
         if word not in table:
-            table[word] = lift.expand(word)
+            table[word] = expand(word)
         return table[word]
 
-    for gi in range(len(dga.generators)):
-        letter = ((gi, 1),)
-        if not dga.in_caps(letter):
-            continue
-        second: Dict[Word, int] = {}
+    for letter in letters:
+        second: Dict = {}
         for w, c in bd(letter).items():
             for w2, c2 in bd(w).items():
                 second[w2] = second.get(w2, 0) + c * c2
@@ -351,8 +505,12 @@ def _squares_to_zero(dga: FilteredDGA, lift: _IntegerBoundary,
 
 
 def d_squared_check(dga: FilteredDGA) -> bool:
-    """True iff d^2 (a derivation) is zero on the letters, so on all words."""
-    return _squares_to_zero(dga, _IntegerBoundary(dga), {})
+    """True iff d^2 (a derivation) is zero on the letters, so on all words.
+
+    It expands tuple words (`_IntegerBoundary`), independently of the
+    packed words of the eliminations."""
+    return _squares_to_zero([((gi, 1),) for gi in _letters(dga)],
+                            _IntegerBoundary(dga).expand, {})
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +553,17 @@ def _checked_columns(dga: FilteredDGA, basis: List[Word]):
     """Sparse boundary columns over `basis`, every one expanded up front.
 
     `brute_force_oracle` builds its matrix from these, so it tests every
-    boundary against the basis, independently of the shortcut in
-    `_on_demand_columns`.  d^2 = 0 is checked first from the same table,
-    on the letters alone as d^2 is a derivation (`_squares_to_zero`), so a
-    failing differential raises PreconditionFailed before an image outside
-    the basis raises BasisOverflow.  The columns hold d exactly, as
-    `Fraction`s.
+    boundary against the basis on tuple words (`_IntegerBoundary`),
+    independently of the packed words and the shortcuts of `_Columns`.
+    d^2 = 0 is checked first from the same table, on the letters alone as
+    d^2 is a derivation (`_squares_to_zero`), so a failing differential
+    raises PreconditionFailed before an image outside the basis raises
+    BasisOverflow.  The columns hold d exactly, as `Fraction`s.
     """
     lift = _IntegerBoundary(dga)
     table = {w: lift.expand(w) for w in basis}
-    if not _squares_to_zero(dga, lift, table):
+    if not _squares_to_zero([((gi, 1),) for gi in _letters(dga)],
+                            lift.expand, table):
         raise PreconditionFailed("differential does not square to zero")
     pos = {w: i for i, w in enumerate(basis)}
     cols = []
@@ -419,10 +578,10 @@ def _checked_columns(dga: FilteredDGA, basis: List[Word]):
     return cols
 
 
-def _on_demand_columns(dga: FilteredDGA, basis: List[Word]):
-    """A function giving the sparse integer column L d(basis[j])
-    (`_IntegerBoundary`), built when first asked for, after two checks
-    that cover every basis word.
+class _Columns:
+    """Basis entries (`_keyed_basis`) in `basis()` order, each with its
+    sparse integer column L d(w) (`_PackedBoundary`), built when first
+    asked for, after two checks that cover every basis word.
 
     d^2 = 0 is checked first, on the letters alone as d^2 is a derivation
     (`_squares_to_zero`), so a failing differential raises
@@ -433,39 +592,88 @@ def _on_demand_columns(dga: FilteredDGA, basis: List[Word]):
     with a letter whose differential is long enough can leave the word
     cap.  d strictly lowers action, so only words within rounding of the
     action cap, whose float sums may round past it, can leave that cap.
-    """
-    lift = _IntegerBoundary(dga)
-    table: Dict[Word, Dict[Word, int]] = {}
-    if not _squares_to_zero(dga, lift, table):
-        raise PreconditionFailed("differential does not square to zero")
-    pos = {w: i for i, w in enumerate(basis)}
-    grow = {gi: max((dga.word_length(w) for _, w in terms), default=0) - 1
-            for gi, terms in dga.differential.items()}
-    grow = {gi: g for gi, g in grow.items() if g > 0}
-    suspects = [w for w in basis
-                if max((grow.get(gi, 0) for gi, _ in w), default=0)
-                > dga.word_cap - dga.word_length(w)] if grow else []
-    # the float actions of w and of a term, sums of at most n positive
-    # terms, are each within about n eps / 2 of their exact values, so a
-    # term can round past the cap only from a word within ~2 n eps of it
-    n = dga.word_cap + max(grow.values(), default=0) + 1
-    near_cap = dga.action_cap * (1.0 - 8 * n * sys.float_info.epsilon)
-    first = len(basis)
-    while first and dga.word_action(basis[first - 1]) > near_cap:
-        first -= 1  # the basis is sorted by action
-    for w in suspects + basis[first:]:
-        if w not in table:
-            table[w] = lift.expand(w)
-        for word in table[w]:
-            if word not in pos:
-                raise BasisOverflow(
-                    f"boundary of {dga.word_name(w)} leaves the basis")
 
-    def column(j: int) -> Dict[int, int]:
-        w = basis[j]
-        image = table.pop(w) if w in table else lift.expand(w)
-        return {pos[word]: coeff for word, coeff in image.items()}
-    return column
+    With `walk` set, and when no word can leave a cap (no term of d is
+    longer than one letter, and word_cap times the largest generator
+    action stays below that rounding margin), the check has nothing to
+    expand.  The
+    entries then come off a heap keyed like the sort, each numbered as it
+    is popped, and its children pushed (`_children`): a child's key
+    exceeds its parent's, so the pops follow `basis()` order, and only the
+    words up to the last one asked for are enumerated.  A boundary word
+    not numbered yet (an image whose float action rounds to its source's
+    or above) is popped up to before the column is built.
+    """
+
+    def __init__(self, dga: FilteredDGA, walk: bool = False):
+        self.lift = lift = _PackedBoundary(dga)
+        self.table: Dict[int, Dict[int, int]] = {}
+        if not _squares_to_zero([1 << (lift.bits * gi) for gi in
+                                 _letters(dga)], lift.expand, self.table):
+            raise PreconditionFailed("differential does not square to zero")
+        grow = {gi: max((dga.word_length(w) for _, w in terms),
+                        default=0) - 1
+                for gi, terms in dga.differential.items()}
+        grow = {gi: g for gi, g in grow.items() if g > 0}
+        # the float actions of w and of a term, sums of at most n positive
+        # terms, are each within about n eps / 2 of their exact values, so
+        # a term can round past the cap only from a word within ~2 n eps of
+        # it; every float action is at most word_cap * top (1 + n eps)
+        eps = sys.float_info.epsilon
+        n = dga.word_cap + max(grow.values(), default=0) + 1
+        near_cap = dga.action_cap * (1.0 - 8 * n * eps)
+        top = max((g.action for g in dga.generators), default=0.0)
+        if walk and not grow and \
+                dga.word_cap * top * (1.0 + 2 * n * eps) <= near_cap:
+            self.entries, self.pos, self.heap = [], {}, [_ROOT]
+            self.children = _children(dga, lift.bits)
+            return
+        self.entries = entries = _keyed_basis(dga, lift.bits)
+        self.pos = pos = {entry[5]: j for j, entry in enumerate(entries)}
+        self.heap = []
+        suspects = [entry for entry in entries
+                    if max((grow.get(gi, 0) for gi, _ in entry[4]),
+                           default=0) > dga.word_cap - entry[2]] \
+            if grow else []
+        first = len(entries)
+        while first and entries[first - 1][0] > near_cap:
+            first -= 1  # the basis is sorted by action
+        for entry in suspects + entries[first:]:
+            packed = entry[5]
+            if packed not in self.table:
+                self.table[packed] = lift.expand(packed)
+            for word in self.table[packed]:
+                if word not in pos:
+                    raise BasisOverflow(
+                        f"boundary of {entry[6]} leaves the basis")
+
+    def _pop(self):
+        entry = heapq.heappop(self.heap)
+        self.pos[entry[5]] = len(self.entries)
+        self.entries.append(entry)
+        for child in self.children(entry):
+            heapq.heappush(self.heap, child)
+
+    def entry(self, j: int):
+        """The j-th basis entry, or None past the last."""
+        while j >= len(self.entries) and self.heap:
+            self._pop()
+        return self.entries[j] if j < len(self.entries) else None
+
+    def column(self, j: int) -> Dict[int, int]:
+        entry = self.entries[j]
+        packed = entry[5]
+        image = self.table.pop(packed) if packed in self.table \
+            else self.lift.expand(packed)
+        pos, col = self.pos, {}
+        for word, coeff in image.items():
+            while word not in pos:
+                if not self.heap:
+                    raise BasisOverflow(
+                        f"boundary of {entry[6]} leaves the basis")
+                self._pop()
+            col[pos[word]] = coeff
+        return col
 
 
 def _reduce(col: Dict[int, int], pivots) -> Dict[int, int]:
@@ -516,26 +724,24 @@ def barcode(dga: FilteredDGA) -> Barcode:
     pivot is a cycle with that word as its last term, so it is recorded
     as a birth and never built (clearing; Chen & Kerber, 2011).
     Raises PreconditionFailed unless d^2 = 0 on every basis word, and
-    BasisOverflow if a boundary leaves the basis (`_on_demand_columns`).
+    BasisOverflow if a boundary leaves the basis (`_Columns`).
     """
-    basis = dga.basis()
-    column = _on_demand_columns(dga, basis)
-    degree = [dga.word_degree(w) for w in basis]
+    columns = _Columns(dga)
+    entries = columns.entries
     pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
     for parity in (1, 0):
-        for j in range(len(basis)):
-            if degree[j] == parity and j not in pivots:
-                col = _reduce(column(j), pivots)
+        for j, entry in enumerate(entries):
+            if entry[3] == parity and j not in pivots:
+                col = _reduce(columns.column(j), pivots)
                 if col:
                     pivots[max(col)] = (j, col)
     deaths = {j for j, _ in pivots.values()}
     bars = []
-    for i, w in enumerate(basis):
+    for i, entry in enumerate(entries):
         if i in pivots:
-            bars.append(Bar(dga.word_name(w), dga.word_action(w),
-                            dga.word_action(basis[pivots[i][0]])))
+            bars.append(Bar(entry[6], entry[0], entries[pivots[i][0]][0]))
         elif i not in deaths:
-            bars.append(Bar(dga.word_name(w), dga.word_action(w), INF))
+            bars.append(Bar(entry[6], entry[0], INF))
     return Barcode(tuple(bars))
 
 
@@ -595,21 +801,24 @@ def unit_vanishing_level(dga: FilteredDGA):
     Elimination in filtration order of the odd columns alone: only they
     have the even unit's row, and they share no pivot row with the even
     ones (`barcode`).  It stops at the first column whose reduced form is
-    supported on the unit alone, and builds no column past it.  Returns
+    supported on the unit alone, and builds no column past it.  When no
+    boundary can leave a cap, it also enumerates no word past it: the
+    words come off a heap in `basis()` order (`_Columns`).  Returns
     math.inf when no primitive exists under the caps.  Raises
     PreconditionFailed unless d^2 = 0 on every basis word, and
     BasisOverflow if any boundary, past the stop too, leaves the basis.
     """
-    basis = dga.basis()
-    column = _on_demand_columns(dga, basis)
+    columns = _Columns(dga, walk=True)
     pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
-    for j, w in enumerate(basis):
-        if dga.word_degree(w):
-            col = _reduce(column(j), pivots)
+    j = 0
+    while (entry := columns.entry(j)) is not None:
+        if entry[3]:
+            col = _reduce(columns.column(j), pivots)
             if col:
                 if max(col) == 0:  # the unit's row
-                    return dga.word_action(w)
+                    return entry[0]
                 pivots[max(col)] = (j, col)
+        j += 1
     return INF
 
 

@@ -134,6 +134,19 @@ def test_persist_check_exit_codes(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["a,b", "x^2", ""])
+def test_persist_barcode_refuses_bad_generator_names(tmp_path, name):
+    dga_path = tmp_path / "dga.json"
+    dga_path.write_text(json.dumps({
+        "generators": [{"name": "x", "degree": 1, "action": 3.0},
+                       {"name": name, "degree": 1, "action": 5.0}],
+        "differential": {"x": [{"coeff": "1", "word": []}]},
+        "action_cap": 10.0, "word_cap": 4}))
+    code, out = run(tmp_path, "persist", "barcode", "--in", str(dga_path))
+    assert code == 2
+    assert not (out / "barcode.csv").exists()
+
+
 def test_input_error_exit_code(tmp_path):
     code, _ = run(tmp_path, "persist", "barcode", "--in", "/nope.json")
     assert code == 2

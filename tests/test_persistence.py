@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -220,6 +221,22 @@ def test_boundary_leaving_the_action_cap_by_rounding_raises(fn):
         fn(dga)
 
 
+def test_rounding_past_the_unit_level_still_raises():
+    # the rounding example above with dt = 1 at a low action: the unit level
+    # stops at t, before pqr, and still checks pqr's boundary
+    dga = ps.FilteredDGA(
+        [ps.Generator("p", 0, 0.4081988490867068),
+         ps.Generator("q", 1, 0.20626039469181),
+         ps.Generator("r", 0, 0.8540817562275901),
+         ps.Generator("s", 0, 0.20626039469180996),
+         ps.Generator("t", 1, 0.125)],
+        {"q": [(1, ["s"])], "t": [(1, [])]},
+        action_cap=1.4685410000061068, word_cap=3)
+    assert dga.basis()[1] == dga._parse_word(["t"])
+    with pytest.raises(BasisOverflow):
+        ps.unit_vanishing_level(dga)
+
+
 def test_differential_validation():
     with pytest.raises(ValueError):  # action must strictly decrease
         ps.FilteredDGA([ps.Generator("x", 1, 3.0),
@@ -428,13 +445,14 @@ def _cleared(dga, bars):
 @pytest.mark.parametrize("fn", [ps.barcode, ps.unit_vanishing_level,
                                 ps.d_squared_check])
 def test_one_boundary_per_basis_word(monkeypatch, fn):
-    # no word is expanded twice by the one Leibniz expansion
-    # (`_IntegerBoundary.expand`).  The d^2 check expands only the
-    # one-letter basis words and their images outside them (here the nine
-    # letters and the unit); no boundary leaves a cap here, so the closure
-    # check adds none.  The unit level then builds the odd columns up to its
-    # stop at t, which are letters; barcode builds every column it does not
-    # clear.
+    # no word is expanded twice by the Leibniz expansions: on packed words
+    # (`_PackedBoundary.expand`) in the eliminations, on tuple words
+    # (`_IntegerBoundary.expand`) in `d_squared_check`.  The d^2 check
+    # expands only the one-letter basis words and their images outside
+    # them (here the nine letters and the unit); no boundary leaves a cap
+    # here, so the closure check adds none.  The unit level then builds the
+    # odd columns up to its stop at t, which are letters; barcode builds
+    # every column it does not clear.
     dga = _koszul_dga()
     basis = dga.basis()
     assert len(basis) == 1002
@@ -443,9 +461,14 @@ def test_one_boundary_per_basis_word(monkeypatch, fn):
     checked = set(letters) | images
     cleared = _cleared(dga, ps.barcode(dga))
     calls = []
-    inner = ps._IntegerBoundary.expand
+    tuple_expand = ps._IntegerBoundary.expand
+    packed_expand = ps._PackedBoundary.expand
     monkeypatch.setattr(ps._IntegerBoundary, "expand",
-                        lambda self, w: calls.append(w) or inner(self, w))
+                        lambda self, w: calls.append(w)
+                        or tuple_expand(self, w))
+    monkeypatch.setattr(ps._PackedBoundary, "expand",
+                        lambda self, p: calls.append(self.unpack(p))
+                        or packed_expand(self, p))
     fn(dga)
     assert len(calls) == len(set(calls))
     if fn is ps.barcode:
@@ -463,6 +486,204 @@ def test_cleared_koszul_oracle_equality():
     bars = ps.barcode(dga)
     assert len(dga.basis()) == 360 and len(_cleared(dga, bars)) == 92
     assert bars.bars == ps.brute_force_oracle(dga).bars
+
+
+# --- packed words and the heap walk -----------------------------------------
+
+def _sign_dga():
+    """Odd letters in one- and two-letter differential terms (dp = 3a,
+    dr = ac - bc): the Koszul signs of the packed expansion change the
+    bars here, and d^2 = 0 holds as every target is closed."""
+    return ps.FilteredDGA(
+        [ps.Generator("a", 1, 1.08), ps.Generator("b", 1, 1.18),
+         ps.Generator("c", 0, 1.19), ps.Generator("p", 0, 1.61),
+         ps.Generator("q", 1, 2.39), ps.Generator("r", 0, 2.62)],
+        {"p": [(3, ["a"])], "q": [(1, ["c"])],
+         "r": [(1, ["a", "c"]), (-1, ["b", "c"])]},
+        action_cap=7.0, word_cap=8)
+
+
+def _carry_dga():
+    """A differential term y^4 above the word cap 1: the d^2 check expands
+    the image y^4 g of the letter x to y^8 z, an exponent of 4 bits."""
+    return ps.FilteredDGA(
+        [ps.Generator("z", 1, 0.5), ps.Generator("y", 0, 1.0),
+         ps.Generator("g", 0, 10.0), ps.Generator("x", 1, 100.0)],
+        {"x": [(1, ["y"] * 4 + ["g"])], "g": [(2, ["y"] * 4 + ["z"])]},
+        action_cap=1000.0, word_cap=1)
+
+
+def _random_two_letter_dga(rng, word_cap=4):
+    """Random terms of one or two letters (or the unit) on earlier
+    generators, odd letters among them; d^2 need not vanish."""
+    degrees = [int(d) for d in rng.integers(0, 2, int(rng.integers(3, 7)))]
+    diff = {}
+    for i in range(1, len(degrees)):
+        terms = []
+        for _ in range(int(rng.integers(0, 3))):
+            js = sorted(int(j) for j in rng.integers(0, i, rng.integers(0, 3)))
+            odd = [j for j in js if degrees[j]]
+            if len(odd) % 2 != degrees[i] and len(set(odd)) == len(odd):
+                terms.append((int(rng.integers(-3, 4)) or 1,
+                              [f"g{j}" for j in js]))
+        if terms:
+            diff[f"g{i}"] = terms
+    return ps.FilteredDGA(
+        [ps.Generator(f"g{i}", d, 2.5 ** i) for i, d in enumerate(degrees)],
+        diff, action_cap=1e6, word_cap=word_cap)
+
+
+def _expansion_dgas():
+    rng = np.random.default_rng(51)
+    dgas = [_koszul_dga(), _koszul_dga(coeffs=MIXED + (Fraction(-3, 5),)),
+            _sign_dga(), _carry_dga()]
+    dgas += [ps.random_chain_dga(rng) for _ in range(60)]
+    dgas += [ps.random_admissible_dga(rng) for _ in range(60)]
+    dgas += [_random_two_letter_dga(rng) for _ in range(30)]
+    return dgas
+
+
+def test_packed_expansion_matches_the_tuple_expansion():
+    # on every basis word, and on every image of a letter, which the d^2
+    # check expands too although it may lie outside the basis
+    signs = images_outside = 0
+    for dga in _expansion_dgas():
+        packed, ref = ps._PackedBoundary(dga), ps._IntegerBoundary(dga)
+        basis = dga.basis()
+        words = set(basis)
+        for gi in ps._letters(dga):
+            words |= set(ref.expand(((gi, 1),)))
+        images_outside += len(words) - len(basis)
+        for w in words:
+            p = packed.pack(w)
+            assert packed.unpack(p) == w
+            got = {packed.unpack(q): c for q, c in packed.expand(p).items()}
+            want = ref.expand(w)
+            assert got == want
+            signs += any(c < 0 for c in want.values())
+    assert signs > 1000 and images_outside >= 2
+
+
+def test_packed_words_do_not_carry():
+    dga = _carry_dga()
+    lift = ps._PackedBoundary(dga)
+    x, image = dga._parse_word(["x"]), dga._parse_word(["y"] * 4 + ["g"])
+    assert dga.word_cap == 1 and 2 ** lift.bits > 8
+    assert lift.expand(lift.pack(x)) == {lift.pack(image): 1}
+    assert lift.expand(lift.pack(image)) == {
+        lift.pack(dga._parse_word(["y"] * 8 + ["z"])): 2}
+    assert not ps.d_squared_check(dga)
+    for fn in (ps.barcode, ps.unit_vanishing_level):
+        with pytest.raises(PreconditionFailed):
+            fn(dga)
+
+
+def test_sign_dga_oracle_equality():
+    dga = _sign_dga()
+    bars = ps.barcode(dga)
+    assert len(dga.basis()) == 109 and ps.d_squared_check(dga)
+    assert bars.bars == ps.brute_force_oracle(dga).bars
+    assert ps.unit_vanishing_level(dga) == bars.unit_bar().death
+
+
+def test_random_two_letter_oracle_equality():
+    # random DGAs with two-letter terms whose d^2 vanishes and whose
+    # boundaries stay in the basis
+    rng = np.random.default_rng(52)
+    compared = 0
+    for _ in range(300):
+        base = _random_two_letter_dga(rng, word_cap=8)
+        dga = ps.FilteredDGA(base.generators, {
+            base.generators[gi].name: [
+                (c, [j for j, e in w for _ in range(e)]) for c, w in terms]
+            for gi, terms in base.differential.items()},
+            action_cap=2.5 ** (len(base.generators) - 1) * 2.2, word_cap=8)
+        if len(dga.basis()) > 120 or not ps.d_squared_check(dga):
+            continue
+        try:
+            ref = ps.brute_force_oracle(dga)
+        except BasisOverflow:
+            with pytest.raises(BasisOverflow):
+                ps.barcode(dga)
+            continue
+        assert ps.barcode(dga).bars == ref.bars
+        compared += 1
+    assert compared > 20
+
+
+def test_keyed_basis_keys():
+    # the keys attached while enumerating are those of the word helpers
+    for dga in _expansion_dgas():
+        lift = ps._PackedBoundary(dga)
+        entries = ps._keyed_basis(dga, lift.bits)
+        assert [e[4] for e in entries] == dga.basis()
+        for action, names, length, degree, word, packed, label in entries:
+            assert action == dga.word_action(word)
+            assert label == dga.word_name(word)
+            assert (length, degree) == (dga.word_length(word),
+                                        dga.word_degree(word))
+            assert names == tuple(dga.generators[gi].name
+                                  for gi, e in word for _ in range(e))
+            assert packed == lift.pack(word)
+
+
+def _walked(dga):
+    """Every entry the heap walk pops, or None if it needs the basis."""
+    columns = ps._Columns(dga, walk=True)
+    if columns.entries and not columns.heap:
+        return None
+    columns.entry(10 ** 9)
+    return columns.entries
+
+
+def test_heap_walk_pops_in_basis_order():
+    rng = np.random.default_rng(53)
+    dgas = [_koszul_dga(), _koszul_dga(pairs=3, coeffs=MIXED)]
+    for _ in range(40):
+        base = ps.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
+        dgas.append(ps.FilteredDGA(base.generators, {
+            base.generators[gi].name: [
+                (c, [j for j, e in w for _ in range(e)]) for c, w in terms]
+            for gi, terms in base.differential.items()},
+            action_cap=1e6, word_cap=base.word_cap))
+    for dga in dgas:
+        walked = _walked(dga)
+        assert walked == ps._keyed_basis(dga, ps._PackedBoundary(dga).bits)
+    # a word cap within reach of the action cap, or a two-letter term,
+    # enumerates the basis first
+    assert _walked(ps.FilteredDGA(dgas[0].generators, {}, 10.0, 5)) is None
+    assert _walked(_sign_dga()) is None
+
+
+def test_unit_level_enumerates_no_basis_on_koszul(monkeypatch):
+    dga = _koszul_dga()
+    level = ps.barcode(dga).unit_bar().death
+
+    def refuse(*args):
+        raise AssertionError("full basis enumerated")
+    monkeypatch.setattr(ps, "_keyed_basis", refuse)
+    monkeypatch.setattr(ps.FilteredDGA, "basis", refuse)
+    assert ps.unit_vanishing_level(dga) == level == 2.2
+
+
+def test_unit_level_numbers_an_image_that_sorts_after_its_word():
+    # d(pqr) = prs rounds above pqr's action (see the rounding test); with
+    # the action cap far above, the walk pops prs ahead to build pqr's
+    # column
+    dga = ps.FilteredDGA(
+        [ps.Generator("p", 0, 0.4081988490867068),
+         ps.Generator("q", 1, 0.20626039469181),
+         ps.Generator("r", 0, 0.8540817562275901),
+         ps.Generator("s", 0, 0.20626039469180996),
+         ps.Generator("t", 1, 1.5)],
+        {"q": [(1, ["s"])], "t": [(1, [])]}, action_cap=1e6, word_cap=3)
+    basis = dga.basis()
+    pqr = dga._parse_word(["p", "q", "r"])
+    assert basis.index(pqr) < basis.index(dga._parse_word(["p", "r", "s"]))
+    assert _walked(dga) is not None
+    bars = ps.barcode(dga)
+    assert bars.bars == ps.brute_force_oracle(dga).bars
+    assert ps.unit_vanishing_level(dga) == bars.unit_bar().death == 1.5
 
 
 # --- fraction-free elimination ----------------------------------------------
@@ -615,6 +836,32 @@ def test_caps_are_validated(action_cap, word_cap, bad):
         dga = ps.FilteredDGA(gens, {"x": [(1, [])]}, action_cap, word_cap)
         assert (dga.action_cap, dga.word_cap) == (action_cap, word_cap)
         assert type(dga.word_cap) is int
+
+
+@pytest.mark.parametrize("name", ["", "a,b", "x^2", "a*b", "a b", "x\t",
+                                  "\n", 7])
+def test_generator_names_are_validated(name):
+    with pytest.raises(ValueError, match="name"):
+        ps.Generator(name, 1, 3.0)
+
+
+def test_json_generator_name_is_validated():
+    text = json.dumps({
+        "generators": [{"name": "x", "degree": 1, "action": 3.0},
+                       {"name": "x^2", "degree": 0, "action": 5.0}],
+        "differential": {}, "action_cap": 10.0, "word_cap": 4})
+    with pytest.raises(ValueError, match="name"):
+        ps.FilteredDGA.from_json(text)
+
+
+def test_degrees_given_as_floats_or_numpy_integers():
+    dga = ps.FilteredDGA(
+        [ps.Generator("x", 1.0, 3.0), ps.Generator("y", np.int64(1), 5.0),
+         ps.Generator("w", 0.0, 2.0)],
+        {"x": [(1, [])]}, 10.0, 4)
+    bars = ps.barcode(dga)
+    assert bars.bars == ps.brute_force_oracle(dga).bars
+    assert ps.unit_vanishing_level(dga) == bars.unit_bar().death == 3.0
 
 
 def test_json_schema_parses():
