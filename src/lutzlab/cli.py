@@ -25,7 +25,6 @@ import os
 import platform
 import sys
 from functools import cache
-from importlib.metadata import version
 
 import numpy as np
 
@@ -41,7 +40,10 @@ EXIT_INPUT = 2
 @cache
 def _scipy_version() -> str:
     """scipy's version from its installed metadata, which takes a few ms
-    to read and none of scipy's import time; looked up once per process."""
+    to read and none of scipy's import time; looked up once per process.
+    Only the run manifest needs it, so `importlib.metadata` is imported
+    here, not with the CLI."""
+    from importlib.metadata import version
     return version("scipy")
 
 

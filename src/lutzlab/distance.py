@@ -217,7 +217,8 @@ class _GrayIntegrand:
 
     Building it checks the leg's premise on those same radii:
     `family.contact_sign` at both end members, which also hands back their
-    D, and per-radius monotonicity in u at the midpoint.
+    D, h2 and the shared h1', and per-radius monotonicity in u at the
+    midpoint.
     """
 
     def __init__(self, family: TwistedPathFamily, u1: float, u2: float):
@@ -225,14 +226,12 @@ class _GrayIntegrand:
         self.pair2 = family.pair(u2)
         self.u1, self.u2 = u1, u2
         ends = (self.pair1, self.pair2)
-        _, self.rs, (d1, d2) = contact_sign(
+        _, self.rs, (d1, d2), self._h1p, (h2a, h2b) = contact_sign(
             ends, f"the ends u = {u1}, {u2} of the leg")
-        h2a, h2b = (p.h2.value(self.rs) for p in ends)
         # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
         h_mid = family.pair(0.5 * (u1 + u2)).h2.value(self.rs)
         if not bool(np.all(((h_mid - h2a) * (h2b - h_mid)) >= -1e-13)):
             raise SingularLocus("family is not monotone in u at some radius")
-        self._h1p = self.pair1.h1.deriv(self.rs)
         self._B = (h2b - h2a) / (u2 - u1)
         self._DB = (d2 - d1) / (u2 - u1)
         self._DA = d1 - u1 * self._DB

@@ -16,7 +16,11 @@ u, so `certify_family` checks once, from the members at u_ref and U_CAP,
 what every member shares: contact with one sign, one full twist, the zeros
 r+ < r+' of h1, the tube volume (affine in u) and the Gray domination
 margin, contact and margin on one set of radii, `profile.contact_radii`.
-A member is then embedded in closed form from that certificate;
+The ends share h1 and their knots (`contact_sign` refuses them
+otherwise), so the certificate evaluates each profile once per set of
+radii: h1 once for both ends and each end's h2 once on the contact radii,
+and again on the tube-volume nodes, which hold both Gauss-Legendre
+orders.  A member is then embedded in closed form from that certificate;
 `tube_volume`, `FormSpec.l_invariant` and
 `CompensatorSpec.delta_volume_grid` recompute it from scratch and serve as
 oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
@@ -47,30 +51,41 @@ from .profile import (CHEB_DEGREES, TWO_PI, ProfilePair, TwistedPathFamily,
 # volumes
 # ---------------------------------------------------------------------------
 
-def _integrate_profile_product(pair: ProfilePair, n: int) -> float:
-    """int_0^eps h1^(n-2) D dr by Gauss-Legendre panels.
+def _integrate_profile_products(pairs, n: int) -> tuple:
+    """int_0^eps h1^(n-2) D dr of each pair, by Gauss-Legendre panels.
 
-    Panel edges are the pair's knots (`ProfilePair.knots`), so on each
-    panel both profiles are one closed form: a polynomial, an arc, or a
-    Chebyshev piece of a mollified window, whose coefficients decay to
-    rounding by its degree.  Every panel takes order 20, guarded by order
-    12: their disagreements must sum to at most 1e-10 of the integral.
+    The pairs share h1 and their knots (`ProfilePair.knots`), the panel
+    edges, so on each panel both profiles are one closed form: a
+    polynomial, an arc, or a Chebyshev piece of a mollified window, whose
+    coefficients decay to rounding by its degree.  Every panel takes order
+    20, guarded by order 12: their disagreements must sum to at most 1e-10
+    of each integral.  Both orders' nodes form one array, on which h1 and
+    each pair's h2 are evaluated once.
     """
-    knots = pair.knots()
-
-    def scan(order):
-        rs, weights = gl_panel_nodes(knots[:-1], knots[1:], order)
-        flat = rs.ravel()
-        d = pair.wronskian(flat)
+    knots = pairs[0].knots()
+    (r12, w12), (r20, w20) = (gl_panel_nodes(knots[:-1], knots[1:], order)
+                              for order in (12, 20))
+    nodes = np.concatenate([r12.ravel(), r20.ravel()])
+    h1 = pairs[0].h1
+    h1v, h1p = h1.value(nodes), h1.deriv(nodes)
+    out = []
+    for p in pairs:
+        d = h1v * p.h2.deriv(nodes) - h1p * p.h2.value(nodes)
         if n > 2:
-            d = pair.h1.value(flat) ** (n - 2) * d
-        return float(np.sum(weights * d.reshape(rs.shape)))
+            d = h1v ** (n - 2) * d
+        lo = float(np.sum(w12 * d[:r12.size].reshape(r12.shape)))
+        total = float(np.sum(w20 * d[r12.size:].reshape(r20.shape)))
+        err = abs(total - lo)
+        if err > 1e-10 * max(abs(total), 1.0):
+            raise QuadratureFailure(
+                f"tube volume panels disagree by {err:.3g}")
+        out.append(total)
+    return tuple(out)
 
-    lo, total = scan(12), scan(20)
-    err = abs(total - lo)
-    if err > 1e-10 * max(abs(total), 1.0):
-        raise QuadratureFailure(f"tube volume panels disagree by {err:.3g}")
-    return total
+
+def _integrate_profile_product(pair: ProfilePair, n: int) -> float:
+    """`_integrate_profile_products` of the one pair."""
+    return _integrate_profile_products((pair,), n)[0]
 
 
 def tube_volume(pair: ProfilePair, n: int = 2) -> float:
@@ -152,17 +167,7 @@ class CompensatorSpec:
 
     def moments(self, n: int) -> list:
         """M_j = int bump^j over the weighted box, j = 1..n."""
-        x, w = gauss_legendre(96)
-        st = 0.5 * (x + 1.0)
-        wt = 0.5 * w
-        bt = _bump01(st)
-        br = _bump01(st)
-        out = []
-        for j in range(1, n + 1):
-            mt = self.theta_extent * float(np.sum(wt * bt ** j))
-            mr = self.r_extent ** 2 * float(np.sum(wt * 2.0 * st * br ** j))
-            out.append(TWO_PI * mt * mr)
-        return out
+        return list(_box_moments(self.theta_extent, self.r_extent, n))
 
     def delta_volume(self, amplitude: float, n: int) -> float:
         """Volume change of the tube under the multiplier 1 + a*B, density
@@ -196,11 +201,36 @@ class CompensatorSpec:
         return out
 
 
-def _moment_sum(mom: list, amplitude: float) -> float:
-    """sum_j C(n, j) a^j M_j for the moments M_1..M_n."""
-    n = len(mom)
-    return sum(math.comb(n, j) * amplitude ** j * mom[j - 1]
-               for j in range(1, n + 1))
+@functools.lru_cache(maxsize=16)
+def _box_moments(theta_extent: float, r_extent: float, n: int) -> tuple:
+    """`CompensatorSpec.moments` by the 96-node Gauss-Legendre rule, once
+    per bump box and n."""
+    x, w = gauss_legendre(96)
+    st = 0.5 * (x + 1.0)
+    wt = 0.5 * w
+    bt = _bump01(st)
+    br = _bump01(st)
+    out = []
+    for j in range(1, n + 1):
+        mt = theta_extent * float(np.sum(wt * bt ** j))
+        mr = r_extent ** 2 * float(np.sum(wt * 2.0 * st * br ** j))
+        out.append(TWO_PI * mt * mr)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _binomials(n: int) -> tuple:
+    """((j, C(n, j)) for j = 1..n)."""
+    return tuple((j, math.comb(n, j)) for j in range(1, n + 1))
+
+
+def _moment_sum(mom, amplitude: float) -> float:
+    """sum_j C(n, j) a^j M_j for the moments M_1..M_n, summed from 0 in
+    order of j."""
+    total = 0
+    for (j, c), m in zip(_binomials(len(mom)), mom):
+        total += c * amplitude ** j * m
+    return total
 
 
 @functools.lru_cache(maxsize=16)
@@ -278,20 +308,35 @@ GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the contact "
 
 
 def contact_sign(pairs, where: str) -> tuple:
-    """(sign, rs, ds): the one nonzero sign of D with which every pair
-    passes the contact check (`contact_report`) on
-    rs = `contact_radii(pairs[0], CONTACT_GRID)`, and D of each pair on rs.
-    The members of one family share their knots, so rs samples every
-    pair's segments.  D/r is affine in the amplitude, so two such members
-    keep that sign at every amplitude between them, at the checked radii
-    (a sign change across r is a zero of D between samples)."""
-    rs = contact_radii(pairs[0], CONTACT_GRID)
-    ds = [p.wronskian(rs) for p in pairs]
+    """(sign, rs, ds, h1p, h2s): the one nonzero sign of D with which every
+    pair passes the contact check (`contact_report`) on
+    rs = `contact_radii(pairs[0], CONTACT_GRID)`, and, on rs, D of each
+    pair, h1' and h2 of each pair.
+
+    The members of one family share h1 and their knots, so rs samples
+    every pair's segments; a pair that does not raises InvalidGeometry.
+    h1 and h1' are evaluated once for all pairs, h2 and h2' once per pair,
+    and D = h1 h2' - h1' h2 is formed from them in the order of
+    `ProfilePair.wronskian`.  D/r is affine in the amplitude, so two such
+    members keep that sign at every amplitude between them, at the checked
+    radii (a sign change across r is a zero of D between samples)."""
+    first = pairs[0]
+    knots = first.knots()
+    for p in pairs[1:]:
+        if p.h1 is not first.h1:
+            raise InvalidGeometry("the members of one family must share h1")
+        if not np.array_equal(p.knots(), knots):
+            raise InvalidGeometry(
+                f"the members at {where} do not share their knots")
+    rs = contact_radii(first, CONTACT_GRID)
+    h1v, h1p = first.h1.value(rs), first.h1.deriv(rs)
+    h2s = [p.h2.value(rs) for p in pairs]
+    ds = [h1v * p.h2.deriv(rs) - h1p * h2 for p, h2 in zip(pairs, h2s)]
     checks = [contact_report(rs, d / rs, CONTACT_GRID) for d in ds]
     sign = checks[0].sign
     if not (sign != 0 and all(c.passed and c.sign == sign for c in checks)):
         raise SingularLocus(f"contact condition fails at {where}: {checks}")
-    return sign, rs, ds
+    return sign, rs, ds, h1p, h2s
 
 
 @dataclass(frozen=True)
@@ -348,24 +393,26 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     - the zeros r+ < r+' of h1, read once by `reeb.action_minima` off the
       exact zero set, are the member's;
     - int h1^(n-2) D_u is affine in u, so two endpoint quadratures give
-      the member's tube volume, provided they have one sign;
+      the member's tube volume, provided they have one sign; both ends
+      take one set of panel nodes (`_integrate_profile_products`);
     - the Gray rate f = |B h1' / D_u| has u f <= 1 wherever
       u |B h1'| <= |D_u| holds at both ends (both sides are affine while
       D_u keeps its sign), which is checked on the same radii, with the
-      ends' D that `contact_sign` sampled there, off the twist arc
-      (window.hi, 1/2].  On the arc both profiles are
-      trigonometric and f = sin^2(2 pi r)/u exactly.  The least 1 - u f
-      is the margin; a negative one is recorded, and
-      `FamilyCertificate.gray_margin` refuses it.
+      ends' h2, h1' and D that `contact_sign` sampled there, off the twist
+      arc (window.hi, 1/2].  On the arc both profiles are trigonometric
+      and f = sin^2(2 pi r)/u exactly.  The least 1 - u f is the margin;
+      a negative one is recorded, and `FamilyCertificate.gray_margin`
+      refuses it.
+    The ends must share h1 and their knots, which `contact_sign` checks:
+    then each profile is evaluated once on the contact radii and once on
+    the volume nodes.
     """
     if not u_lo < u_hi:
         raise InvalidGeometry(
             f"a family certificate needs two amplitudes u_lo < u_hi, got "
             f"[{u_lo}, {u_hi}]")
     ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
-    if p_hi.h1 is not p_lo.h1:
-        raise InvalidGeometry("the members of one family must share h1")
-    sign, rs, ds = contact_sign(
+    sign, rs, ds, h1p, h2v = contact_sign(
         ends, f"the ends u = {u_lo}, {u_hi} of the family")
     r_plus, r_pp, _, _ = reeb.action_minima(p_lo)  # winds once at u_lo
     if p_hi.winding_number() != 1:
@@ -381,17 +428,17 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     if float(np.max(np.abs(mid - 0.5 * (lo + hi)))) > AFFINE_RTOL * scale:
         raise InvalidGeometry(f"h2 is not affine in u on [{u_lo}, {u_hi}]")
 
-    volumes = tuple(4.0 * math.pi ** 2 * _integrate_profile_product(p, n)
-                    for p in ends)
+    volumes = tuple(4.0 * math.pi ** 2 * v
+                    for v in _integrate_profile_products(ends, n))
     if not volumes[0] * volumes[1] > 0.0:
         raise InvalidGeometry(
             f"the tube volume integral changes sign on [{u_lo}, {u_hi}]: "
             f"{volumes}")
 
-    # D of both ends on the radii on which `contact_sign` just passed them
+    # h1', h2 and D of both ends on the radii on which `contact_sign` just
+    # passed them
     off_arc = (rs <= family.window.hi) | (rs > 0.5)
-    h2v = [p.h2.value(rs) for p in ends]
-    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * p_lo.h1.deriv(rs))
+    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * h1p)
     margin = min(float(np.min((1.0 - u * rate / np.abs(d))[off_arc]))
                  for u, d in zip((u_lo, u_hi), ds))
     return FamilyCertificate(u_lo=u_lo, u_hi=u_hi, contact_sign=sign,

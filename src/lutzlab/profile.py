@@ -31,7 +31,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -65,10 +65,13 @@ class PolySegment:
         x = np.asarray(r, dtype=float) - self.a
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
+    @cached_property
+    def _d1(self) -> np.ndarray:
+        return np.polynomial.polynomial.polyder(self.coeffs)
+
     def deriv(self, r):
         x = np.asarray(r, dtype=float) - self.a
-        c = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(x, c)
+        return np.polynomial.polynomial.polyval(x, self._d1)
 
     def deriv2(self, r):
         x = np.asarray(r, dtype=float) - self.a
@@ -444,12 +447,14 @@ class ProfilePair:
         at the same cut.
         """
         cuts = np.union1d(self.h1.cuts(), self.h2.cuts())
-        h1, h2 = self.h1.value(cuts), self.h2.value(cuts)
+        # each profile once, on the cuts followed by their midpoints
+        rs = np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])])
+        v1, v2 = self.h1.value(rs), self.h2.value(rs)
+        h1, h2 = v1[:len(cuts)], v2[:len(cuts)]
         if np.min(h1 * h1 + h2 * h2) < 1e-30:
             raise InvalidGeometry("path passes through the origin")
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        s1 = np.sign(self.h1.value(mids))
-        s2 = np.sign(self.h2.value(mids))
+        s1 = np.sign(v1[len(cuts):])
+        s2 = np.sign(v2[len(cuts):])
         if np.any((s1[:-1] != s1[1:]) & (s2[:-1] != s2[1:])):
             raise InvalidGeometry("path passes through the origin")
         # each cut with h1 < 0 on both sides adds half the drop of sign(h2):
@@ -660,6 +665,16 @@ _CHEB_TAIL = 1e-13
 WINDOW_SAMPLES = 4096
 
 
+@lru_cache(maxsize=16)
+def _cheb_nodes(degree: int) -> tuple:
+    """(first-kind Chebyshev points, their Vandermonde matrix) of a piece of
+    `degree`, read-only: every blend of that degree interpolates on them."""
+    t = chebpts1(degree + 1)
+    vander = chebvander(t, degree)
+    t.flags.writeable = vander.flags.writeable = False
+    return t, vander
+
+
 def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> list:
     """[the ChebSegment pieces of (1 - w) f + w (f * g) for each profile f],
     every profile convolved by one quadrature rule at the pieces' nodes.
@@ -681,7 +696,7 @@ def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> list:
                       if window.lo - d < b < window.hi + d))
     spans = [(window.center + xa * d, window.center + xb * d)
              for xa, xb in _BLEND_PIECES]
-    ts = [chebpts1(deg + 1) for deg in CHEB_DEGREES]
+    ts, vanders = zip(*(_cheb_nodes(deg) for deg in CHEB_DEGREES))
     rs = np.concatenate([lo + 0.5 * (t + 1.0) * (hi - lo)
                          for (lo, hi), t in zip(spans, ts)])
 
@@ -720,12 +735,12 @@ def _blend(window: SmoothingWindow, *profiles: PiecewiseProfile) -> list:
         vals = np.split((1.0 - w) * profile.value(rs) + w * conv,
                         np.cumsum([len(t) for t in ts])[:-1])
         pieces = []
-        for (lo, hi), t, v in zip(spans, ts, vals):
+        for (lo, hi), t, vander, v in zip(spans, ts, vanders, vals):
             # the interpolant through the values at the nodes, step for
             # step as `chebinterpolate` computes it, of the values less
             # their mean, so the rounding of T_k scales with their spread
             mean = float(np.mean(v))
-            c = np.dot(chebvander(t, len(t) - 1).T, v - mean)
+            c = np.dot(vander.T, v - mean)
             c[0] /= len(t)
             c[1:] /= 0.5 * len(t)
             c[0] += mean
@@ -750,9 +765,10 @@ def _splice_window(profile: PiecewiseProfile,
                       if b < lo - 1e-15 or b > hi + 1e-15]
                      + [p.lo for p in pieces] + [hi]))
     by_lo = {p.lo: p for p in pieces}
+    edges = np.array(bps)
+    idx = profile._segment_index(0.5 * (edges[:-1] + edges[1:]))
     return PiecewiseProfile(bps, [
-        by_lo.get(a) or profile.segment_span(0.5 * (a + b))[0]
-        for a, b in zip(bps[:-1], bps[1:])])
+        by_lo.get(a) or profile.segments[i] for a, i in zip(bps[:-1], idx)])
 
 
 def window_radii(profile: PiecewiseProfile) -> np.ndarray:

@@ -218,7 +218,7 @@ def _intercepts(pair: ProfilePair, r_plus: float,
                 r_plus_prime: float) -> tuple:
     """h2 at the two zeros of h1; the second action 2 pi |h2| must
     dominate the first."""
-    h2p, h2pp = (float(pair.h2.value(r)) for r in (r_plus, r_plus_prime))
+    h2p, h2pp = (float(v) for v in pair.h2.value([r_plus, r_plus_prime]))
     a_plus, a_prime = TWO_PI * abs(h2p), TWO_PI * abs(h2pp)
     if not a_plus < a_prime:
         raise InvalidGeometry(

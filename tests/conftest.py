@@ -34,6 +34,12 @@ def model():
 
 
 @pytest.fixture(scope="session")
+def gray_family():
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    return prof.TwistedPathFamily(base, 0.04, 0.06)
+
+
+@pytest.fixture(scope="session")
 def base_b(model):
     return math.log(model.defaults.l_base)
 

@@ -12,12 +12,6 @@ from lutzlab.errors import InvalidGeometry, PreconditionFailed, SingularLocus
 from lutzlab.family import U_CAP, FamilyDefaults
 
 
-@pytest.fixture(scope="module")
-def gray_family():
-    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
-    return prof.TwistedPathFamily(base, 0.04, 0.06)
-
-
 # --- conformal machinery -----------------------------------------------------
 
 def test_ub_conformal_constant():

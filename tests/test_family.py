@@ -115,6 +115,137 @@ def test_tube_volume_orientation():
     assert vol == pytest.approx(FOUR_PI2, rel=1e-13)
 
 
+def _certificate_per_end(family, u_lo, u_hi, n):
+    """(sign, r+, r+', volumes, margin) of `certify_family` the way it once
+    took them: D of each end by `ProfilePair.wronskian` and each end's
+    volume integral by one quadrature per Gauss-Legendre order; the oracle
+    of the shared evaluations."""
+    ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
+    rs = prof.contact_radii(p_lo, fam.CONTACT_GRID)
+    ds = [p.wronskian(rs) for p in ends]
+    (sign,) = {prof.contact_report(rs, d / rs, fam.CONTACT_GRID).sign
+               for d in ds}
+    r_plus, r_pp, _, _ = reeb.action_minima(p_lo)
+
+    def volume(pair):
+        knots = pair.knots()
+
+        def scan(order):
+            rs, weights = gl_panel_nodes(knots[:-1], knots[1:], order)
+            flat = rs.ravel()
+            d = pair.wronskian(flat)
+            if n > 2:
+                d = pair.h1.value(flat) ** (n - 2) * d
+            return float(np.sum(weights * d.reshape(rs.shape)))
+        lo, total = scan(12), scan(20)
+        assert abs(total - lo) <= 1e-10 * max(abs(total), 1.0)
+        return 4.0 * math.pi ** 2 * total
+
+    off_arc = (rs <= family.window.hi) | (rs > 0.5)
+    h2v = [p.h2.value(rs) for p in ends]
+    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * p_lo.h1.deriv(rs))
+    margin = min(float(np.min((1.0 - u * rate / np.abs(d))[off_arc]))
+                 for u, d in zip((u_lo, u_hi), ds))
+    return sign, r_plus, r_pp, tuple(volume(p) for p in ends), margin
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("which", ["model", "gray"])
+def test_certificate_equals_the_per_end_oracle(which, n, gray_family):
+    # evaluating each profile once per radius set changes no bit of the
+    # certificate, nor of what `contact_sign` hands the Gray oracle
+    if which == "model":
+        defaults = fam.FamilyDefaults()
+        family = prof.TwistedPathFamily(defaults.twist, defaults.u_ref,
+                                        fam.U_CAP)
+        u_lo, u_hi = defaults.u_ref, fam.U_CAP
+    else:
+        family, u_lo, u_hi = gray_family, 0.04, 0.06
+    cert = fam.certify_family(family, u_lo, u_hi, n)
+    got = (cert.contact_sign, cert.r_plus, cert.r_plus_prime, cert.volumes,
+           cert.margin)
+    assert got == _certificate_per_end(family, u_lo, u_hi, n)
+    ends = [family.pair(u) for u in (u_lo, u_hi)]
+    _, rs, ds, h1p, h2s = fam.contact_sign(ends, "the ends")
+    assert np.array_equal(h1p, ends[0].h1.deriv(rs))
+    for p, d, h2 in zip(ends, ds, h2s):
+        assert np.array_equal(d, p.wronskian(rs))
+        assert np.array_equal(h2, p.h2.value(rs))
+    # one pair takes the same path: `tube_volume` is the oracle's volume
+    for p, v in zip(ends, cert.volumes):
+        assert fam.tube_volume(p, n) == abs(v)
+
+
+def test_model_build_evaluates_each_profile_once_per_radius_set(monkeypatch):
+    # h1 and each end's h2 are evaluated at most once per method on the
+    # contact radii and once on the tube-volume nodes (both Gauss-Legendre
+    # orders); a shared h1 is not evaluated again for the second end
+    defaults = fam.FamilyDefaults()
+    ref = prof.TwistedPathFamily(defaults.twist, defaults.u_ref,
+                                 fam.U_CAP).pair(defaults.u_ref)
+    knots = ref.knots()
+    radius_sets = {
+        "contact": prof.contact_radii(ref, fam.CONTACT_GRID),
+        "volume": np.concatenate([
+            gl_panel_nodes(knots[:-1], knots[1:], order)[0].ravel()
+            for order in (12, 20)])}
+    seen = []  # (profile, method, radius set); holds the profiles alive
+    for method in ("value", "deriv"):
+        real = getattr(prof.PiecewiseProfile, method)
+
+        def recording(self, r, method=method, real=real):
+            rf = np.atleast_1d(np.asarray(r, dtype=float))
+            for name, radii in radius_sets.items():
+                if np.all(np.isin(radii, rf)):
+                    seen.append((self, method, name))
+            return real(self, r)
+        monkeypatch.setattr(prof.PiecewiseProfile, method, recording)
+    fam.FamilyModel(1.0, 1.0, n=3)
+    counts = {}
+    for profile, method, name in seen:
+        key = (id(profile), method, name)
+        counts[key] = counts.get(key, 0) + 1
+    assert max(counts.values()) == 1
+    # h1 and the two ends' h2, by both methods, on both sets
+    assert len(counts) == 3 * 2 * 2
+
+
+def _with_extra_knot(profile, r):
+    """`profile` with a breakpoint added at r: the same function, cut in
+    two on the piece holding r."""
+    bps = list(profile.breakpoints)
+    i = int(np.searchsorted(bps, r)) - 1
+    return prof.PiecewiseProfile(
+        bps[:i + 1] + [r] + bps[i + 1:],
+        profile.segments[:i + 1] + profile.segments[i:])
+
+
+class _ExtraKnotAtCap(prof.TwistedPathFamily):
+    """A family whose member at u_max carries an extra knot in h2."""
+
+    def pair(self, u):
+        p = super().pair(u)
+        if u < self.u_max:
+            return p
+        return prof.ProfilePair(p.h1, _with_extra_knot(p.h2, 0.6),
+                                p.epsilon)
+
+
+def test_members_must_share_their_knots(gray_family):
+    # the ends are sampled on the first end's contact radii and one set of
+    # volume panels: an end with an extra knot would be sampled on the
+    # wrong radii, and is refused
+    lo, hi = gray_family.pair(0.04), gray_family.pair(0.06)
+    odd = prof.ProfilePair(hi.h1, _with_extra_knot(hi.h2, 0.6), hi.epsilon)
+    assert np.array_equal(odd.h2.value(np.linspace(0.0, 1.0, 101)),
+                          hi.h2.value(np.linspace(0.0, 1.0, 101)))
+    with pytest.raises(InvalidGeometry, match="share their knots"):
+        fam.contact_sign([lo, odd], "the ends")
+    base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
+    with pytest.raises(InvalidGeometry, match="share their knots"):
+        fam.certify_family(_ExtraKnotAtCap(base, 0.04, 0.06), 0.04, 0.06, 2)
+
+
 # --- compensator ------------------------------------------------------------
 
 def comp_with_volume(target_volume=0.2):
@@ -171,6 +302,17 @@ def test_compensator_computes_moments_once(monkeypatch):
             tube.delta_volume(spec.amplitude, n) + 0.01)
 
 
+def test_moment_sum_is_the_binomial_sum():
+    # the cached binomials keep the product order and the sum from zero
+    mom = fam.CompensatorSpec().moments(4)
+    for n in (1, 2, 3, 4):
+        for amp in (-0.37, 1e-3, 0.5, 3.0):
+            want = 0
+            for j in range(1, n + 1):
+                want += math.comb(n, j) * amp ** j * mom[j - 1]
+            assert fam._moment_sum(mom[:n], amp) == want
+
+
 def test_compensator_bump_support():
     tube = comp_with_volume()
     assert tube.bump(0.0, 0.0) == 0.0
@@ -203,13 +345,13 @@ def _counting(calls, key, fn):
 
 
 def test_embed_computes_each_verified_quantity_once(monkeypatch):
-    # the model certifies its family once, with the two end members' volume
-    # quadratures (the signed integrals `tube_volume` takes the modulus of)
-    # and one action_minima; members read that certificate and recompute
-    # none of it
+    # the model certifies its family once, with one quadrature holding both
+    # end members' volume integrals (the signed integrals `tube_volume`
+    # takes the modulus of) and one action_minima; members read that
+    # certificate and recompute none of it
     calls = dict.fromkeys(("tube_volume", "quadratures", "minima", "l"), 0)
     real_volume = fam.tube_volume
-    for owner, attr, key in ((fam, "_integrate_profile_product",
+    for owner, attr, key in ((fam, "_integrate_profile_products",
                               "quadratures"),
                              (fam, "tube_volume", "tube_volume"),
                              (reeb, "action_minima", "minima"),
@@ -217,7 +359,7 @@ def test_embed_computes_each_verified_quantity_once(monkeypatch):
         monkeypatch.setattr(owner, attr,
                             _counting(calls, key, getattr(owner, attr)))
     model = fam.FamilyModel(1.0, 1.0, n=2)
-    built = {"tube_volume": 0, "quadratures": 2, "minima": 1, "l": 0}
+    built = {"tube_volume": 0, "quadratures": 1, "minima": 1, "l": 0}
     assert calls == built
     s1 = model.embed_point((0.0, math.log(0.04)))
     s2 = model.embed_point((0.1, math.log(0.05)))
