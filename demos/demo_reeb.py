@@ -32,10 +32,6 @@ print(f"perturbed actions: hyperbolic {orbits.action_hyperbolic:.8f} "
       f"< elliptic {orbits.action_elliptic:.8f}")
 print(f"hyperbolic orbit degree = {orbits.degree_hyperbolic}")
 
-t_return = reeb.perturbed_return_time(orbits)
-print(f"numerically integrated return time {t_return:.10f} "
-      f"(matches the action to {abs(t_return - orbits.action_hyperbolic):.1e})")
-
 l = reeb.l_invariant(pair, params, ambient_floor_a=1.0)
 print(f"certified lowest action level l = {l:.8f} "
       f"= (1 + delta2) u = {(1 + params.delta2) * params.u:.8f}")

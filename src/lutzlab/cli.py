@@ -24,7 +24,6 @@ import math
 import os
 import platform
 import sys
-from functools import cache
 
 import numpy as np
 
@@ -35,16 +34,6 @@ from .numerics import format_float
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INPUT = 2
-
-
-@cache
-def _scipy_version() -> str:
-    """scipy's version from its installed metadata, which takes a few ms
-    to read and none of scipy's import time; looked up once per process.
-    Only the run manifest needs it, so `importlib.metadata` is imported
-    here, not with the CLI."""
-    from importlib.metadata import version
-    return version("scipy")
 
 
 class RunContext:
@@ -97,7 +86,6 @@ class RunContext:
                            "round_trip_volume": family.VOLUME_ROUND_TRIP},
             "versions": {"lutzlab": __version__,
                          "numpy": np.__version__,
-                         "scipy": _scipy_version(),
                          "python": platform.python_version()},
         }
         if self.family_certificate is not None:

@@ -21,9 +21,8 @@ otherwise), so the certificate evaluates each profile once per set of
 radii: h1 once for both ends and each end's h2 once on the contact radii,
 and again on the tube-volume nodes, which hold both Gauss-Legendre
 orders.  A member is then embedded in closed form from that certificate;
-`tube_volume`, `FormSpec.l_invariant` and
-`CompensatorSpec.delta_volume_grid` recompute it from scratch and serve as
-oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
+`tube_volume` and `FormSpec.l_invariant` recompute it from scratch and
+serve as oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
 together with the geometric floor l >= k^(1/n) * L0 (smaller targets need
 a thinner twist region, i.e. a smaller epsilon0) and the amplitude cap
 u <= U_CAP.
@@ -101,15 +100,6 @@ def tube_volume(pair: ProfilePair, n: int = 2) -> float:
     return abs(val)
 
 
-def tube_volume_montecarlo(pair: ProfilePair, n_samples: int = 2_000_000,
-                           seed: int = 0) -> float:
-    """Monte-Carlo integral of the tube volume form (3-d), for cross-checks."""
-    rng = np.random.default_rng(seed)
-    rs = rng.uniform(0.0, pair.epsilon, n_samples)
-    d = pair.wronskian(rs)
-    return float(4.0 * math.pi ** 2 * pair.epsilon * np.mean(d))
-
-
 def epsilon_bound(a_floor: float, b_floor: float) -> float:
     """min(ln A, ln B): the admissible ceiling for ln l."""
     if a_floor <= 0.0 or b_floor <= 0.0:
@@ -174,26 +164,21 @@ class CompensatorSpec:
         scaling (1 + a*B)^n."""
         return _moment_sum(self.moments(n), amplitude)
 
-    def _midpoint_grid(self, grid: int) -> tuple:
+    def _midpoint_grid(self) -> tuple:
         """(bump, 2 r cell) at the midpoints of a grid x grid cell box,
-        theta along rows and r along columns (the weight is one row)."""
+        grid = _MIDPOINT_GRID, theta along rows and r along columns (the
+        weight is one row)."""
+        grid = _MIDPOINT_GRID
         ths = (np.arange(grid) + 0.5) / grid * self.theta_extent
         rs = (np.arange(grid) + 0.5) / grid * self.r_extent
         cell = (self.theta_extent / grid) * (self.r_extent / grid)
         return self.bump(ths[:, None], rs[None, :]), 2.0 * rs[None, :] * cell
 
-    def delta_volume_grid(self, amplitude: float, n: int,
-                          grid: int = _MIDPOINT_GRID) -> float:
-        """Independent 2-d midpoint re-integration of the volume change."""
-        b, weight = self._midpoint_grid(grid)
-        dens = (1.0 + amplitude * b) ** n - 1.0
-        return float(TWO_PI * np.sum(dens * weight))
-
     def grid_moments(self, n: int) -> list:
-        """G_j = 2 pi sum bump^j 2 r cell on `delta_volume_grid`'s default
-        midpoint grid, j = 1..n: `_moment_sum` of them is that
-        re-integration."""
-        b, weight = self._midpoint_grid(_MIDPOINT_GRID)
+        """G_j = 2 pi sum bump^j 2 r cell on the midpoint grid, j = 1..n:
+        `_moment_sum` of them is the 2-d midpoint re-integration of the
+        volume change."""
+        b, weight = self._midpoint_grid()
         out, bj = [], np.ones_like(b)
         for _ in range(n):
             bj = bj * b

@@ -13,7 +13,8 @@ so it does not enclose the sup between its samples.
 `brentq` is the one bracketed root finder, the resonance polish of
 `reeb.resonance_scan`: Brent's method (Brent, *Algorithms for Minimization
 without Derivatives*, 1973) step for step as scipy's `brentq` takes it, so
-it returns the same float; the package imports no scipy module.
+it returns the same float.  The package imports no scipy module; scipy is
+a test dependency, where its `brentq` and `solve_ivp` serve as oracles.
 """
 
 from __future__ import annotations

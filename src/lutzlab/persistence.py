@@ -871,42 +871,3 @@ def random_admissible_dga(rng, n_generators: int = 4, action_cap: float = 10.0,
             den = int(rng.integers(1, 4))
             diff[gens[i].name] = [(Fraction(num, den), [])]
     return FilteredDGA(gens, diff, action_cap, word_cap)
-
-
-def random_chain_dga(rng, n_generators: int = 4, action_cap: float = 10.0,
-                     word_cap: int = 4) -> FilteredDGA:
-    """Random DGA with single-generator differential targets.
-
-    Richer elimination patterns for oracle-equality coverage; truncated
-    bar lengths are not bounded by the unit level here, so only barcode
-    agreement may be asserted.
-    """
-    n = int(rng.integers(2, n_generators + 1))
-    gens = []
-    for i in range(n):
-        gens.append(Generator(
-            name=f"g{i}", degree=int(rng.integers(0, 2)),
-            action=float(np.round(rng.uniform(0.6, action_cap * 0.95), 3))))
-    diff = {}
-    closed = set(range(n))
-    odd = [i for i, g in enumerate(gens) if g.degree == 1]
-    if odd and rng.random() < 0.6:
-        x = int(rng.choice(odd))
-        diff[gens[x].name] = [(Fraction(int(rng.integers(1, 4))), [])]
-        closed.discard(x)
-    for i in range(n):
-        if gens[i].name in diff or rng.random() < 0.4:
-            continue
-        # only earlier-processed generators stay closed for good
-        targets = [j for j in closed
-                   if j < i
-                   and gens[j].action < gens[i].action - 1e-9
-                   and gens[j].degree == (gens[i].degree + 1) % 2]
-        if targets:
-            j = int(rng.choice(targets))
-            num = int(rng.integers(-3, 4)) or 1
-            den = int(rng.integers(1, 4))
-            diff[gens[i].name] = [(Fraction(num, den), [gens[j].name])]
-            closed.discard(i)
-    return FilteredDGA(gens, diff, action_cap, word_cap)
-

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import (chebder, chebpts1, chebroots, chebval,
                                         chebvander)
 
-from .errors import InvalidGeometry, QuadratureFailure
+from .errors import InvalidGeometry, LutzLabError, QuadratureFailure
 from .numerics import format_float, gl_panel_nodes, grid_sup
 
 TWO_PI = 2.0 * math.pi
@@ -273,16 +273,6 @@ class PiecewiseProfile:
         return PiecewiseProfile(self.breakpoints,
                                 [s.scaled(c) for s in self.segments])
 
-    def max_breakpoint_jump(self) -> float:
-        """Largest value mismatch across interior breakpoints."""
-        worst = 0.0
-        for i in range(1, len(self.breakpoints) - 1):
-            b = self.breakpoints[i]
-            left = self.segments[i - 1].value(np.array([b]))[0]
-            right = self.segments[i].value(np.array([b]))[0]
-            worst = max(worst, abs(left - right))
-        return worst
-
 
 @dataclass(frozen=True)
 class ExtensionSpec:
@@ -464,7 +454,10 @@ class ProfilePair:
         return int(np.sum(s2[:-1][on_axis] - s2[1:][on_axis])) // 2
 
     def sample_csv(self, path: str, n: int = 2001) -> None:
-        """Write 'r,h1,h2,h1p,h2p,D' samples."""
+        """Write 'r,h1,h2,h1p,h2p,D' samples at n >= 2 radii spanning
+        [0, epsilon]."""
+        if n < 2:
+            raise LutzLabError(f"samples must be at least 2, got {n}")
         rs = np.linspace(0.0, self.epsilon, n)
         h1 = self.h1.value(rs)
         h2 = self.h2.value(rs)

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (InvalidGeometry, NotSymplectic, PreconditionFailed,
-                     SingularLocus)
+from .errors import (InvalidGeometry, LutzLabError, NotSymplectic,
+                     PreconditionFailed, SingularLocus)
 from .numerics import adaptive_simpson, brentq, format_float
 from .profile import TWO_PI, ProfilePair, TwistParams
 
@@ -271,6 +271,8 @@ class CoreOrbitInfo:
 
     @staticmethod
     def compute(pair: ProfilePair, k_max: int) -> "CoreOrbitInfo":
+        if k_max < 1:
+            raise LutzLabError(f"k_max must be at least 1, got {k_max}")
         period = abs(float(pair.h1.value(0.0)))
         table = {k: core_orbit_cz(pair, k) for k in range(1, k_max + 1)}
         return CoreOrbitInfo(period=period, cz_by_cover=table)
@@ -398,54 +400,6 @@ def _half_int(x: float) -> float:
     return v + 0.0  # normalise -0.0
 
 
-def linearized_core_path(pair: ProfilePair, k: int, n_steps: int = 2048):
-    """RK4 samples of the linearised return flow over the k-fold core cover.
-
-    The transverse linearisation at the core is read off the angular rate
-    of the field at a small probe radius (with Richardson extrapolation),
-    assembled into the rotation generator, and integrated numerically.
-    """
-    period = abs(float(pair.h1.value(0.0)))
-
-    def omega_at(rho):
-        d = float(pair.wronskian(rho))
-        return -float(pair.h1.deriv(rho)) / d
-
-    r1, r2 = 1e-4, 5e-5
-    w1, w2 = omega_at(r1), omega_at(r2)
-    omega = (4.0 * w2 - w1) / 3.0  # h^2 Richardson
-    a_mat = omega * np.array([[0.0, -1.0], [1.0, 0.0]])
-    t_end = k * period
-    dt = t_end / n_steps
-    psi = np.eye(2)
-    out = [psi.copy()]
-    for _ in range(n_steps):
-        k1 = a_mat @ psi
-        k2 = a_mat @ (psi + 0.5 * dt * k1)
-        k3 = a_mat @ (psi + 0.5 * dt * k2)
-        k4 = a_mat @ (psi + dt * k3)
-        psi = psi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(psi.copy())
-    return np.array(out), np.linspace(0.0, t_end, n_steps + 1)
-
-
-def core_orbit_cz_oracle(pair: ProfilePair, k: int):
-    """Index of the k-fold core cover via the numerically integrated flow.
-
-    Doubles the sampling density until two consecutive refinements agree.
-    """
-    prev = None
-    n = 1024
-    for _ in range(6):
-        mats, ts = linearized_core_path(pair, k, n)
-        idx = cz_sp2_path(mats, ts)
-        if prev is not None and idx == prev:
-            return idx
-        prev = idx
-        n *= 2
-    return prev
-
-
 # ---------------------------------------------------------------------------
 # Morse-Bott perturbation
 # ---------------------------------------------------------------------------
@@ -546,33 +500,6 @@ def perturb(pair: ProfilePair, params: TwistParams) -> PerturbedOrbits:
                            cz_hyperbolic=float(cz_h),
                            cz_elliptic_reported=int(round(cz_e)),
                            reeb_field=field_eval)
-
-
-def perturbed_return_time(orbits: PerturbedOrbits, theta0: float = 0.0,
-                          rtol: float = 1e-11) -> float:
-    """Integrate the perturbed field from a critical circle; phi-return time.
-
-    Cross-checks the closed-form hyperbolic action when started at the
-    minimum of mu (theta0 = 0).
-    """
-    from scipy.integrate import solve_ivp  # only this oracle integrates
-
-    def rhs(_t, y):
-        return orbits.reeb_field(y[0], y[1], y[2])
-
-    phi_rate = orbits.reeb_field(theta0, orbits.r_plus, 0.0)[2]
-    t_guess = TWO_PI / abs(phi_rate)
-
-    def phi_turn(t, y):
-        return abs(y[2]) - TWO_PI
-
-    phi_turn.terminal = True
-    sol = solve_ivp(rhs, (0.0, 3.0 * t_guess),
-                    [theta0, orbits.r_plus, 0.0], rtol=rtol, atol=1e-13,
-                    events=phi_turn, dense_output=False, max_step=t_guess / 50)
-    if not sol.t_events[0].size:
-        raise InvalidGeometry("perturbed orbit did not close in phi")
-    return float(sol.t_events[0][0])
 
 
 # ---------------------------------------------------------------------------

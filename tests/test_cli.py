@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -280,6 +281,38 @@ def test_reeb_subcommands(tmp_path):
     assert (o / "profile_mollified.csv").exists()
 
 
+@pytest.mark.parametrize("k_max", ["0", "-2"])
+def test_reeb_cz_refuses_no_covers(tmp_path, capsys, k_max):
+    code, out = run(tmp_path, "profile", "build", "--epsilon0", "0.05",
+                    "--u", "0.05")
+    assert code == 0
+    code, o = run(tmp_path / "cz", "reeb", "cz", "--in",
+                  str(out / "profile.json"), "--k-max", k_max)
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"input error: k_max must be at least 1, got {k_max}\n")
+    assert not (o / "core_cz.json").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-4"])
+def test_profile_csv_refuses_fewer_than_two_samples(tmp_path, capsys,
+                                                    samples):
+    code, out = run(tmp_path, "profile", "build", "--epsilon0", "0.05",
+                    "--u", "0.05", "--samples", samples)
+    assert code == 2
+    want = f"input error: samples must be at least 2, got {samples}\n"
+    assert capsys.readouterr().err == want
+    assert not (out / "profile.csv").exists()
+    code, out = run(tmp_path / "ok", "profile", "build", "--epsilon0",
+                    "0.05", "--u", "0.05")
+    assert code == 0
+    code, o = run(tmp_path / "mol", "profile", "mollify", "--in",
+                  str(out / "profile.json"), "--samples", samples)
+    assert code == 2
+    assert capsys.readouterr().err.endswith(want)
+    assert not (o / "profile_mollified.csv").exists()
+
+
 def test_family_sweep_and_bounds_commands(tmp_path):
     code, out = run(tmp_path, "family", "sweep",
                     "--a-grid", "0", "0.2", "2",
@@ -304,8 +337,8 @@ def test_family_sweep_and_bounds_commands(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # no scipy module at all: only the perturbed-return-time oracle
-    # integrates an ODE, and it imports scipy.integrate when it runs
+    # no scipy module at all: scipy is a test dependency, and the ODE
+    # oracle that integrates with scipy.integrate lives in tests/oracles.py
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, lutzlab.cli; "
@@ -314,3 +347,82 @@ def test_cli_import_leaves_out_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src" / "lutzlab"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# The README commands with their documented exit codes, run in one
+# interpreter where any scipy import fails as if scipy were not installed.
+_SCIPY_FREE_RUN = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from lutzlab import cli
+
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+codes = [cli.main(["--out", f"{out}/{i}"] + argv)
+         for i, (argv, _) in enumerate(runs)]
+print(json.dumps({"codes": codes,
+                  "metadata": "importlib.metadata" in sys.modules}))
+"""
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    profile_json = str(tmp_path / "0" / "profile.json")
+    dga = tmp_path / "dga.json"
+    dga.write_text(json.dumps({
+        "generators": [{"name": "x", "degree": 1, "action": 3.0},
+                       {"name": "y", "degree": 1, "action": 5.0}],
+        "differential": {"x": [{"coeff": "1", "word": []}]},
+        "action_cap": 10.0, "word_cap": 4}))
+    runs = [
+        (["profile", "build", "--epsilon0", "0.05", "--u", "0.05"], 0),
+        (["profile", "check", "--in", profile_json], 0),
+        (["reeb", "scan", "--in", profile_json, "--pq-max", "2"], 0),
+        (["reeb", "minima", "--in", profile_json], 0),
+        # the README profile fails the smoothing bound (38.57 > 1/u = 20)
+        (["profile", "mollify", "--in", profile_json], 1),
+        (["family", "embed", "--a", "0", "--b", "-3.2"], 0),
+        (["family", "sweep", "--a-grid", "0", "0.18", "3",
+          "--b-grid", "-3.6", "-2.9", "3"], 0),
+        (["distance", "fold", "--a1", "1", "--a2", "3", "--ball", "0.5",
+          "--delta", "0.4"], 0),
+        (["distance", "sandwich", "--a-grid", "0", "0.18", "5",
+          "--b-grid", "-4.30", "-2.82", "5"], 0),
+        (["persist", "barcode", "--in", str(dga)], 0),
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path),
+         json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [code for _, code in runs]
+    # the manifest's versions need no installed-package metadata
+    assert result["metadata"] is False
+    for i in range(len(runs)):
+        manifest = json.loads(
+            (tmp_path / str(i) / "run_manifest.json").read_text())
+        assert sorted(manifest["versions"]) == ["lutzlab", "numpy", "python"]

@@ -8,6 +8,8 @@ import pytest
 from lutzlab import persistence as ps
 from lutzlab.errors import BasisOverflow, PreconditionFailed
 
+import oracles
+
 
 @pytest.fixture
 def xy_dga():
@@ -279,7 +281,7 @@ def _d_squared_per_word(dga):
 
 def test_d_squared_matches_per_word_reference():
     rng = np.random.default_rng(45)
-    dgas = [ps.random_chain_dga(rng) for _ in range(25)]
+    dgas = [oracles.random_chain_dga(rng) for _ in range(25)]
     dgas += [ps.random_admissible_dga(rng) for _ in range(10)]
     # words of up to 5 letters (Koszul signs across 3 or more letters), and
     # image words that leave the basis, with d^2 = 0 and with d^2 != 0
@@ -405,7 +407,7 @@ def test_random_chain_oracle_equality():
     rng = np.random.default_rng(43)
     for word_cap in (4, 5):
         for _ in range(25):
-            dga = ps.random_chain_dga(rng, word_cap=word_cap)
+            dga = oracles.random_chain_dga(rng, word_cap=word_cap)
             assert ps.d_squared_check(dga)
             assert ps.barcode(dga).bars == ps.brute_force_oracle(dga).bars
 
@@ -413,7 +415,7 @@ def test_random_chain_oracle_equality():
 def test_filtration_monotonicity_random():
     rng = np.random.default_rng(44)
     for _ in range(10):
-        dga = ps.random_chain_dga(rng)
+        dga = oracles.random_chain_dga(rng)
         for w in dga.basis():
             img = dga.boundary_word(w)
             for w2 in img:
@@ -537,7 +539,7 @@ def _expansion_dgas():
     rng = np.random.default_rng(51)
     dgas = [_koszul_dga(), _koszul_dga(coeffs=MIXED + (Fraction(-3, 5),)),
             _sign_dga(), _carry_dga()]
-    dgas += [ps.random_chain_dga(rng) for _ in range(60)]
+    dgas += [oracles.random_chain_dga(rng) for _ in range(60)]
     dgas += [ps.random_admissible_dga(rng) for _ in range(60)]
     dgas += [_random_two_letter_dga(rng) for _ in range(30)]
     return dgas
@@ -640,7 +642,7 @@ def test_heap_walk_pops_in_basis_order():
     rng = np.random.default_rng(53)
     dgas = [_koszul_dga(), _koszul_dga(pairs=3, coeffs=MIXED)]
     for _ in range(40):
-        base = ps.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
+        base = oracles.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
         dgas.append(ps.FilteredDGA(base.generators, {
             base.generators[gi].name: [
                 (c, [j for j, e in w for _ in range(e)]) for c, w in terms]
@@ -778,7 +780,7 @@ def test_mixed_denominator_chain_oracle_equality(monkeypatch):
     rng = np.random.default_rng(50)
     seen = _count_scalings(monkeypatch)
     for _ in range(40):
-        base = ps.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
+        base = oracles.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
         diff = {base.generators[gi].name:
                 [(MIXED[int(rng.integers(0, 3))],
                   [gi for gi, e in w for _ in range(e)]) for _, w in terms]
@@ -793,7 +795,7 @@ def test_unit_level_is_the_unit_bars_death():
     # cmd_persist_barcode reports the unit's bar death as the unit level
     rng = np.random.default_rng(48)
     dgas = [ps.random_admissible_dga(rng) for _ in range(120)]
-    dgas += [ps.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
+    dgas += [oracles.random_chain_dga(rng, word_cap=int(rng.integers(3, 6)))
              for _ in range(120)]
     levels = [ps.unit_vanishing_level(dga) for dga in dgas]
     assert levels == [ps.barcode(dga).unit_bar().death for dga in dgas]
