@@ -10,7 +10,9 @@ Subcommands mirror the library modules:
 
 Every run writes its artifacts plus a run-manifest JSON (input hashes,
 package/library versions, tolerances, and the family certificate of the
-model a family or distance command builds) into --out.  Exit status: 0
+model a family or distance command builds) into --out; a persist command
+runs under no float tolerance and without numpy, so it lists neither.
+Each command imports the numeric modules it uses when it runs.  Exit status: 0
 when all checks pass, 1 on assertion failures, 2 on input errors.  All
 numbers are printed with 17 significant digits.
 """
@@ -25,11 +27,8 @@ import os
 import platform
 import sys
 
-import numpy as np
-
-from . import __version__, distance, family, persistence, profile, reeb
+from . import __version__
 from .errors import LutzLabError
-from .numerics import format_float
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -46,9 +45,10 @@ class RunContext:
         self.outputs = []
         self.family_certificate = None
 
-    def model(self, args) -> family.FamilyModel:
+    def model(self, args):
         """The FamilyModel of --floor-a, --floor-b and --n; the manifest
         records its family certificate."""
+        from . import family
         model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
         self.family_certificate = model.certificate.to_dict()
         return model
@@ -58,35 +58,44 @@ class RunContext:
             digest = hashlib.sha256(fh.read()).hexdigest()
         self.inputs[path] = digest
 
-    def path(self, name: str) -> str:
-        p = os.path.join(self.outdir, name)
+    def write(self, name: str, writer) -> None:
+        """writer(path) writes the artifact `name` into --out; the manifest
+        lists it only once the writer has returned."""
+        writer(os.path.join(self.outdir, name))
         self.outputs.append(name)
-        return p
 
-    def write_json(self, name: str, payload) -> str:
-        p = self.path(name)
-        with open(p, "w") as fh:
-            if isinstance(payload, str):
-                fh.write(payload)
-            else:
-                json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        return p
+    def write_json(self, name: str, payload) -> None:
+        def dump(path):
+            with open(path, "w") as fh:
+                if isinstance(payload, str):
+                    fh.write(payload)
+                else:
+                    json.dump(payload, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+        self.write(name, dump)
 
     def finish(self):
+        # exact rationals: no persist command runs under a float tolerance
+        # or numpy, so its manifest names none
+        tolerances, versions = {}, {"lutzlab": __version__,
+                                    "python": platform.python_version()}
+        if not self.command.startswith("persist "):
+            import numpy as np
+
+            from . import distance, family, profile
+            tolerances = {"gray_simpson_abs": distance._GRAY_TOL,
+                          "contact_pass": profile.CONTACT_PASS,
+                          "round_trip_l": family.L_ROUND_TRIP,
+                          "round_trip_volume": family.VOLUME_ROUND_TRIP}
+            versions["numpy"] = np.__version__
         manifest = {
             "command": self.command,
             "args": {k: (v if not isinstance(v, float) else float(v))
                      for k, v in self.args.items()},
             "inputs_sha256": self.inputs,
             "outputs": self.outputs,
-            "tolerances": {"gray_simpson_abs": distance._GRAY_TOL,
-                           "contact_pass": profile.CONTACT_PASS,
-                           "round_trip_l": family.L_ROUND_TRIP,
-                           "round_trip_volume": family.VOLUME_ROUND_TRIP},
-            "versions": {"lutzlab": __version__,
-                         "numpy": np.__version__,
-                         "python": platform.python_version()},
+            "tolerances": tolerances,
+            "versions": versions,
         }
         if self.family_certificate is not None:
             manifest["family_certificate"] = self.family_certificate
@@ -104,13 +113,15 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _twist_from_args(args) -> profile.TwistParams:
+def _twist_from_args(args):
+    from . import profile
     return profile.TwistParams(
         epsilon0=args.epsilon0, delta0=args.delta0, delta=args.delta,
         mu_minus=args.mu_minus, mu_plus=args.mu_plus, u=args.u).solved()
 
 
-def _load_twist(ctx: RunContext, path: str) -> profile.TwistParams:
+def _load_twist(ctx: RunContext, path: str):
+    from . import profile
     ctx.register_input(path)
     with open(path) as fh:
         params = profile.TwistParams.from_json(fh.read())
@@ -145,34 +156,38 @@ def _add_model_flags(p, grid=False):
 # ---------------------------------------------------------------------------
 
 def cmd_profile_build(args, ctx: RunContext) -> int:
+    from . import profile
     params = _twist_from_args(args)
     pair = profile.build_mollified_path(params)
     ctx.write_json("profile.json", params.to_json())
-    pair.sample_csv(ctx.path("profile.csv"), n=args.samples)
-    print(f"delta1 = {format_float(params.delta1)}")
-    print(f"delta2 = {format_float(params.delta2)}")
+    ctx.write("profile.csv", lambda p: pair.sample_csv(p, n=args.samples))
+    print(f"delta1 = {params.delta1:.17g}")
+    print(f"delta2 = {params.delta2:.17g}")
     print(f"winding = {pair.winding_number()}")
     return EXIT_OK
 
 
 def cmd_profile_check(args, ctx: RunContext) -> int:
+    from . import profile
     params = _load_twist(ctx, args.infile)
     pair = profile.build_mollified_path(params)
     report = profile.check_contact_condition(pair, grid_size=args.grid)
     ctx.write_json("contact_report.json", report.to_dict())
-    print(f"min |D/r| = {format_float(report.min_abs_d_over_r)} at "
-          f"r = {format_float(report.argmin_r)}; sign {report.sign}; "
+    print(f"min |D/r| = {report.min_abs_d_over_r:.17g} at "
+          f"r = {report.argmin_r:.17g}; sign {report.sign}; "
           f"pass = {report.passed}")
     return EXIT_OK if report.passed else EXIT_ASSERT
 
 
 def cmd_profile_mollify(args, ctx: RunContext) -> int:
+    from . import profile
     params = _load_twist(ctx, args.infile)
     smooth = profile.build_mollified_path(params)
-    smooth.sample_csv(ctx.path("profile_mollified.csv"), n=args.samples)
+    ctx.write("profile_mollified.csv",
+              lambda p: smooth.sample_csv(p, n=args.samples))
     ratio, ok = profile.verify_smoothing_bound(smooth, params.u)
-    print(f"window sup |-H1'/D| = {format_float(ratio)}; "
-          f"1/u = {format_float(1.0 / params.u)}; pass = {ok}")
+    print(f"window sup |-H1'/D| = {ratio:.17g}; "
+          f"1/u = {1.0 / params.u:.17g}; pass = {ok}")
     return EXIT_OK if ok else EXIT_ASSERT
 
 
@@ -181,27 +196,30 @@ def cmd_profile_mollify(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reeb_scan(args, ctx: RunContext) -> int:
+    from . import profile, reeb
     params = _load_twist(ctx, args.infile)
     pair = profile.build_mollified_path(params)
     fams = reeb.resonance_scan(pair, args.pq_max, grid=args.grid)
-    reeb.orbit_scan_csv(fams, ctx.path("orbits.csv"))
+    ctx.write("orbits.csv", lambda p: reeb.orbit_scan_csv(fams, p))
     print(f"{len(fams)} resonance families written")
     return EXIT_OK
 
 
 def cmd_reeb_minima(args, ctx: RunContext) -> int:
+    from . import profile, reeb
     params = _load_twist(ctx, args.infile)
     pair = profile.build_mollified_path(params)
     r_plus, r_pp, a_plus, a_pp = reeb.action_minima(pair)
     ctx.write_json("minima.json", {
         "r_plus": r_plus, "r_plus_prime": r_pp,
         "action_plus": a_plus, "action_plus_prime": a_pp})
-    print(f"r+ = {format_float(r_plus)}  action = {format_float(a_plus)}")
-    print(f"r+' = {format_float(r_pp)}  action = {format_float(a_pp)}")
+    print(f"r+ = {r_plus:.17g}  action = {a_plus:.17g}")
+    print(f"r+' = {r_pp:.17g}  action = {a_pp:.17g}")
     return EXIT_OK
 
 
 def cmd_reeb_cz(args, ctx: RunContext) -> int:
+    from . import profile, reeb
     params = _load_twist(ctx, args.infile)
     pair = profile.build_mollified_path(params)
     info = reeb.CoreOrbitInfo.compute(pair, args.k_max)
@@ -212,6 +230,7 @@ def cmd_reeb_cz(args, ctx: RunContext) -> int:
 
 
 def cmd_reeb_perturb(args, ctx: RunContext) -> int:
+    from . import profile, reeb
     params = _load_twist(ctx, args.infile)
     pair = profile.build_mollified_path(params)
     orbits = reeb.perturb(pair, params)
@@ -221,8 +240,8 @@ def cmd_reeb_perturb(args, ctx: RunContext) -> int:
         "r_plus": orbits.r_plus,
         "degree_hyperbolic": orbits.degree_hyperbolic,
         "cz_elliptic_reported": orbits.cz_elliptic_reported})
-    print(f"hyperbolic action = {format_float(orbits.action_hyperbolic)}")
-    print(f"elliptic action   = {format_float(orbits.action_elliptic)}")
+    print(f"hyperbolic action = {orbits.action_hyperbolic:.17g}")
+    print(f"elliptic action   = {orbits.action_elliptic:.17g}")
     print(f"hyperbolic degree = {orbits.degree_hyperbolic}")
     return EXIT_OK
 
@@ -235,25 +254,29 @@ def cmd_family_embed(args, ctx: RunContext) -> int:
     model = ctx.model(args)
     spec = model.embed_point((args.a, args.b))
     ctx.write_json("formspec.json", spec.to_json())
-    print(f"k = {format_float(spec.k)}  l = {format_float(spec.l)}  "
-          f"u = {format_float(spec.u)}  certified = {spec.certified}")
+    print(f"k = {spec.k:.17g}  l = {spec.l:.17g}  "
+          f"u = {spec.u:.17g}  certified = {spec.certified}")
     return EXIT_OK if spec.certified else EXIT_ASSERT
 
 
 def cmd_family_sweep(args, ctx: RunContext) -> int:
+    import numpy as np
+
+    from . import family
     model = ctx.model(args)
     a_lo, a_hi, a_n = args.a_grid
     b_lo, b_hi, b_n = args.b_grid
     pts = [(a, b) for a in np.linspace(a_lo, a_hi, int(a_n))
            for b in np.linspace(b_lo, b_hi, int(b_n))]
     specs = family.sweep(model, pts)
-    family.sweep_csv(specs, ctx.path("family_sweep.csv"))
+    ctx.write("family_sweep.csv", lambda p: family.sweep_csv(specs, p))
     bad = [s for s in specs if not s.certified]
     print(f"{len(specs)} members embedded; uncertified: {len(bad)}")
     return EXIT_OK if not bad else EXIT_ASSERT
 
 
 def cmd_family_scaling(args, ctx: RunContext) -> int:
+    from . import family
     model = ctx.model(args)
     spec = model.embed_point((args.a, args.b))
     rep = family.scaling_check(spec, args.c)
@@ -261,9 +284,9 @@ def cmd_family_scaling(args, ctx: RunContext) -> int:
         "c": rep.c, "n": rep.n, "volume_ratio": rep.volume_ratio,
         "volume_expected": rep.volume_expected, "l_ratio": rep.l_ratio,
         "passed": rep.passed})
-    print(f"volume ratio = {format_float(rep.volume_ratio)} "
-          f"(expected {format_float(rep.volume_expected)}); "
-          f"l ratio = {format_float(rep.l_ratio)}; pass = {rep.passed}")
+    print(f"volume ratio = {rep.volume_ratio:.17g} "
+          f"(expected {rep.volume_expected:.17g}); "
+          f"l ratio = {rep.l_ratio:.17g}; pass = {rep.passed}")
     return EXIT_OK if rep.passed else EXIT_ASSERT
 
 
@@ -279,22 +302,25 @@ def _two_specs(args, ctx: RunContext):
 
 
 def cmd_distance_lower(args, ctx: RunContext) -> int:
+    from . import distance
     s1, s2 = _two_specs(args, ctx)
     cert = distance.lower_bound(s1, s2)
     ctx.write_json("certificate_lower.json", cert.to_json())
-    print(f"lower = {format_float(cert.lower)} via {cert.lower_method}")
+    print(f"lower = {cert.lower:.17g} via {cert.lower_method}")
     return EXIT_OK
 
 
 def cmd_distance_upper(args, ctx: RunContext) -> int:
+    from . import distance
     s1, s2 = _two_specs(args, ctx)
     cert = distance.triangle_ub(s1, s2)
     ctx.write_json("certificate_upper.json", cert.to_json())
-    print(f"upper = {format_float(cert.upper)} via {cert.upper_method}")
+    print(f"upper = {cert.upper:.17g} via {cert.upper_method}")
     return EXIT_OK
 
 
 def cmd_distance_gray(args, ctx: RunContext) -> int:
+    from . import distance, profile
     base = profile.TwistParams(
         epsilon0=args.epsilon0, delta0=args.delta0, delta=args.delta,
         mu_minus=args.mu_minus, mu_plus=args.mu_plus, u=args.u_start)
@@ -304,30 +330,34 @@ def cmd_distance_gray(args, ctx: RunContext) -> int:
     ctx.write_json("gray.json", {
         "value": res.value, "u_start": res.u_start, "u_end": res.u_end,
         "sup_radii": [r for _, r in res.sup_locations[:8]]})
-    print(f"gray integral = {format_float(res.value)}")
+    print(f"gray integral = {res.value:.17g}")
     return EXIT_OK
 
 
 def cmd_distance_fold(args, ctx: RunContext) -> int:
+    from . import distance
     inclusion, folding = distance.folding_bounds(args.a1, args.a2,
                                                  args.ball, args.delta)
     ctx.write_json("folding.json", {
         "inclusion_bound": inclusion, "folding_bound": folding})
-    print(f"inclusion bound = {format_float(inclusion)}")
-    print(f"folding bound   = {format_float(folding)}")
+    print(f"inclusion bound = {inclusion:.17g}")
+    print(f"folding bound   = {folding:.17g}")
     return EXIT_OK
 
 
 def cmd_distance_sandwich(args, ctx: RunContext) -> int:
+    import numpy as np
+
+    from . import distance
     a_lo, a_hi, a_n = args.a_grid
     b_lo, b_hi, b_n = args.b_grid
     pts = [(a, b) for a in np.linspace(a_lo, a_hi, int(a_n))
            for b in np.linspace(b_lo, b_hi, int(b_n))]
     report = distance.bilipschitz_sweep(pts, args.floor_a, args.floor_b,
                                         n=args.n, model=ctx.model(args))
-    report.to_csv(ctx.path("sandwich.csv"))
+    ctx.write("sandwich.csv", report.to_csv)
     print(f"{len(report.rows)} pairs; all pass = {report.all_passed}; "
-          f"worst slack = {format_float(report.worst_slack)}")
+          f"worst slack = {report.worst_slack:.17g}")
     return EXIT_OK if report.all_passed else EXIT_ASSERT
 
 
@@ -336,18 +366,20 @@ def cmd_distance_sandwich(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_persist_barcode(args, ctx: RunContext) -> int:
+    from . import persistence
     ctx.register_input(args.infile)
     with open(args.infile) as fh:
         dga = persistence.FilteredDGA.from_json(fh.read())
     bars = persistence.barcode(dga)
-    bars.to_csv(ctx.path("barcode.csv"))
+    ctx.write("barcode.csv", bars.to_csv)
     # the unit's bar dies where unit_vanishing_level stops: the same column
     print(f"{len(bars.bars)} bars; "
-          f"unit level = {format_float(bars.unit_bar().death)}")
+          f"unit level = {bars.unit_bar().death:.17g}")
     return EXIT_OK
 
 
 def cmd_persist_check(args, ctx: RunContext) -> int:
+    from . import persistence
     ctx.register_input(args.infile)
     with open(args.infile) as fh:
         dga = persistence.FilteredDGA.from_json(fh.read())

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
-from .numerics import adaptive_simpson, format_float, grid_sup
+from .numerics import adaptive_simpson, grid_sup
 from .family import FamilyModel, FormSpec, contact_sign, epsilon_bound
 from .profile import TWO_PI, TwistedPathFamily
 
@@ -367,7 +367,7 @@ class SweepReport:
             fh.write("a1,b1,a2,b2,dinf,lower,upper,slack,pass\n")
             for r in self.rows:
                 *values, passed = astuple(r)
-                fh.write(",".join([format_float(v) for v in values]
+                fh.write(",".join([f"{v:.17g}" for v in values]
                                   + [str(passed).lower()]) + "\n")
 
 

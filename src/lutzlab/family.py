@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
                      PreconditionFailed, QuadratureFailure, SingularLocus)
-from .numerics import format_float, gauss_legendre, gl_panel_nodes
+from .numerics import gauss_legendre, gl_panel_nodes
 from . import reeb
 from .profile import (CHEB_DEGREES, TWO_PI, ProfilePair, TwistedPathFamily,
                       TwistParams, contact_radii, contact_report)
@@ -712,8 +712,6 @@ def sweep_csv(specs: list, path: str) -> None:
             flags = ";".join(f"{k}={str(v).lower()}"
                              for k, v in sorted(s.cert_flags.items()))
             sys_r = systolic_ratio(s) if s.certified else math.nan
-            fh.write(",".join([
-                format_float(s.a), format_float(s.b), format_float(s.k),
-                format_float(s.l), format_float(s.total_volume()),
-                format_float(s.l_recomputed), format_float(sys_r),
-                flags]) + "\n")
+            values = (s.a, s.b, s.k, s.l, s.total_volume(), s.l_recomputed,
+                      sys_r)
+            fh.write("".join(f"{v:.17g}," for v in values) + flags + "\n")

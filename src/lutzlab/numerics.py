@@ -15,6 +15,10 @@ so it does not enclose the sup between its samples.
 without Derivatives*, 1973) step for step as scipy's `brentq` takes it, so
 it returns the same float.  The package imports no scipy module; scipy is
 a test dependency, where its `brentq` and `solve_ivp` serve as oracles.
+This module loads numpy, so the modules that need no float numerics
+(`persistence`, `cli`, `errors` and the package root) do not import it;
+artifacts format floats with the `.17g` spec, which round-trips every
+float and writes infinities as `inf` and `-inf`.
 """
 
 from __future__ import annotations
@@ -166,12 +170,3 @@ def brentq(f: Callable[[float], float], a: float, b: float,
             raise ValueError(f"f returned NaN at {xcur!r}")
     raise ValueError(
         f"Brent's method did not converge in {BRENT_MAXITER} iterations")
-
-
-def format_float(x: float) -> str:
-    """17-significant-digit, locale-free float formatting for artifacts."""
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return f"{x:.17g}"

@@ -58,10 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import BasisOverflow, PreconditionFailed
-from .numerics import format_float
 
 INF = math.inf
 
@@ -545,8 +542,7 @@ class Barcode:
         with open(path, "w", newline="") as fh:
             fh.write("label,birth,death\n")
             for b in self.bars:
-                fh.write(f"{b.label},{format_float(b.birth)},"
-                         f"{format_float(b.death)}\n")
+                fh.write(f"{b.label},{b.birth:.17g},{b.death:.17g}\n")
 
 
 def _checked_columns(dga: FilteredDGA, basis: List[Word]):
@@ -860,7 +856,8 @@ def random_admissible_dga(rng, n_generators: int = 4, action_cap: float = 10.0,
     for i in range(n):
         gens.append(Generator(
             name=f"g{i}", degree=int(rng.integers(0, 2)),
-            action=float(np.round(rng.uniform(0.6, action_cap * 0.95), 3))))
+            # np.round(x, 3)'s rule: x * 1e3 rounded half to even, / 1e3
+            action=round(rng.uniform(0.6, action_cap * 0.95) * 1e3) / 1e3))
     diff = {}
     if rng.random() < unit_primitive_chance:
         odd = [i for i, g in enumerate(gens) if g.degree == 1]

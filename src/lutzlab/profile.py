@@ -39,7 +39,7 @@ from numpy.polynomial.chebyshev import (chebder, chebpts1, chebroots, chebval,
                                         chebvander)
 
 from .errors import InvalidGeometry, LutzLabError, QuadratureFailure
-from .numerics import format_float, gl_panel_nodes, grid_sup
+from .numerics import gl_panel_nodes, grid_sup
 
 TWO_PI = 2.0 * math.pi
 
@@ -467,7 +467,7 @@ class ProfilePair:
         with open(path, "w", newline="") as fh:
             fh.write("r,h1,h2,h1p,h2p,D\n")
             for row in zip(rs, h1, h2, h1p, h2p, D):
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
 def standard_cap_pair(epsilon: float = 1.0) -> ProfilePair:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (InvalidGeometry, LutzLabError, NotSymplectic,
                      PreconditionFailed, SingularLocus)
-from .numerics import adaptive_simpson, brentq, format_float
+from .numerics import adaptive_simpson, brentq
 from .profile import TWO_PI, ProfilePair, TwistParams
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -51,9 +51,8 @@ class TorusOrbitFamily:
     period_crosscheck: Optional[float] = None  # relative gap of both formulas
 
     def csv_row(self) -> str:
-        return ",".join([format_float(self.r0), str(self.p), str(self.q),
-                         format_float(self.period), format_float(self.action),
-                         str(self.morse_bott).lower()])
+        return (f"{self.r0:.17g},{self.p},{self.q},{self.period:.17g},"
+                f"{self.action:.17g},{str(self.morse_bott).lower()}")
 
 
 def _family_at(pair: ProfilePair, r0: float, p: int, q: int,

@@ -294,6 +294,12 @@ def test_reeb_cz_refuses_no_covers(tmp_path, capsys, k_max):
     assert not (o / "core_cz.json").exists()
 
 
+def assert_outputs_exist(out):
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    for name in manifest["outputs"]:
+        assert (out / name).exists(), name
+
+
 @pytest.mark.parametrize("samples", ["0", "1", "-4"])
 def test_profile_csv_refuses_fewer_than_two_samples(tmp_path, capsys,
                                                     samples):
@@ -303,6 +309,8 @@ def test_profile_csv_refuses_fewer_than_two_samples(tmp_path, capsys,
     want = f"input error: samples must be at least 2, got {samples}\n"
     assert capsys.readouterr().err == want
     assert not (out / "profile.csv").exists()
+    # the manifest lists what the run wrote, not what it was refused
+    assert_outputs_exist(out)
     code, out = run(tmp_path / "ok", "profile", "build", "--epsilon0",
                     "0.05", "--u", "0.05")
     assert code == 0
@@ -311,6 +319,7 @@ def test_profile_csv_refuses_fewer_than_two_samples(tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err.endswith(want)
     assert not (o / "profile_mollified.csv").exists()
+    assert_outputs_exist(o)
 
 
 def test_family_sweep_and_bounds_commands(tmp_path):
@@ -349,37 +358,76 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.returncode == 0, proc.stderr
 
 
+def _imported(nodes):
+    """The modules that the import statements among `nodes` load, with
+    relative imports resolved against lutzlab."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "lutzlab." if node.level else ""
+            if node.module:
+                yield base + node.module
+            else:
+                yield from (base + a.name for a in node.names)
+
+
+def _import_time_nodes(tree):
+    """Every node that runs when the module is imported: all but the
+    bodies of its functions."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def test_package_imports_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src" / "lutzlab"
-    found = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [(path.name, n) for n in names
-                      if n.split(".")[0] == "scipy"]
+    found = [(path.name, m) for path in sorted(src.glob("*.py"))
+             for m in _imported(ast.walk(_parse(path)))
+             if m.split(".")[0] == "scipy"]
     assert found == []
 
 
-# The README commands with their documented exit codes, run in one
-# interpreter where any scipy import fails as if scipy were not installed.
-_SCIPY_FREE_RUN = """
+def test_cli_and_persistence_import_no_numerics():
+    # the CLI imports each numeric module in the command that uses it, so
+    # importing it, or running a persist command, loads no numpy
+    numeric = {"lutzlab.profile", "lutzlab.reeb", "lutzlab.family",
+               "lutzlab.distance", "lutzlab.numerics"}
+    src = Path(__file__).resolve().parent.parent / "src" / "lutzlab"
+    found = [(name, m)
+             for name in ("__init__.py", "errors.py", "cli.py",
+                          "persistence.py")
+             for m in _imported(_import_time_nodes(_parse(src / name)))
+             if m.split(".")[0] == "numpy" or m in numeric]
+    assert found == []
+
+
+# Commands with their documented exit codes, run in one interpreter where
+# any import of one package fails as if the package were not installed.
+_REFUSING_RUN = """
 import json, sys
 
-class NoScipy:
+class Refuse:
+    def __init__(self, package):
+        self.package = package
+
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name.split(".")[0] == self.package:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
         return None
 
-sys.meta_path.insert(0, NoScipy())
-from lutzlab import cli
+sys.meta_path.insert(0, Refuse(sys.argv[1]))
+from lutzlab import cli, persistence  # both import under the refusal
 
-out, runs = sys.argv[1], json.loads(sys.argv[2])
+out, runs = sys.argv[2], json.loads(sys.argv[3])
 codes = [cli.main(["--out", f"{out}/{i}"] + argv)
          for i, (argv, _) in enumerate(runs)]
 print(json.dumps({"codes": codes,
@@ -387,14 +435,32 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_readme_commands_run_without_scipy(tmp_path):
-    profile_json = str(tmp_path / "0" / "profile.json")
+def run_refusing(package, tmp_path, runs):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSING_RUN, package, str(tmp_path),
+         json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [code for _, code in runs]
+    return result
+
+
+def readme_dga(tmp_path):
     dga = tmp_path / "dga.json"
     dga.write_text(json.dumps({
         "generators": [{"name": "x", "degree": 1, "action": 3.0},
                        {"name": "y", "degree": 1, "action": 5.0}],
         "differential": {"x": [{"coeff": "1", "word": []}]},
         "action_cap": 10.0, "word_cap": 4}))
+    return str(dga)
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    profile_json = str(tmp_path / "0" / "profile.json")
+    dga = readme_dga(tmp_path)
     runs = [
         (["profile", "build", "--epsilon0", "0.05", "--u", "0.05"], 0),
         (["profile", "check", "--in", profile_json], 0),
@@ -409,20 +475,33 @@ def test_readme_commands_run_without_scipy(tmp_path):
           "--delta", "0.4"], 0),
         (["distance", "sandwich", "--a-grid", "0", "0.18", "5",
           "--b-grid", "-4.30", "-2.82", "5"], 0),
-        (["persist", "barcode", "--in", str(dga)], 0),
+        (["persist", "barcode", "--in", dga], 0),
     ]
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path),
-         json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [code for _, code in runs]
+    result = run_refusing("scipy", tmp_path, runs)
     # the manifest's versions need no installed-package metadata
     assert result["metadata"] is False
-    for i in range(len(runs)):
+    for i, (argv, _) in enumerate(runs):
         manifest = json.loads(
             (tmp_path / str(i) / "run_manifest.json").read_text())
-        assert sorted(manifest["versions"]) == ["lutzlab", "numpy", "python"]
+        if argv[0] == "persist":
+            # exact rationals: no float tolerance and no numpy in force
+            assert sorted(manifest["versions"]) == ["lutzlab", "python"]
+            assert manifest["tolerances"] == {}
+        else:
+            assert sorted(manifest["versions"]) == ["lutzlab", "numpy",
+                                                    "python"]
+            assert sorted(manifest["tolerances"]) == [
+                "contact_pass", "gray_simpson_abs", "round_trip_l",
+                "round_trip_volume"]
+
+
+def test_persist_commands_run_without_numpy(tmp_path):
+    dga = readme_dga(tmp_path)
+    runs = [(["persist", "barcode", "--in", dga], 0),
+            (["persist", "check", "--in", dga], 0)]
+    run_refusing("numpy", tmp_path, runs)
+    code, out = run(tmp_path / "with_numpy", "persist", "barcode",
+                    "--in", dga)
+    assert code == 0
+    assert ((tmp_path / "0" / "barcode.csv").read_bytes()
+            == (out / "barcode.csv").read_bytes())

@@ -403,6 +403,18 @@ def test_random_three_generator_oracle_equality():
         assert ps.barcode(dga).bars == ps.brute_force_oracle(dga).bars
 
 
+def test_action_rounding_is_numpys():
+    # random_admissible_dga rounds its actions without numpy, by the rule
+    # of np.round(x, 3): the same floats over the draws it makes, plus
+    # near-halfway points and a wider range
+    rng = np.random.default_rng(44)
+    xs = np.concatenate([rng.uniform(0.6, 9.5, 200_000),
+                         (2.0 * np.arange(20_000) + 1.0) / 2000.0,
+                         rng.uniform(-1e6, 1e6, 50_000)])
+    assert ([round(x * 1e3) / 1e3 for x in xs.tolist()]
+            == np.round(xs, 3).tolist())
+
+
 def test_random_chain_oracle_equality():
     rng = np.random.default_rng(43)
     for word_cap in (4, 5):
