@@ -151,6 +151,19 @@ def _add_model_flags(p, grid=False):
     p.add_argument("--n", type=int, default=2)
 
 
+def _grid_points(args) -> list:
+    """`--a-grid` x `--b-grid`, each N a whole number of at least 1."""
+    import numpy as np
+    axes = []
+    for axis in ("a", "b"):
+        lo, hi, n = getattr(args, f"{axis}_grid")
+        if not (n >= 1 and n == int(n)):
+            raise LutzLabError(
+                f"--{axis}-grid needs a whole number N >= 1, got {n:g}")
+        axes.append(np.linspace(lo, hi, int(n)))
+    return [(a, b) for a in axes[0] for b in axes[1]]
+
+
 # ---------------------------------------------------------------------------
 # profile commands
 # ---------------------------------------------------------------------------
@@ -260,15 +273,9 @@ def cmd_family_embed(args, ctx: RunContext) -> int:
 
 
 def cmd_family_sweep(args, ctx: RunContext) -> int:
-    import numpy as np
-
     from . import family
-    model = ctx.model(args)
-    a_lo, a_hi, a_n = args.a_grid
-    b_lo, b_hi, b_n = args.b_grid
-    pts = [(a, b) for a in np.linspace(a_lo, a_hi, int(a_n))
-           for b in np.linspace(b_lo, b_hi, int(b_n))]
-    specs = family.sweep(model, pts)
+    pts = _grid_points(args)
+    specs = family.sweep(ctx.model(args), pts)
     ctx.write("family_sweep.csv", lambda p: family.sweep_csv(specs, p))
     bad = [s for s in specs if not s.certified]
     print(f"{len(specs)} members embedded; uncertified: {len(bad)}")
@@ -346,15 +353,10 @@ def cmd_distance_fold(args, ctx: RunContext) -> int:
 
 
 def cmd_distance_sandwich(args, ctx: RunContext) -> int:
-    import numpy as np
-
     from . import distance
-    a_lo, a_hi, a_n = args.a_grid
-    b_lo, b_hi, b_n = args.b_grid
-    pts = [(a, b) for a in np.linspace(a_lo, a_hi, int(a_n))
-           for b in np.linspace(b_lo, b_hi, int(b_n))]
-    report = distance.bilipschitz_sweep(pts, args.floor_a, args.floor_b,
-                                        n=args.n, model=ctx.model(args))
+    report = distance.bilipschitz_sweep(
+        _grid_points(args), args.floor_a, args.floor_b, n=args.n,
+        model=ctx.model(args))
     ctx.write("sandwich.csv", report.to_csv)
     print(f"{len(report.rows)} pairs; all pass = {report.all_passed}; "
           f"worst slack = {report.worst_slack:.17g}")

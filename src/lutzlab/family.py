@@ -11,16 +11,17 @@ member's volume is exactly k and its lowest certified action is l.
 Every member of one model lives in the model's single amplitude family, a
 `profile.TwistedPathFamily` spanning [u_ref, U_CAP], so the Gray
 deformation leg between two members starts and ends at the members
-themselves.  In that family h1 is one profile and h2 = A + u B is affine in
-u, so `certify_family` checks once, from the members at u_ref and U_CAP,
-what every member shares: contact with one sign, one full twist, the zeros
-r+ < r+' of h1, the tube volume (affine in u) and the Gray domination
-margin, contact and margin on one set of radii, `profile.contact_radii`.
-The ends share h1 and their knots (`contact_sign` refuses them
-otherwise), so the certificate evaluates each profile once per set of
-radii: h1 once for both ends and each end's h2 once on the contact radii,
-and again on the tube-volume nodes, which hold both Gauss-Legendre
-orders.  A member is then embedded in closed form from that certificate;
+themselves.  In that family h1 is one profile and h2 = A + u B by
+construction, so `certify_family` checks once, from the members at u_ref
+and U_CAP, what every member shares: contact with one sign, one full
+twist, the zeros r+ < r+' of h1, the tube volume (affine in u) and the
+Gray domination margin, which reads B = dh2/du off the family; contact
+and margin on one set of radii, `profile.contact_radii`.  The ends share
+h1 and their knots (`contact_sign` refuses them otherwise), so the
+certificate evaluates each profile once per set of radii: h1 and each
+end's h2 once on the contact radii and once on the tube-volume nodes,
+which hold both Gauss-Legendre orders, and B once on the contact radii.
+A member is then embedded in closed form from that certificate;
 `tube_volume` and `FormSpec.l_invariant` recompute it from scratch and
 serve as oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
 together with the geometric floor l >= k^(1/n) * L0 (smaller targets need
@@ -42,8 +43,8 @@ from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
                      PreconditionFailed, QuadratureFailure, SingularLocus)
 from .numerics import gauss_legendre, gl_panel_nodes
 from . import reeb
-from .profile import (CHEB_DEGREES, TWO_PI, ProfilePair, TwistedPathFamily,
-                      TwistParams, contact_radii, contact_report)
+from .profile import (TWO_PI, ProfilePair, TwistedPathFamily, TwistParams,
+                      contact_radii, contact_report)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +286,6 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
 # Uniform steps of `contact_radii` for the family's contact check, its
 # Gray margin and the Gray oracle's sup grid.
 CONTACT_GRID = 2048
-# Largest departure of the midpoint member's h2 from the mean of the end
-# members', relative to their max |h2|, that the affinity probe accepts.
-AFFINE_RTOL = 1e-13
 GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the contact "
                "radii; twist arc in closed form")
 
@@ -363,14 +361,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
                    n: int) -> FamilyCertificate:
     """Certify every member on [u_lo, u_hi] from the members at the ends.
 
-    The members share one h1, and h2 = A + u B is affine in u; a probe
-    checks that the midpoint member's h2 is the mean of the ends' on
-    max(CHEB_DEGREES) + 1 Gauss-Legendre nodes per panel between the
-    pair's knots.  On each panel every segment is a polynomial of degree
-    at most max(CHEB_DEGREES) (a cubic, or a Chebyshev piece of the
-    window) or a closed-form arc, so the departure from the mean is one
-    too, which that many distinct nodes pin.
-    Hence, for every u in range:
+    The members share one h1, and h2 = A + u B is affine in u by
+    construction (`TwistedPathFamily.pair`).  Hence, for every u in range:
     - D_u = D_A + u D_B, so contact with one sign at both ends (on
       `contact_radii(p_lo, CONTACT_GRID)`) holds at u, and the path,
       which winds once at both ends and is never parallel on the way,
@@ -383,35 +375,24 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
     - the Gray rate f = |B h1' / D_u| has u f <= 1 wherever
       u |B h1'| <= |D_u| holds at both ends (both sides are affine while
       D_u keeps its sign), which is checked on the same radii, with the
-      ends' h2, h1' and D that `contact_sign` sampled there, off the twist
-      arc (window.hi, 1/2].  On the arc both profiles are trigonometric
-      and f = sin^2(2 pi r)/u exactly.  The least 1 - u f is the margin;
-      a negative one is recorded, and `FamilyCertificate.gray_margin`
-      refuses it.
-    The ends must share h1 and their knots, which `contact_sign` checks:
-    then each profile is evaluated once on the contact radii and once on
-    the volume nodes.
+      family's B and the ends' h1' and D that `contact_sign` sampled
+      there, off the twist arc (window.hi, 1/2].  On the arc both
+      profiles are trigonometric and f = sin^2(2 pi r)/u exactly.  The
+      least 1 - u f is the margin; a negative one is recorded, and
+      `FamilyCertificate.gray_margin` refuses it.
+    The ends must share h1 and their knots, which `contact_sign` checks.
     """
     if not u_lo < u_hi:
         raise InvalidGeometry(
             f"a family certificate needs two amplitudes u_lo < u_hi, got "
             f"[{u_lo}, {u_hi}]")
     ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
-    sign, rs, ds, h1p, h2v = contact_sign(
+    sign, rs, ds, h1p, _ = contact_sign(
         ends, f"the ends u = {u_lo}, {u_hi} of the family")
     r_plus, r_pp, _, _ = reeb.action_minima(p_lo)  # winds once at u_lo
     if p_hi.winding_number() != 1:
         raise InvalidGeometry(
             f"the member at u = {u_hi} is not a full-twist path")
-
-    knots = p_lo.knots()
-    nodes = gl_panel_nodes(knots[:-1], knots[1:],
-                           max(CHEB_DEGREES) + 1)[0].ravel()
-    p_mid = family.pair(0.5 * (u_lo + u_hi))
-    lo, hi, mid = (p.h2.value(nodes) for p in (p_lo, p_hi, p_mid))
-    scale = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    if float(np.max(np.abs(mid - 0.5 * (lo + hi)))) > AFFINE_RTOL * scale:
-        raise InvalidGeometry(f"h2 is not affine in u on [{u_lo}, {u_hi}]")
 
     volumes = tuple(4.0 * math.pi ** 2 * v
                     for v in _integrate_profile_products(ends, n))
@@ -420,10 +401,9 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
             f"the tube volume integral changes sign on [{u_lo}, {u_hi}]: "
             f"{volumes}")
 
-    # h1', h2 and D of both ends on the radii on which `contact_sign` just
-    # passed them
+    # on the radii on which `contact_sign` just passed both ends
     off_arc = (rs <= family.window.hi) | (rs > 0.5)
-    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * h1p)
+    rate = np.abs(family.B.value(rs) * h1p)
     margin = min(float(np.min((1.0 - u * rate / np.abs(d))[off_arc]))
                  for u, d in zip((u_lo, u_hi), ds))
     return FamilyCertificate(u_lo=u_lo, u_hi=u_hi, contact_sign=sign,

@@ -81,6 +81,11 @@ class PolySegment:
     def scaled(self, c: float) -> "PolySegment":
         return PolySegment(self.a, self.coeffs * c)
 
+    def plus(self, other: "PolySegment", c: float) -> "PolySegment":
+        """self + c other, for `other` in powers of the same (r - a)."""
+        return PolySegment(self.a, np.polynomial.polynomial.polyadd(
+            self.coeffs, c * other.coeffs))
+
     def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
         """Real parts of all roots that fall inside the open (lo, hi).
 
@@ -120,6 +125,10 @@ class TrigSegment:
 
     def scaled(self, c: float) -> "TrigSegment":
         return TrigSegment(self.func, self.amp * c)
+
+    def plus(self, other: "TrigSegment", c: float) -> "TrigSegment":
+        """self + c other, for `other` of the same function."""
+        return TrigSegment(self.func, self.amp + c * other.amp)
 
     def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
         """The zeros inside the open (lo, hi), in closed form.
@@ -166,6 +175,10 @@ class ChebSegment:
 
     def scaled(self, c: float) -> "ChebSegment":
         return ChebSegment(self.lo, self.hi, self.coeffs * c)
+
+    def plus(self, other: "ChebSegment", c: float) -> "ChebSegment":
+        """self + c other, for `other` of the same span and degree."""
+        return ChebSegment(self.lo, self.hi, self.coeffs + c * other.coeffs)
 
     def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
         """Real parts of the series' roots inside the open (lo, hi).
@@ -240,8 +253,9 @@ class PiecewiseProfile:
     def deriv2(self, r):
         return self._eval(r, "deriv2")
 
+    @cached_property
     def cuts(self) -> np.ndarray:
-        """Sorted breakpoints and zero candidates of every segment.
+        """Sorted breakpoints and zero candidates of all segments, read-only.
 
         Between two consecutive cuts the profile keeps one sign, so the
         sign at any interior point is the sign of the whole interval.
@@ -249,7 +263,9 @@ class PiecewiseProfile:
         bps = self.breakpoints
         cands = [seg.zero_candidates(lo, hi) for seg, lo, hi
                  in zip(self.segments, bps[:-1], bps[1:])]
-        return np.unique(np.concatenate([bps] + cands))
+        cuts = np.unique(np.concatenate([bps] + cands))
+        cuts.flags.writeable = False
+        return cuts
 
     def sign_changes(self) -> np.ndarray:
         """Cuts at which the profile changes sign strictly.
@@ -258,7 +274,7 @@ class PiecewiseProfile:
         within the rounding of a true zero; a zero of even multiplicity is
         not a sign change and is not returned.
         """
-        cuts = self.cuts()
+        cuts = self.cuts
         s = np.sign(self.value(0.5 * (cuts[:-1] + cuts[1:])))
         return cuts[1:-1][s[:-1] * s[1:] < 0.0]
 
@@ -436,7 +452,7 @@ class ProfilePair:
         h1^2 + h2^2 < 1e-30 at a cut, or when h1 and h2 both change sign
         at the same cut.
         """
-        cuts = np.union1d(self.h1.cuts(), self.h2.cuts())
+        cuts = np.union1d(self.h1.cuts, self.h2.cuts)
         # each profile once, on the cuts followed by their midpoints
         rs = np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])])
         v1, v2 = self.h1.value(rs), self.h2.value(rs)
@@ -822,9 +838,11 @@ class TwistedPathFamily:
     then exactly continuous for u = u_ref and jumps upward for u > u_ref,
     which the mollifier bridges while keeping the contact condition (a
     downward jump would force the smoothed path to rotate backwards, so
-    amplitudes below u_ref are rejected).  Every h2 ingredient is affine in
-    u, so members assemble cheaply and d(h2)/du is exact.  The extension
-    depth is fixed by `u_max`, so amplitudes above it are rejected too.
+    amplitudes below u_ref are rejected).  The extension depth is fixed by
+    `u_max`, so amplitudes above it are rejected too.  Every h2 ingredient
+    is affine in u, so the family holds h2 as two mollified profiles on
+    shared breakpoints: `A`, the u-free part, and `B` = dh2/du, the unit
+    arc and the dip's slope at r = 1/2 (mollifying is linear).
     """
 
     def __init__(self, base: TwistParams, u_ref: float, u_max: float):
@@ -840,32 +858,32 @@ class TwistedPathFamily:
                               extension=ExtensionSpec(h2_depth=depth))
         self.window = default_window(self.params)
 
-        # h2 on the window neighbourhood splits as cap + u * (unit arc);
-        # mollification is linear, so two sets of pieces cover every member.
-        eps0 = self.params.epsilon0
-        cap = PiecewiseProfile([0.0, eps0, 0.5],
-                               [PolySegment(0.0, (0.0, 0.0, 1.0)),
-                                PolySegment(0.0, (0.0,))])
-        unit_arc = PiecewiseProfile([0.0, eps0, 0.5],
-                                    [PolySegment(0.0, (0.0,)),
-                                     TrigSegment("sin", self.amp_per_u)])
-        h1 = build_twisted_path(self.params).h1
-        p_h1, self._cap_pieces, self._arc_pieces = _blend(
-            self.window, h1, cap, unit_arc)
-        self._h1_moll = _splice_window(h1, p_h1)
+        raw = build_twisted_path(self.params)
+        bps, segs = raw.h2.breakpoints, raw.h2.segments
+        a_raw = PiecewiseProfile(bps, [
+            segs[0], TrigSegment("sin", 0.0),
+            hermite_segment(0.5, R_PLUS_PRIME, 0.0, -depth, 0.0, 0.0),
+            *segs[3:]])
+        b_raw = PiecewiseProfile(bps, [
+            PolySegment(0.0, (0.0,)), TrigSegment("sin", self.amp_per_u),
+            hermite_segment(0.5, R_PLUS_PRIME, 0.0, 0.0,
+                            -TWO_PI * self.amp_per_u, 0.0),
+            *(PolySegment(s.a, (0.0,)) for s in segs[3:])])
+        p_h1, p_a, p_b = _blend(self.window, raw.h1, a_raw, b_raw)
+        self._h1_moll = _splice_window(raw.h1, p_h1)
+        self.A = _splice_window(a_raw, p_a)
+        self.B = _splice_window(b_raw, p_b)
 
     def pair(self, u: float) -> ProfilePair:
-        """Mollified member at amplitude u (requires u_ref <= u <= u_max)."""
+        """The member (h1, A + u B) at u_ref <= u <= u_max."""
         if not (self.u_ref - 1e-12 <= u <= self.u_max + 1e-12):
             raise InvalidGeometry(
                 f"amplitude {u} lies outside the family's "
                 f"[{self.u_ref}, {self.u_max}]: below the reference the "
                 "junction bridge would violate the contact condition, and "
                 "the extension depth is sized for amplitudes up to the cap")
-        raw = build_twisted_path(replace(self.params, u=u))
-        h2 = _splice_window(raw.h2, [
-            ChebSegment(c.lo, c.hi, c.coeffs + u * a.coeffs)
-            for c, a in zip(self._cap_pieces, self._arc_pieces)])
+        h2 = PiecewiseProfile(self.A.breakpoints, [
+            a.plus(b, u) for a, b in zip(self.A.segments, self.B.segments)])
         return ProfilePair(self._h1_moll, h2, self.params.epsilon)
 
 

@@ -322,6 +322,25 @@ def test_profile_csv_refuses_fewer_than_two_samples(tmp_path, capsys,
     assert_outputs_exist(o)
 
 
+@pytest.mark.parametrize("argv", ["family sweep", "distance sandwich"])
+@pytest.mark.parametrize("axis, count", [("a", "2.5"), ("a", "0"),
+                                         ("b", "-1"), ("b", "2.9")])
+def test_grid_refuses_counts_that_are_not_whole_and_positive(
+        tmp_path, capsys, argv, axis, count):
+    grids = {"a": ["0", "0.18", "3"], "b": ["-3.6", "-2.9", "2"]}
+    grids[axis][2] = count
+    code, out = run(tmp_path, *argv.split(), "--a-grid", *grids["a"],
+                    "--b-grid", *grids["b"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"input error: --{axis}-grid needs a whole number N >= 1, "
+        f"got {count}\n")
+    # refused before any model is built or any artifact written
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == []
+    assert "family_certificate" not in manifest
+
+
 def test_family_sweep_and_bounds_commands(tmp_path):
     code, out = run(tmp_path, "family", "sweep",
                     "--a-grid", "0", "0.2", "2",

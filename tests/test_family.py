@@ -144,8 +144,7 @@ def _certificate_per_end(family, u_lo, u_hi, n):
         return 4.0 * math.pi ** 2 * total
 
     off_arc = (rs <= family.window.hi) | (rs > 0.5)
-    h2v = [p.h2.value(rs) for p in ends]
-    rate = np.abs((h2v[1] - h2v[0]) / (u_hi - u_lo) * p_lo.h1.deriv(rs))
+    rate = np.abs(family.B.value(rs) * p_lo.h1.deriv(rs))
     margin = min(float(np.min((1.0 - u * rate / np.abs(d))[off_arc]))
                  for u, d in zip((u_lo, u_hi), ds))
     return sign, r_plus, r_pp, tuple(volume(p) for p in ends), margin
@@ -181,7 +180,8 @@ def test_certificate_equals_the_per_end_oracle(which, n, gray_family):
 def test_model_build_evaluates_each_profile_once_per_radius_set(monkeypatch):
     # h1 and each end's h2 are evaluated at most once per method on the
     # contact radii and once on the tube-volume nodes (both Gauss-Legendre
-    # orders); a shared h1 is not evaluated again for the second end
+    # orders); a shared h1 is not evaluated again for the second end, B is
+    # evaluated once, on the contact radii, and no h2 at a third amplitude
     defaults = fam.FamilyDefaults()
     ref = prof.TwistedPathFamily(defaults.twist, defaults.u_ref,
                                  fam.U_CAP).pair(defaults.u_ref)
@@ -191,25 +191,51 @@ def test_model_build_evaluates_each_profile_once_per_radius_set(monkeypatch):
         "volume": np.concatenate([
             gl_panel_nodes(knots[:-1], knots[1:], order)[0].ravel()
             for order in (12, 20)])}
-    seen = []  # (profile, method, radius set); holds the profiles alive
+    # (profile, method, radius set or None) while certifying; holds the
+    # profiles alive
+    seen, certifying = [], []
     for method in ("value", "deriv"):
         real = getattr(prof.PiecewiseProfile, method)
 
         def recording(self, r, method=method, real=real):
             rf = np.atleast_1d(np.asarray(r, dtype=float))
-            for name, radii in radius_sets.items():
-                if np.all(np.isin(radii, rf)):
-                    seen.append((self, method, name))
+            names = [name for name, radii in radius_sets.items()
+                     if np.all(np.isin(radii, rf))]
+            if certifying:
+                seen.extend((self, method, name) for name in names or [None])
             return real(self, r)
         monkeypatch.setattr(prof.PiecewiseProfile, method, recording)
-    fam.FamilyModel(1.0, 1.0, n=3)
+    members = []  # (u, pair)
+    real_pair, real_certify = prof.TwistedPathFamily.pair, fam.certify_family
+
+    def recording_pair(self, u):
+        members.append((u, real_pair(self, u)))
+        return members[-1][1]
+
+    def recording_certify(*args):
+        certifying.append(True)
+        return real_certify(*args)
+    monkeypatch.setattr(prof.TwistedPathFamily, "pair", recording_pair)
+    monkeypatch.setattr(fam, "certify_family", recording_certify)
+    model = fam.FamilyModel(1.0, 1.0, n=3)
+    assert sorted(u for u, _ in members) == [defaults.u_ref, fam.U_CAP]
+    label = {id(p.h2): f"h2({u})" for u, p in members}
+    label[id(members[0][1].h1)] = "h1"
+    label[id(model.family.B)] = "B"
+    # every profile evaluated is h1, B or an end's h2
+    assert {id(p) for p, _, _ in seen} <= set(label)
     counts = {}
     for profile, method, name in seen:
-        key = (id(profile), method, name)
+        key = (label[id(profile)], method, name)
         counts[key] = counts.get(key, 0) + 1
-    assert max(counts.values()) == 1
-    # h1 and the two ends' h2, by both methods, on both sets
-    assert len(counts) == 3 * 2 * 2
+    assert max(n for (_, _, name), n in counts.items() if name) == 1
+    # h1 and the two ends' h2, by both methods, on both sets; B's values
+    # on the contact radii
+    assert {k for k in counts if k[2]} == {
+        (p, method, name) for p in ("h1", f"h2({defaults.u_ref})",
+                                    f"h2({fam.U_CAP})")
+        for method in ("value", "deriv")
+        for name in radius_sets} | {("B", "value", "contact")}
 
 
 def _with_extra_knot(profile, r):

@@ -214,6 +214,25 @@ def test_winding_zero_on_a_breakpoint_counts_once(raw_pair):
     assert list(raw_pair.h2.sign_changes()).count(0.5) == 1
 
 
+def test_cuts_are_found_once_per_profile_and_read_only(solved_params,
+                                                       monkeypatch):
+    # each profile of the README path has one trigonometric arc
+    arcs = []
+    real = prof.TrigSegment.zero_candidates
+
+    def counted(self, lo, hi):
+        arcs.append(self)
+        return real(self, lo, hi)
+    monkeypatch.setattr(prof.TrigSegment, "zero_candidates", counted)
+    pair = prof.build_twisted_path(solved_params)
+    for _ in range(2):
+        assert pair.winding_number() == 1
+        pair.h1.sign_changes()
+    assert len(arcs) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        pair.h1.cuts[0] = 1.0
+
+
 def test_breakpoint_continuity(raw_pair, smooth_pair):
     for pair in (raw_pair, smooth_pair):
         assert oracles.max_breakpoint_jump(pair.h1) < 1e-10
@@ -327,9 +346,34 @@ def test_mollify_idempotent_on_smooth_pair(cap_pair, solved_params):
                          - cap_pair.h2.value(rs))) < 1e-6
 
 
+def _cap_and_unit_arc(fam):
+    """h2 near the window at u = 0 (the r^2 cap) and its u-coefficient (the
+    unit arc), on [0, eps0, 1/2]."""
+    eps0 = fam.params.epsilon0
+    cap = prof.PiecewiseProfile([0.0, eps0, 0.5],
+                                [prof.PolySegment(0.0, (0.0, 0.0, 1.0)),
+                                 prof.PolySegment(0.0, (0.0,))])
+    unit_arc = prof.PiecewiseProfile([0.0, eps0, 0.5],
+                                     [prof.PolySegment(0.0, (0.0,)),
+                                      prof.TrigSegment("sin", fam.amp_per_u)])
+    return cap, unit_arc
+
+
+def _spliced_member_h2(fam, u):
+    """The member's h2 as the raw path at u with the window pieces
+    c + u a spliced in, c and a the blends of the cap and the unit arc."""
+    _, cap, arc = prof._blend(fam.window, prof.build_twisted_path(
+        fam.params).h1, *_cap_and_unit_arc(fam))
+    raw = prof.build_twisted_path(replace(fam.params, u=u))
+    return prof._splice_window(raw.h2, [
+        prof.ChebSegment(c.lo, c.hi, c.coeffs + u * a.coeffs)
+        for c, a in zip(cap, arc)])
+
+
 def test_family_pair_matches_mollified_member():
-    # the family splices its affine-in-u table into the raw member exactly
-    # where mollify would put the member's own blend
+    # the family's A + u B sits exactly where mollify would put the
+    # member's own blend, and agrees with the raw member at u with its
+    # window pieces spliced in
     base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
     fam = prof.TwistedPathFamily(base, 0.04, 0.06)
     w = fam.window
@@ -343,6 +387,17 @@ def test_family_pair_matches_mollified_member():
             assert np.array_equal(g.breakpoints, m.breakpoints)
             assert np.max(np.abs(g.value(rs) - m.value(rs))) <= 1e-15
         assert np.max(np.abs(got.h2.deriv(rs) - want.h2.deriv(rs))) <= 1e-10
+    model = prof.TwistedPathFamily(prof.TwistParams(
+        epsilon0=0.01, delta0=1e-4, delta=0.01, u=0.01), 0.01, 0.15)
+    rng, w = np.random.default_rng(5), model.window
+    rs = np.concatenate([rng.uniform(0.0, 1.0, 500),
+                         rng.uniform(w.lo, w.hi, 500)])
+    for u in (0.01, 0.05, 0.15):
+        got, want = model.pair(u).h2, _spliced_member_h2(model, u)
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+        scale = np.max(np.abs(want.value(rs)))
+        err = np.max(np.abs(got.value(rs) - want.value(rs)))
+        assert err <= 4.0 * np.spacing(scale)
 
 
 def test_family_pair_rejects_amplitudes_above_cap():
@@ -474,16 +529,11 @@ def test_mollify_tables_match_per_profile_oracle(raw_pair, smooth_pair,
 def test_family_tables_match_per_profile_oracle():
     base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
     fam = prof.TwistedPathFamily(base, 0.04, 0.06)
-    w, eps0 = fam.window, fam.params.epsilon0
-    cap = prof.PiecewiseProfile([0.0, eps0, 0.5],
-                                [prof.PolySegment(0.0, (0.0, 0.0, 1.0)),
-                                 prof.PolySegment(0.0, (0.0,))])
-    unit_arc = prof.PiecewiseProfile([0.0, eps0, 0.5],
-                                     [prof.PolySegment(0.0, (0.0,)),
-                                      prof.TrigSegment("sin", fam.amp_per_u)])
+    w = fam.window
+    cap, unit_arc = _cap_and_unit_arc(fam)
     h1 = prof.build_twisted_path(fam.params).h1
     for pieces, raw in ((_pieces(fam.pair(0.05).h1), h1),
-                        (fam._cap_pieces, cap), (fam._arc_pieces, unit_arc)):
+                        (_pieces(fam.A), cap), (_pieces(fam.B), unit_arc)):
         for piece, want in zip(pieces, _oracle_coefficients(raw, w)):
             assert np.array_equal(piece.coeffs, want)
 
@@ -553,16 +603,16 @@ def test_window_slopes_match_quadrature_oracle(name):
 
 
 def test_family_table_coefficients_are_affine_in_u():
-    # blending is linear, so a member's h2 pieces are the cap's plus u
-    # times the arc's, which its own blend reproduces to rounding
+    # blending is linear, so a member's h2 pieces are A's plus u times B's,
+    # which its own blend reproduces to rounding
     base = prof.TwistParams(epsilon0=0.05, delta0=0.0005, delta=0.01, u=0.04)
     fam = prof.TwistedPathFamily(base, 0.04, 0.06)
     for u in (fam.u_ref, 0.05, fam.u_max):
         member = _pieces(fam.pair(u).h2)
         own = _pieces(prof.mollify(
             prof.build_twisted_path(replace(fam.params, u=u)), fam.window).h2)
-        for m, o, cap, arc in zip(member, own, fam._cap_pieces,
-                                  fam._arc_pieces):
+        for m, o, cap, arc in zip(member, own, _pieces(fam.A),
+                                  _pieces(fam.B)):
             assert np.array_equal(m.coeffs, cap.coeffs + u * arc.coeffs)
             scale = np.max(np.abs(o.coeffs))
             assert np.max(np.abs(m.coeffs - o.coeffs)) <= 1e-14 * scale
