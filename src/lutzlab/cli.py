@@ -9,9 +9,8 @@ Subcommands mirror the library modules:
     persist  barcode | check
 
 Every run writes its artifacts plus a run-manifest JSON (input hashes,
-package/library versions, tolerances, and the family certificate of the
-model a family or distance command builds) into --out; a persist command
-runs under no float tolerance and without numpy, so it lists neither.
+package/library versions, the tolerances of the checks it runs, and the
+family certificate of the model it builds, if any) into --out.
 Each command imports the numeric modules it uses when it runs.  Exit status: 0
 when all checks pass, 1 on assertion failures, 2 on input errors.  All
 numbers are printed with 17 significant digits.
@@ -43,12 +42,16 @@ class RunContext:
         self.args = {k: v for k, v in args.items() if k not in ("func",)}
         self.inputs = {}
         self.outputs = []
+        self.tolerances = {}
         self.family_certificate = None
 
     def model(self, args):
         """The FamilyModel of --floor-a, --floor-b and --n; the manifest
-        records its family certificate."""
-        from . import family
+        records its tolerances and its family certificate."""
+        from . import family, profile
+        self.tolerances.update(contact_pass=profile.CONTACT_PASS,
+                               round_trip_l=family.L_ROUND_TRIP,
+                               round_trip_volume=family.VOLUME_ROUND_TRIP)
         model = family.FamilyModel(args.floor_a, args.floor_b, n=args.n)
         self.family_certificate = model.certificate.to_dict()
         return model
@@ -75,18 +78,10 @@ class RunContext:
         self.write(name, dump)
 
     def finish(self):
-        # exact rationals: no persist command runs under a float tolerance
-        # or numpy, so its manifest names none
-        tolerances, versions = {}, {"lutzlab": __version__,
-                                    "python": platform.python_version()}
-        if not self.command.startswith("persist "):
+        versions = {"lutzlab": __version__,
+                    "python": platform.python_version()}
+        if not self.command.startswith("persist "):  # exact rationals
             import numpy as np
-
-            from . import distance, family, profile
-            tolerances = {"gray_simpson_abs": distance._GRAY_TOL,
-                          "contact_pass": profile.CONTACT_PASS,
-                          "round_trip_l": family.L_ROUND_TRIP,
-                          "round_trip_volume": family.VOLUME_ROUND_TRIP}
             versions["numpy"] = np.__version__
         manifest = {
             "command": self.command,
@@ -94,7 +89,7 @@ class RunContext:
                      for k, v in self.args.items()},
             "inputs_sha256": self.inputs,
             "outputs": self.outputs,
-            "tolerances": tolerances,
+            "tolerances": self.tolerances,
             "versions": versions,
         }
         if self.family_certificate is not None:
@@ -182,6 +177,7 @@ def cmd_profile_build(args, ctx: RunContext) -> int:
 
 def cmd_profile_check(args, ctx: RunContext) -> int:
     from . import profile
+    ctx.tolerances["contact_pass"] = profile.CONTACT_PASS
     params = _load_twist(ctx, args.infile)
     pair = profile.build_mollified_path(params)
     report = profile.check_contact_condition(pair, grid_size=args.grid)
@@ -328,6 +324,7 @@ def cmd_distance_upper(args, ctx: RunContext) -> int:
 
 def cmd_distance_gray(args, ctx: RunContext) -> int:
     from . import distance, profile
+    ctx.tolerances["gray_simpson_abs"] = distance._GRAY_TOL
     base = profile.TwistParams(
         epsilon0=args.epsilon0, delta0=args.delta0, delta=args.delta,
         mu_minus=args.mu_minus, mu_plus=args.mu_plus, u=args.u_start)

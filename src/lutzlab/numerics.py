@@ -1,8 +1,7 @@
 """Shared quadrature and 1-d search utilities.
 
-Adaptive Simpson (absolute tolerance 1e-11 by default) serves only two
-callers: the Gray-integral oracle `distance.gray_integral` and the
-open-book profiles of `reeb.openbook_profiles`.  The mollifier's
+Adaptive Simpson (absolute tolerance 1e-11 by default) serves only the
+Gray-integral oracle `distance.gray_integral`.  The mollifier's
 convolutions and tube volumes use fixed-order Gauss-Legendre panels split
 at integrand kinks; the two routes cross-check each other in the test
 suite.  A tube volume (`family._integrate_profile_product`) takes order 20

@@ -69,14 +69,17 @@ class PolySegment:
     def _d1(self) -> np.ndarray:
         return np.polynomial.polynomial.polyder(self.coeffs)
 
+    @cached_property
+    def _d2(self) -> np.ndarray:
+        return np.polynomial.polynomial.polyder(self.coeffs, 2)
+
     def deriv(self, r):
         x = np.asarray(r, dtype=float) - self.a
         return np.polynomial.polynomial.polyval(x, self._d1)
 
     def deriv2(self, r):
         x = np.asarray(r, dtype=float) - self.a
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(x, c)
+        return np.polynomial.polynomial.polyval(x, self._d2)
 
     def scaled(self, c: float) -> "PolySegment":
         return PolySegment(self.a, self.coeffs * c)
@@ -163,6 +166,10 @@ class ChebSegment:
     def _d1(self) -> np.ndarray:
         return chebder(self.coeffs, scl=2.0 / (self.hi - self.lo))
 
+    @cached_property
+    def _d2(self) -> np.ndarray:
+        return chebder(self._d1, scl=2.0 / (self.hi - self.lo))
+
     def value(self, r):
         return chebval(self._t(r), self.coeffs)
 
@@ -170,8 +177,7 @@ class ChebSegment:
         return chebval(self._t(r), self._d1)
 
     def deriv2(self, r):
-        return chebval(self._t(r),
-                       chebder(self._d1, scl=2.0 / (self.hi - self.lo)))
+        return chebval(self._t(r), self._d2)
 
     def scaled(self, c: float) -> "ChebSegment":
         return ChebSegment(self.lo, self.hi, self.coeffs * c)

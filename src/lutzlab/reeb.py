@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (InvalidGeometry, LutzLabError, NotSymplectic,
                      PreconditionFailed, SingularLocus)
-from .numerics import adaptive_simpson, brentq
+from .numerics import brentq
 from .profile import TWO_PI, ProfilePair, TwistParams
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -55,11 +55,9 @@ class TorusOrbitFamily:
                 f"{self.action:.17g},{str(self.morse_bott).lower()}")
 
 
-def _family_at(pair: ProfilePair, r0: float, p: int, q: int,
-               morse_bott: bool, continuum: bool = False) -> TorusOrbitFamily:
-    d = float(pair.wronskian(r0))
-    h1p = float(pair.h1.deriv(r0))
-    h2p = float(pair.h2.deriv(r0))
+def _family_at(r0: float, p: int, q: int, d: float, h1p: float, h2p: float,
+               morse_bott: bool, continuum: bool) -> TorusOrbitFamily:
+    """The (p, q) family at r0, from D, h1' and h2' there."""
     t_q = q * d / h2p if (q != 0 and abs(h2p) > 1e-14) else None
     t_p = TWO_PI * p * d / h1p if (p != 0 and abs(h1p) > 1e-14) else None
     if t_q is None and t_p is None:
@@ -76,22 +74,20 @@ def _family_at(pair: ProfilePair, r0: float, p: int, q: int,
 def morse_bott_check(pair: ProfilePair, r0: float, tol: float = 1e-8) -> bool:
     """Torus at r0 is Morse-Bott iff the slope ratio has nonzero derivative.
 
-    Uses h1'/h2' or its reciprocal, whichever denominator is safe, with a
-    centred difference at step 1e-6.
+    The ratio is h1'/h2' where |h2'| >= |h1'| at r0, else its reciprocal,
+    and its derivative is exact: (h1'' h2' - h1' h2'')/h2'^2 or the same
+    with h1 and h2 swapped, from the segments' own derivatives.
     """
-    h = 1e-6
+    return _ratio_moves(*(float(f(r0)) for f in (
+        pair.h1.deriv, pair.h2.deriv, pair.h1.deriv2, pair.h2.deriv2)), tol)
 
-    def ratio(r):
-        h1p = float(pair.h1.deriv(r))
-        h2p = float(pair.h2.deriv(r))
-        if abs(h2p) >= abs(h1p):
-            return h1p / h2p if h2p != 0.0 else math.inf
-        return h2p / h1p if h1p != 0.0 else math.inf
 
-    lo, hi = ratio(r0 - h), ratio(r0 + h)
-    if math.isinf(lo) or math.isinf(hi):
-        return True  # the ratio blows up; the foliation degenerates transversally
-    return abs(hi - lo) / (2 * h) > tol
+def _ratio_moves(h1p, h2p, h1pp, h2pp, tol: float = 1e-8) -> bool:
+    num, den, dnum, dden = ((h1p, h2p, h1pp, h2pp) if abs(h2p) >= abs(h1p)
+                            else (h2p, h1p, h2pp, h1pp))
+    if den == 0.0:
+        return True  # both slopes vanish; the foliation degenerates
+    return abs((dnum * den - num * dden) / den ** 2) > tol
 
 
 def resonance_scan(pair: ProfilePair, pq_max: int,
@@ -102,7 +98,8 @@ def resonance_scan(pair: ProfilePair, pq_max: int,
     Roots of q h1' = 2 pi p h2' are bracketed by sign changes on the grid
     and polished by Brent to 1e-15; loci where the defining function
     vanishes over a span of the grid are reported once as a continuum
-    family.
+    family, each new torus from one evaluation of h1, h2 and their first
+    two derivatives there.
     """
     if pq_max < 1:
         raise ValueError("pq_max must be at least 1")
@@ -121,9 +118,10 @@ def resonance_scan(pair: ProfilePair, pq_max: int,
         if any(f.continuum == continuum and abs(f.r0 - r0) < 1e-9
                and (f.p, f.q) == (p, q) for f in out):
             return
-        morse_bott = not continuum and morse_bott_check(pair, r0)
-        out.append(_family_at(pair, r0, p, q, morse_bott,
-                              continuum=continuum))
+        d = float(pair.h1.value(r0)) * h2p - h1p * float(pair.h2.value(r0))
+        morse_bott = not continuum and _ratio_moves(
+            h1p, h2p, float(pair.h1.deriv2(r0)), float(pair.h2.deriv2(r0)))
+        out.append(_family_at(r0, p, q, d, h1p, h2p, morse_bott, continuum))
 
     pairs = [(0, 1), (1, 0)]
     for q_un in range(1, pq_max + 1):
@@ -437,6 +435,8 @@ def perturb(pair: ProfilePair, params: TwistParams) -> PerturbedOrbits:
     two-critical-point Morse function with values (mu_minus, mu_plus).
     Returns the actions, the degree bookkeeping of the hyperbolic orbit,
     and the perturbed Reeb field evaluator.
+    The torus's return map is the shear [[1, -c t], [0, 1]], of index sign(c)/2
+    (Robbin & Salamon, Topology 32, 1993); c = 0 or non-finite is refused.
     """
     params.validate()
     r_plus, _, a_plus, _ = action_minima(pair)
@@ -476,19 +476,16 @@ def perturb(pair: ProfilePair, params: TwistParams) -> PerturbedOrbits:
         phi_dot = -(h1p + delta * m * (mbp * h1 + mb * h1p)) / denom
         return theta_dot, r_dot, phi_dot
 
-    h2_plus = abs(float(pair.h2.value(r_plus)))
-    a_h = TWO_PI * h2_plus * (1.0 + delta * params.mu_minus)
-    a_e = TWO_PI * h2_plus * (1.0 + delta * params.mu_plus)
+    a_h = a_plus * (1.0 + delta * params.mu_minus)
+    a_e = a_plus * (1.0 + delta * params.mu_plus)
 
-    # the linearised return map on the torus is a shear with positive twist
-    h1p = float(pair.h1.deriv(r_plus))
-    h2pp = float(pair.h2.deriv2(r_plus))
-    d = float(pair.wronskian(r_plus))
-    shear_rate = -(float(pair.h1.deriv2(r_plus)) * float(pair.h2.deriv(r_plus))
-                   - h1p * h2pp) / d ** 2
-    ts = np.linspace(0.0, 1.0, 512)
-    shear_path = np.array([[[1.0, -shear_rate * t], [0.0, 1.0]] for t in ts])
-    mu_shear = cz_sp2_path(shear_path, ts)
+    h1p, h2p, h1pp, h2pp = (float(f(r_plus)) for f in (
+        pair.h1.deriv, pair.h2.deriv, pair.h1.deriv2, pair.h2.deriv2))
+    d2 = float(pair.wronskian(r_plus)) ** 2
+    shear_rate = (h1p * h2pp - h1pp * h2p) / d2 if d2 else math.nan
+    if shear_rate == 0.0 or not math.isfinite(shear_rate):
+        raise InvalidGeometry(f"degenerate shear rate {shear_rate} at r+")
+    mu_shear = math.copysign(0.5, shear_rate)
     # grading: index of the family member, shifted by Morse data, then the
     # degree formula with the disk trivialisation contributing 2
     cz_h = mu_shear - 0.5  # dim of the orbit circle / 2, Morse index 0
@@ -565,20 +562,20 @@ def openbook_profiles(p0: float, eps_tilde: float) -> OpenBookProfiles:
 
     g_tilde rises from -pi at 0 to 0 at p0 and vanishes beyond;
     g = g_tilde + eps_tilde |p|; h = 1 + int_0^{|p|} s g'(s) ds;
-    h_tilde = 1 - int_0^{|p|} g(s) ds.
+    h_tilde = 1 - int_0^{|p|} g(s) ds, both in closed form as polynomials
+    in |p| and s = min(|p|/p0, 1).
     """
-    if p0 <= 0.0 or eps_tilde <= 0.0:
-        raise ValueError("p0 and eps_tilde must be positive")
+    if not (0.0 < p0 < math.inf and 0.0 < eps_tilde < math.inf):
+        raise ValueError(f"p0 = {p0!r} and eps_tilde = {eps_tilde!r} must "
+                         "be finite and positive")
 
     def g_tilde(p):
         s = np.clip(np.abs(p) / p0, 0.0, 1.0)
         return -math.pi * (1.0 - s ** 2) ** 2
 
     def g_tilde_prime(p):
-        pa = np.abs(p)
-        s = pa / p0
-        inside = s < 1.0
-        return np.where(inside, 4.0 * math.pi * s * (1.0 - s ** 2) / p0, 0.0)
+        s = np.abs(p) / p0
+        return np.where(s < 1.0, 4.0 * math.pi * s * (1.0 - s ** 2) / p0, 0.0)
 
     def g(p):
         return g_tilde(p) + eps_tilde * np.abs(p)
@@ -587,16 +584,16 @@ def openbook_profiles(p0: float, eps_tilde: float) -> OpenBookProfiles:
         return g_tilde_prime(p) + eps_tilde
 
     def h(p):
-        pa = float(np.abs(p))
-        val = adaptive_simpson(lambda s: s * float(g_prime(s)), 0.0, pa,
-                               tol=1e-12) if pa > 0 else 0.0
-        return 1.0 + val
+        pa = abs(float(p))
+        s = min(pa / p0, 1.0)
+        return (1.0 + eps_tilde * pa ** 2 / 2.0
+                + 4.0 * math.pi * p0 * (s ** 3 / 3.0 - s ** 5 / 5.0))
 
     def h_tilde(p):
-        pa = float(np.abs(p))
-        val = adaptive_simpson(lambda s: float(g(s)), 0.0, pa,
-                               tol=1e-12) if pa > 0 else 0.0
-        return 1.0 - val
+        pa = abs(float(p))
+        s = min(pa / p0, 1.0)
+        return (1.0 - eps_tilde * pa ** 2 / 2.0
+                + math.pi * p0 * (s - 2.0 * s ** 3 / 3.0 + s ** 5 / 5.0))
 
     return OpenBookProfiles(p0=p0, eps_tilde=eps_tilde, g_tilde=g_tilde,
                             g=g, g_prime=g_prime, h=h, h_tilde=h_tilde)

@@ -3,7 +3,8 @@
 Each one recomputes by a second route a quantity that the package takes
 in closed form or by an exact algorithm: the core-orbit index from the
 integrated linearised flow, the hyperbolic action from the return time of
-the integrated perturbed field, tube volumes by Monte-Carlo, the
+the integrated perturbed field, the Morse-Bott flag from a centred
+difference of the slope ratio, tube volumes by Monte-Carlo, the
 compensator's volume change on its own midpoint grid, and barcodes on a
 second family of random DG-algebras.  Of these, only the ODE oracle needs
 scipy.
@@ -70,6 +71,23 @@ def core_orbit_cz_oracle(pair, k):
         prev = idx
         n *= 2
     return prev
+
+
+def morse_bott_centred_difference(pair, r0, tol=1e-8, h=1e-6):
+    """Morse-Bott flag of the torus at r0 from a centred difference, at
+    step h, of h1'/h2' or its reciprocal, whichever denominator is safe on
+    each side; a ratio that blows up counts as Morse-Bott."""
+    def ratio(r):
+        h1p = float(pair.h1.deriv(r))
+        h2p = float(pair.h2.deriv(r))
+        if abs(h2p) >= abs(h1p):
+            return h1p / h2p if h2p != 0.0 else math.inf
+        return h2p / h1p if h1p != 0.0 else math.inf
+
+    lo, hi = ratio(r0 - h), ratio(r0 + h)
+    if math.isinf(lo) or math.isinf(hi):
+        return True
+    return abs(hi - lo) / (2 * h) > tol
 
 
 def perturbed_return_time(orbits, theta0=0.0, rtol=1e-11):

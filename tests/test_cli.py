@@ -30,18 +30,18 @@ def test_fold_command(tmp_path, capsys):
 
 
 def test_manifest_written(tmp_path):
-    code, out = run(tmp_path, "distance", "fold", "--a1", "1", "--a2", "3",
-                    "--ball", "0.5", "--delta", "0.1")
+    code, out = run(tmp_path, "distance", "gray", "--u-start", "0.04",
+                    "--u-end", "0.06")
+    assert code == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["command"] == "distance fold"
-    assert "folding.json" in manifest["outputs"]
+    assert manifest["command"] == "distance gray"
+    assert "gray.json" in manifest["outputs"]
     for name in manifest["outputs"]:
         assert (out / name).exists()
     assert "lutzlab" in manifest["versions"]
-    assert "tolerances" in manifest
-    # the tolerance the Gray quadrature integrates to, not numerics' default
-    assert manifest["tolerances"]["gray_simpson_abs"] == distance._GRAY_TOL
-    assert "simpson_abs" not in manifest["tolerances"]
+    # the one check it runs: the tolerance the Gray quadrature integrates
+    # to, not numerics' default
+    assert manifest["tolerances"] == {"gray_simpson_abs": distance._GRAY_TOL}
 
 
 @pytest.mark.parametrize("argv", [
@@ -477,6 +477,10 @@ def readme_dga(tmp_path):
     return str(dga)
 
 
+# the tolerances in force in a command that builds a model
+MODEL_TOLERANCES = ["contact_pass", "round_trip_l", "round_trip_volume"]
+
+
 def test_readme_commands_run_without_scipy(tmp_path):
     profile_json = str(tmp_path / "0" / "profile.json")
     dga = readme_dga(tmp_path)
@@ -509,9 +513,31 @@ def test_readme_commands_run_without_scipy(tmp_path):
         else:
             assert sorted(manifest["versions"]) == ["lutzlab", "numpy",
                                                     "python"]
-            assert sorted(manifest["tolerances"]) == [
-                "contact_pass", "gray_simpson_abs", "round_trip_l",
-                "round_trip_volume"]
+            # the tolerances of the checks each command runs
+            expected = {"profile check": ["contact_pass"],
+                        "family embed": MODEL_TOLERANCES,
+                        "family sweep": MODEL_TOLERANCES,
+                        "distance sandwich": MODEL_TOLERANCES}
+            assert sorted(manifest["tolerances"]) == expected.get(
+                " ".join(argv[:2]), [])
+
+
+def test_profile_build_loads_neither_family_nor_distance(tmp_path):
+    # the manifest copies no tolerance out of modules the command never
+    # runs, so a fresh interpreter does not import them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from lutzlab import cli; "
+            "code = cli.main(['--out', sys.argv[1], 'profile', 'build']); "
+            "print(sorted(m for m in ('lutzlab.family', 'lutzlab.distance') "
+            "if m in sys.modules)); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["tolerances"] == {}
 
 
 def test_persist_commands_run_without_numpy(tmp_path):

@@ -140,6 +140,18 @@ def test_segment_zero_candidates():
     assert len(cands) >= 1 and np.max(np.abs(cands - 0.5)) < 1e-12
     assert len(piece.zero_candidates(0.3, 0.45)) == 0
     assert len(sine_piece(0.3, 0.45).zero_candidates(0.3, 0.45)) == 0
+    # second derivatives read one cached coefficient array, bit-identical
+    # to the series rebuilt on every call
+    xs = np.linspace(0.3, 0.7, 41)
+    rebuilt = {
+        cubic: np.polynomial.polynomial.polyval(
+            xs - 0.5, np.polynomial.polynomial.polyder(cubic.coeffs, 2)),
+        piece: np.polynomial.chebyshev.chebval(
+            piece._t(xs), np.polynomial.chebyshev.chebder(
+                piece._d1, scl=2.0 / (piece.hi - piece.lo)))}
+    for seg, expected in rebuilt.items():
+        assert np.array_equal(seg.deriv2(xs), expected)
+        assert seg._d2 is seg._d2
 
 
 @pytest.mark.parametrize("u", ["u_ref", 0.05, "U_CAP"])

@@ -113,7 +113,9 @@ def test_scan_needs_a_cell(smooth_pair):
 
 def scalar_scan(pair, pq_max, grid):
     """Reference scan: one scalar profile call per grid point and a Brent
-    polish per strict sign change between two non-flat samples."""
+    polish per strict sign change between two non-flat samples; each
+    torus's period from `pair.wronskian` and its flag from the centred
+    difference."""
     families = []
 
     def register(r0, p_un, q_un, continuum):
@@ -126,8 +128,15 @@ def scalar_scan(pair, pq_max, grid):
             if (f.continuum == continuum and abs(f.r0 - r0) < 1e-9
                     and (f.p, f.q) == (p, q)):
                 return
-        mb = False if continuum else reeb.morse_bott_check(pair, r0)
-        families.append(reeb._family_at(pair, r0, p, q, mb, continuum))
+        mb = (not continuum
+              and oracles.morse_bott_centred_difference(pair, r0))
+        d = float(pair.wronskian(r0))
+        t_q = q * d / h2p if q and abs(h2p) > 1e-14 else None
+        t_p = TWO_PI * p * d / h1p if p and abs(h1p) > 1e-14 else None
+        period = t_q if t_q is not None else t_p
+        families.append(reeb.TorusOrbitFamily(
+            r0=r0, p=p, q=q, period=period, action=period, morse_bott=mb,
+            continuum=continuum))
 
     pqs = [(0, 1), (1, 0)] + [(p, q) for q in range(1, pq_max + 1)
                               for p in range(1, pq_max + 1)
@@ -276,6 +285,64 @@ def test_morse_bott_constant_ratio_false():
     assert not reeb.morse_bott_check(pair, 0.2)
 
 
+def test_morse_bott_exact_flag_matches_centred_difference(smooth_pair,
+                                                          cap_pair):
+    # every torus the scans flag, and radii of both fixtures, where the
+    # cap's constant slope ratio gives the false case
+    checked, flags = 0, set()
+    for e0, d0, u in SCAN_PROFILES:
+        pair = prof.build_mollified_path(
+            prof.TwistParams(epsilon0=e0, delta0=d0, u=u))
+        for fam in reeb.resonance_scan(pair, 2):
+            if not fam.continuum:
+                assert fam.morse_bott == oracles.morse_bott_centred_difference(
+                    pair, fam.r0), (e0, d0, u, fam)
+                checked += 1
+    assert checked == 90
+    for pair in (smooth_pair, cap_pair):
+        for r0 in np.linspace(0.05, 0.95, 19):
+            flag = reeb.morse_bott_check(pair, float(r0))
+            assert flag == oracles.morse_bott_centred_difference(
+                pair, float(r0)), r0
+            flags.add(flag)
+    assert flags == {True, False}
+
+
+def test_registered_torus_costs_six_scalar_evaluations(smooth_pair,
+                                                      monkeypatch):
+    # outside the Brent polish, every candidate root reads h1' and h2' for
+    # its signs, and each new non-continuum torus reads h1, h2 and their
+    # second derivatives there once more: six evaluations in all
+    calls, counting = [], [True]
+    for method in ("value", "deriv", "deriv2"):
+        orig = getattr(prof.PiecewiseProfile, method)
+
+        def counted(self, r, orig=orig, method=method):
+            if counting[0] and np.ndim(r) == 0:
+                calls.append((method, float(r)))
+            return orig(self, r)
+        monkeypatch.setattr(prof.PiecewiseProfile, method, counted)
+
+    def uncounted_brentq(f, a, b, xtol):
+        counting[0] = False
+        try:
+            return numerics.brentq(f, a, b, xtol)
+        finally:
+            counting[0] = True
+    monkeypatch.setattr(reeb, "brentq", uncounted_brentq)
+    fams = reeb.resonance_scan(smooth_pair, 2, grid=2000)
+    tori = [f for f in fams if not f.continuum]
+    assert len(tori) >= 5
+    for fam in tori:
+        at_r0 = [m for m, r in calls if r == fam.r0]
+        assert at_r0.count("value") == at_r0.count("deriv2") == 2, fam
+        # a second candidate at the same radius pays its two signs only
+        assert at_r0.count("deriv") in (2, 4), fam
+    methods = [m for m, _ in calls]
+    assert methods.count("value") == 2 * len(fams)
+    assert methods.count("deriv2") == 2 * len(tori)
+
+
 # --- core-orbit index -------------------------------------------------------
 
 def test_core_cz_formula_values():
@@ -322,10 +389,16 @@ def _rotation_path(total_angle, n=512):
                      for t in ts]), ts
 
 
+def _shear_path(c, n=512):
+    ts = np.linspace(0.0, 1.0, n)
+    return np.array([[[1.0, -c * t], [0.0, 1.0]] for t in ts]), ts
+
+
 def test_cz_path_shear_half():
-    ts = np.linspace(0.0, 1.0, 512)
-    shear = np.array([[[1.0, -t], [0.0, 1.0]] for t in ts])
-    assert reeb.cz_sp2_path(shear, ts) == 0.5
+    assert reeb.cz_sp2_path(*_shear_path(1.0)) == 0.5
+    # the shear property sign(c)/2 that `perturb` takes in closed form
+    for c in (3.7, -2.1, 1e-3, -50.0):
+        assert reeb.cz_sp2_path(*_shear_path(c)) == math.copysign(0.5, c)
 
 
 def test_cz_path_identity_zero():
@@ -367,6 +440,61 @@ def test_perturb_actions(smooth_pair, solved_params):
     assert orbits.action_hyperbolic < orbits.action_elliptic < a_second
     assert orbits.degree_hyperbolic == 1
     assert orbits.cz_elliptic_reported == 1
+
+
+def _shear_rate(pair, r):
+    h1p, h2p = float(pair.h1.deriv(r)), float(pair.h2.deriv(r))
+    h1pp, h2pp = float(pair.h1.deriv2(r)), float(pair.h2.deriv2(r))
+    return (h1p * h2pp - h1pp * h2p) / float(pair.wronskian(r)) ** 2
+
+
+def _h2_bent_at_quarter(pair, k):
+    """`pair` with h2 on [0.24, 0.26] replaced by its tangent line at
+    r = 1/4 plus k (r - 1/4)^2: k > 0 turns the shear at r+ = 1/4 over."""
+    h2 = pair.h2
+    seg, lo, _ = h2.segment_span(0.24)
+    bps = list(h2.breakpoints)
+    i = bps.index(lo)
+    quad = prof.PolySegment(0.25, (float(h2.value(0.25)),
+                                   float(h2.deriv(0.25)), k))
+    return prof.ProfilePair(pair.h1, prof.PiecewiseProfile(
+        bps[:i + 1] + [0.24, 0.26] + bps[i + 1:],
+        h2.segments[:i] + [seg, quad, seg] + h2.segments[i + 1:]),
+        pair.epsilon)
+
+
+def test_perturb_shear_index_matches_path_engine(smooth_pair,
+                                                 solved_params):
+    # the closed-form index sign(c)/2 against the Robbin-Salamon engine on
+    # the shear [[1, -c t], [0, 1]] at r+ of each scan profile, whose c
+    # is positive, and of the README pair bent to either sign
+    cases = []
+    for e0, d0, u in SCAN_PROFILES:
+        params = prof.TwistParams(epsilon0=e0, delta0=d0, u=u).solved()
+        cases.append((prof.build_mollified_path(params), params))
+    cases += [(_h2_bent_at_quarter(smooth_pair, k), solved_params)
+              for k in (1.0, -1.0)]
+    signs = []
+    for pair, params in cases:
+        c = _shear_rate(pair, reeb.action_minima(pair)[0])
+        engine = reeb.cz_sp2_path(*_shear_path(c))
+        assert engine == math.copysign(0.5, c)
+        assert reeb.perturb(pair, params).cz_hyperbolic == engine - 0.5
+        signs.append(math.copysign(1.0, c))
+    assert signs == [1.0] * 6 + [-1.0, 1.0]
+
+
+def test_perturb_refuses_a_zero_shear_rate(smooth_pair, solved_params,
+                                           splice_linear):
+    # h1 and h2 linear around r+ = 1/4: h1'' = h2'' = 0 there, so the
+    # return map does not shear
+    knots = np.array([0.24, 0.26])
+    flat = prof.ProfilePair(*(
+        splice_linear(h, knots, [float(v) for v in h.value(knots)])
+        for h in (smooth_pair.h1, smooth_pair.h2)), smooth_pair.epsilon)
+    assert reeb.action_minima(flat)[0] == pytest.approx(0.25, abs=1e-6)
+    with pytest.raises(InvalidGeometry, match="shear"):
+        reeb.perturb(flat, solved_params)
 
 
 def test_perturb_delta_zero_limit(smooth_pair, solved_params):
@@ -510,6 +638,26 @@ def test_openbook_beyond_support():
     c = ob.h(0.5) - 0.01 * 0.5 ** 2 / 2
     for p in (0.7, 1.1):
         assert ob.h(p) == pytest.approx(c + 0.01 * p ** 2 / 2, abs=1e-9)
+
+
+def test_openbook_closed_forms_match_simpson():
+    ob = reeb.openbook_profiles(0.5, 0.01)
+    ps = [0.0, 0.5, -0.5, 0.7, -1.1] + list(np.linspace(0.0, 1.2, 49))
+    for p in ps:
+        pa = abs(p)
+        h = 1.0 + numerics.adaptive_simpson(
+            lambda s: s * float(ob.g_prime(s)), 0.0, pa, tol=1e-12)
+        h_tilde = 1.0 - numerics.adaptive_simpson(
+            lambda s: float(ob.g(s)), 0.0, pa, tol=1e-12)
+        assert abs(ob.h(p) - h) <= 1e-12, p
+        assert abs(ob.h_tilde(p) - h_tilde) <= 1e-12, p
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_openbook_refuses_bad_parameters(bad):
+    for args in ((bad, 0.01), (0.5, bad)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            reeb.openbook_profiles(*args)
 
 
 def test_openbook_monotone_g_tilde():
