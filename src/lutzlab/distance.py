@@ -226,7 +226,7 @@ class _GrayIntegrand:
         self.pair2 = family.pair(u2)
         self.u1, self.u2 = u1, u2
         ends = (self.pair1, self.pair2)
-        _, self.rs, (d1, d2), self._h1p, (h2a, h2b) = contact_sign(
+        _, self.rs, (d1, d2), self._h1p, (h2a, h2b), _ = contact_sign(
             ends, f"the ends u = {u1}, {u2} of the leg")
         # per-radius monotonicity of u -> h2_u (affine, so ordering suffices)
         h_mid = family.pair(0.5 * (u1 + u2)).h2.value(self.rs)

@@ -18,9 +18,11 @@ twist, the zeros r+ < r+' of h1, the tube volume (affine in u) and the
 Gray domination margin, which reads B = dh2/du off the family; contact
 and margin on one set of radii, `profile.contact_radii`.  The ends share
 h1 and their knots (`contact_sign` refuses them otherwise), so the
-certificate evaluates each profile once per set of radii: h1 and each
-end's h2 once on the contact radii and once on the tube-volume nodes,
-which hold both Gauss-Legendre orders, and B once on the contact radii.
+certificate takes one stacked evaluation (`profile.evaluate`) per set of
+radii: h1, h1' and each end's h2 and h2' on the contact radii, with B
+there too, and on the tube-volume nodes, which hold both Gauss-Legendre
+orders.  Every Chebyshev series of one window piece then takes one
+Clenshaw recurrence per set of radii.
 A member is then embedded in closed form from that certificate;
 `tube_volume` and `FormSpec.l_invariant` recompute it from scratch and
 serve as oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
@@ -44,7 +46,7 @@ from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
 from .numerics import gauss_legendre, gl_panel_nodes
 from . import reeb
 from .profile import (TWO_PI, ProfilePair, TwistedPathFamily, TwistParams,
-                      contact_radii, contact_report)
+                      contact_radii, contact_report, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +61,21 @@ def _integrate_profile_products(pairs, n: int) -> tuple:
     polynomial, an arc, or a Chebyshev piece of a mollified window, whose
     coefficients decay to rounding by its degree.  Every panel takes order
     20, guarded by order 12: their disagreements must sum to at most 1e-10
-    of each integral.  Both orders' nodes form one array, on which h1 and
-    each pair's h2 are evaluated once.
+    of each integral.  Both orders' nodes form one array, on which h1, h1'
+    and each pair's h2 and h2' take one stacked evaluation
+    (`profile.evaluate`).
     """
     knots = pairs[0].knots()
     (r12, w12), (r20, w20) = (gl_panel_nodes(knots[:-1], knots[1:], order)
                               for order in (12, 20))
     nodes = np.concatenate([r12.ravel(), r20.ravel()])
     h1 = pairs[0].h1
-    h1v, h1p = h1.value(nodes), h1.deriv(nodes)
+    h1v, h1p, *h2s = evaluate(
+        [(h1, 0), (h1, 1)] + [(p.h2, k) for p in pairs for k in (0, 1)],
+        nodes)
     out = []
-    for p in pairs:
-        d = h1v * p.h2.deriv(nodes) - h1p * p.h2.value(nodes)
+    for h2v, h2p in zip(h2s[::2], h2s[1::2]):
+        d = h1v * h2p - h1p * h2v
         if n > 2:
             d = h1v ** (n - 2) * d
         lo = float(np.sum(w12 * d[:r12.size].reshape(r12.shape)))
@@ -290,19 +295,20 @@ GRAY_METHOD = ("two-end affine bound u |B h1'| <= |D_u| on the contact "
                "radii; twist arc in closed form")
 
 
-def contact_sign(pairs, where: str) -> tuple:
-    """(sign, rs, ds, h1p, h2s): the one nonzero sign of D with which every
-    pair passes the contact check (`contact_report`) on
+def contact_sign(pairs, where: str, extra=()) -> tuple:
+    """(sign, rs, ds, h1p, h2s, values): the one nonzero sign of D with
+    which every pair passes the contact check (`contact_report`) on
     rs = `contact_radii(pairs[0], CONTACT_GRID)`, and, on rs, D of each
-    pair, h1' and h2 of each pair.
+    pair, h1', h2 of each pair and the values of each `extra` profile.
 
     The members of one family share h1 and their knots, so rs samples
     every pair's segments; a pair that does not raises InvalidGeometry.
-    h1 and h1' are evaluated once for all pairs, h2 and h2' once per pair,
-    and D = h1 h2' - h1' h2 is formed from them in the order of
-    `ProfilePair.wronskian`.  D/r is affine in the amplitude, so two such
-    members keep that sign at every amplitude between them, at the checked
-    radii (a sign change across r is a zero of D between samples)."""
+    h1, h1', each pair's h2 and h2' and the `extra` profiles take one
+    stacked evaluation (`profile.evaluate`), and D = h1 h2' - h1' h2 is
+    formed from them in the order of `ProfilePair.wronskian`.  D/r is
+    affine in the amplitude, so two such members keep that sign at every
+    amplitude between them, at the checked radii (a sign change across r
+    is a zero of D between samples)."""
     first = pairs[0]
     knots = first.knots()
     for p in pairs[1:]:
@@ -312,14 +318,18 @@ def contact_sign(pairs, where: str) -> tuple:
             raise InvalidGeometry(
                 f"the members at {where} do not share their knots")
     rs = contact_radii(first, CONTACT_GRID)
-    h1v, h1p = first.h1.value(rs), first.h1.deriv(rs)
-    h2s = [p.h2.value(rs) for p in pairs]
-    ds = [h1v * p.h2.deriv(rs) - h1p * h2 for p, h2 in zip(pairs, h2s)]
+    h1v, h1p, *vals = evaluate(
+        [(first.h1, 0), (first.h1, 1)]
+        + [(p.h2, k) for p in pairs for k in (0, 1)]
+        + [(e, 0) for e in extra], rs)
+    m = 2 * len(pairs)
+    h2s = vals[:m:2]
+    ds = [h1v * h2p - h1p * h2 for h2, h2p in zip(h2s, vals[1:m:2])]
     checks = [contact_report(rs, d / rs, CONTACT_GRID) for d in ds]
     sign = checks[0].sign
     if not (sign != 0 and all(c.passed and c.sign == sign for c in checks)):
         raise SingularLocus(f"contact condition fails at {where}: {checks}")
-    return sign, rs, ds, h1p, h2s
+    return sign, rs, ds, h1p, h2s, vals[m:]
 
 
 @dataclass(frozen=True)
@@ -371,15 +381,16 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
       exact zero set, are the member's;
     - int h1^(n-2) D_u is affine in u, so two endpoint quadratures give
       the member's tube volume, provided they have one sign; both ends
-      take one set of panel nodes (`_integrate_profile_products`);
+      take one set of panel nodes and one stacked evaluation there
+      (`_integrate_profile_products`);
     - the Gray rate f = |B h1' / D_u| has u f <= 1 wherever
       u |B h1'| <= |D_u| holds at both ends (both sides are affine while
       D_u keeps its sign), which is checked on the same radii, with the
-      family's B and the ends' h1' and D that `contact_sign` sampled
-      there, off the twist arc (window.hi, 1/2].  On the arc both
-      profiles are trigonometric and f = sin^2(2 pi r)/u exactly.  The
-      least 1 - u f is the margin; a negative one is recorded, and
-      `FamilyCertificate.gray_margin` refuses it.
+      family's B and the ends' h1' and D that `contact_sign` evaluated
+      there in one stacked call, off the twist arc (window.hi, 1/2].  On
+      the arc both profiles are trigonometric and f = sin^2(2 pi r)/u
+      exactly.  The least 1 - u f is the margin; a negative one is
+      recorded, and `FamilyCertificate.gray_margin` refuses it.
     The ends must share h1 and their knots, which `contact_sign` checks.
     """
     if not u_lo < u_hi:
@@ -387,8 +398,8 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
             f"a family certificate needs two amplitudes u_lo < u_hi, got "
             f"[{u_lo}, {u_hi}]")
     ends = p_lo, p_hi = family.pair(u_lo), family.pair(u_hi)
-    sign, rs, ds, h1p, _ = contact_sign(
-        ends, f"the ends u = {u_lo}, {u_hi} of the family")
+    sign, rs, ds, h1p, _, (b,) = contact_sign(
+        ends, f"the ends u = {u_lo}, {u_hi} of the family", (family.B,))
     r_plus, r_pp, _, _ = reeb.action_minima(p_lo)  # winds once at u_lo
     if p_hi.winding_number() != 1:
         raise InvalidGeometry(
@@ -403,7 +414,7 @@ def certify_family(family: TwistedPathFamily, u_lo: float, u_hi: float,
 
     # on the radii on which `contact_sign` just passed both ends
     off_arc = (rs <= family.window.hi) | (rs > 0.5)
-    rate = np.abs(family.B.value(rs) * h1p)
+    rate = np.abs(b * h1p)
     margin = min(float(np.min((1.0 - u * rate / np.abs(d))[off_arc]))
                  for u, d in zip((u_lo, u_hi), ds))
     return FamilyCertificate(u_lo=u_lo, u_hi=u_hi, contact_sign=sign,

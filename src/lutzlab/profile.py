@@ -85,9 +85,14 @@ class PolySegment:
         return PolySegment(self.a, self.coeffs * c)
 
     def plus(self, other: "PolySegment", c: float) -> "PolySegment":
-        """self + c other, for `other` in powers of the same (r - a)."""
-        return PolySegment(self.a, np.polynomial.polynomial.polyadd(
-            self.coeffs, c * other.coeffs))
+        """self + c other, for `other` in powers of the same (r - a); the
+        shorter coefficient array counts as zero-padded at the top."""
+        a, b = self.coeffs, c * other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        coeffs = a.copy()
+        coeffs[:len(b)] += b
+        return PolySegment(self.a, coeffs)
 
     def zero_candidates(self, lo: float, hi: float) -> np.ndarray:
         """Real parts of all roots that fall inside the open (lo, hi).
@@ -296,6 +301,65 @@ class PiecewiseProfile:
                                 [s.scaled(c) for s in self.segments])
 
 
+def evaluate(terms, r) -> list:
+    """[`profile.value`, `deriv` or `deriv2` at r for each (profile, order)
+    of `terms`, order 0, 1 or 2], bit for bit, on a 1-D array of radii.
+
+    r is split once at each term's breakpoints (sorted first if it is not,
+    and every result scattered back to its order); a radius on a breakpoint
+    goes left, as in `PiecewiseProfile._segment_index`.  Polynomial and
+    trigonometric segments are evaluated on their slice.  All Chebyshev
+    series on one span and slice, of any term, take one Clenshaw recurrence
+    (`_clenshaw`).
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1:
+        raise ValueError("evaluate takes a 1-D array of radii")
+    perm = None
+    if not np.all(r[:-1] <= r[1:]):
+        perm = np.argsort(r, kind="stable")
+        r = r[perm]
+    outs = [np.empty_like(r) for _ in terms]
+    stacks = {}  # (lo, hi, start, stop) -> [(out, coefficients)]
+    for out, (profile, order) in zip(outs, terms):
+        ends = np.searchsorted(r, profile.breakpoints[1:-1],
+                               side="right").tolist()
+        for seg, start, stop in zip(profile.segments, [0] + ends,
+                                    ends + [len(r)]):
+            if start == stop:
+                continue
+            if isinstance(seg, ChebSegment):
+                coeffs = getattr(seg, ("coeffs", "_d1", "_d2")[order])
+                stacks.setdefault((seg.lo, seg.hi, start, stop), []).append(
+                    (out, coeffs))
+            else:
+                method = ("value", "deriv", "deriv2")[order]
+                out[start:stop] = getattr(seg, method)(r[start:stop])
+    for (lo, hi, start, stop), series in stacks.items():
+        t = (2.0 * r[start:stop] - (lo + hi)) / (hi - lo)
+        for (out, _), v in zip(series, _clenshaw([c for _, c in series], t)):
+            out[start:stop] = v
+    if perm is not None:
+        for out in outs:
+            out[perm] = out.copy()
+    return outs
+
+
+def _clenshaw(series: list, t: np.ndarray) -> np.ndarray:
+    """Rows `chebval(t, c)` for each c of `series` by one recurrence, in
+    `chebval`'s operation order: the shorter series are zero-padded at the
+    top, which changes no bit at a finite t."""
+    size = max(3, max(len(c) for c in series))
+    c = np.zeros((size, len(series), 1))
+    for j, s in enumerate(series):
+        c[:len(s), j, 0] = s
+    x2 = 2 * t
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, size + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * t
+
+
 @dataclass(frozen=True)
 class ExtensionSpec:
     """Shape of the path on the far half of the tube.
@@ -461,7 +525,7 @@ class ProfilePair:
         cuts = np.union1d(self.h1.cuts, self.h2.cuts)
         # each profile once, on the cuts followed by their midpoints
         rs = np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])])
-        v1, v2 = self.h1.value(rs), self.h2.value(rs)
+        v1, v2 = evaluate([(self.h1, 0), (self.h2, 0)], rs)
         h1, h2 = v1[:len(cuts)], v2[:len(cuts)]
         if np.min(h1 * h1 + h2 * h2) < 1e-30:
             raise InvalidGeometry("path passes through the origin")

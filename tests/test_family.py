@@ -167,21 +167,25 @@ def test_certificate_equals_the_per_end_oracle(which, n, gray_family):
            cert.margin)
     assert got == _certificate_per_end(family, u_lo, u_hi, n)
     ends = [family.pair(u) for u in (u_lo, u_hi)]
-    _, rs, ds, h1p, h2s = fam.contact_sign(ends, "the ends")
+    _, rs, ds, h1p, h2s, (b,) = fam.contact_sign(ends, "the ends",
+                                                 (family.B,))
     assert np.array_equal(h1p, ends[0].h1.deriv(rs))
     for p, d, h2 in zip(ends, ds, h2s):
         assert np.array_equal(d, p.wronskian(rs))
         assert np.array_equal(h2, p.h2.value(rs))
+    assert np.array_equal(b, family.B.value(rs))
     # one pair takes the same path: `tube_volume` is the oracle's volume
     for p, v in zip(ends, cert.volumes):
         assert fam.tube_volume(p, n) == abs(v)
 
 
 def test_model_build_evaluates_each_profile_once_per_radius_set(monkeypatch):
-    # h1 and each end's h2 are evaluated at most once per method on the
-    # contact radii and once on the tube-volume nodes (both Gauss-Legendre
-    # orders); a shared h1 is not evaluated again for the second end, B is
-    # evaluated once, on the contact radii, and no h2 at a third amplitude
+    # one `profile.evaluate` call per radius set takes every series the
+    # certificate reads there: h1 and each end's h2, by value and first
+    # derivative, on the contact radii and on the tube-volume nodes (both
+    # Gauss-Legendre orders), and B's values on the contact radii; a shared
+    # h1 is not evaluated again for the second end, and no h2 at a third
+    # amplitude, nor any profile by its own methods on a radius set
     defaults = fam.FamilyDefaults()
     ref = prof.TwistedPathFamily(defaults.twist, defaults.u_ref,
                                  fam.U_CAP).pair(defaults.u_ref)
@@ -191,18 +195,31 @@ def test_model_build_evaluates_each_profile_once_per_radius_set(monkeypatch):
         "volume": np.concatenate([
             gl_panel_nodes(knots[:-1], knots[1:], order)[0].ravel()
             for order in (12, 20)])}
-    # (profile, method, radius set or None) while certifying; holds the
-    # profiles alive
-    seen, certifying = [], []
-    for method in ("value", "deriv"):
+
+    def names(r):
+        rf = np.atleast_1d(np.asarray(r, dtype=float))
+        return [name for name, radii in radius_sets.items()
+                if np.all(np.isin(radii, rf))] or [None]
+    # (profile, method, radius set or None) of each term evaluated while
+    # certifying, the radius sets of each call, and the radius sets of the
+    # profiles' own methods; all three hold the profiles alive
+    seen, calls, direct, certifying = [], [], [], []
+    real_evaluate = prof.evaluate
+
+    def recording_evaluate(terms, r):
+        if certifying:
+            calls.extend(names(r))
+            seen.extend((profile, ("value", "deriv", "deriv2")[order], name)
+                        for profile, order in terms for name in names(r))
+        return real_evaluate(terms, r)
+    monkeypatch.setattr(prof, "evaluate", recording_evaluate)
+    monkeypatch.setattr(fam, "evaluate", recording_evaluate)
+    for method in ("value", "deriv", "deriv2"):
         real = getattr(prof.PiecewiseProfile, method)
 
         def recording(self, r, method=method, real=real):
-            rf = np.atleast_1d(np.asarray(r, dtype=float))
-            names = [name for name, radii in radius_sets.items()
-                     if np.all(np.isin(radii, rf))]
             if certifying:
-                seen.extend((self, method, name) for name in names or [None])
+                direct.extend((self, method, name) for name in names(r))
             return real(self, r)
         monkeypatch.setattr(prof.PiecewiseProfile, method, recording)
     members = []  # (u, pair)
@@ -223,7 +240,10 @@ def test_model_build_evaluates_each_profile_once_per_radius_set(monkeypatch):
     label[id(members[0][1].h1)] = "h1"
     label[id(model.family.B)] = "B"
     # every profile evaluated is h1, B or an end's h2
-    assert {id(p) for p, _, _ in seen} <= set(label)
+    assert {id(p) for p, _, _ in seen + direct} <= set(label)
+    # one call per radius set, and no profile's own method sees one
+    assert sorted(name for name in calls if name) == ["contact", "volume"]
+    assert all(name is None for _, _, name in direct)
     counts = {}
     for profile, method, name in seen:
         key = (label[id(profile)], method, name)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebinterpolate, chebpts1
+from numpy.polynomial.chebyshev import chebinterpolate, chebpts1, chebval
 
 from lutzlab import profile as prof
 from lutzlab.errors import InvalidGeometry, QuadratureFailure
@@ -412,6 +412,24 @@ def test_family_pair_matches_mollified_member():
         assert err <= 4.0 * np.spacing(scale)
 
 
+@pytest.mark.parametrize("u", [0.01, 0.05, 0.15])
+def test_member_sums_match_the_polyadd_construction(model, u):
+    # `PolySegment.plus` pads the shorter coefficient array where `polyadd`
+    # trims trailing zeros: the member's values and cuts are the same
+    family = model.family
+    got = family.pair(u).h2
+    want = prof.PiecewiseProfile(family.A.breakpoints, [
+        prof.PolySegment(a.a, np.polynomial.polynomial.polyadd(
+            a.coeffs, u * b.coeffs))
+        if isinstance(a, prof.PolySegment) else a.plus(b, u)
+        for a, b in zip(family.A.segments, family.B.segments)])
+    rs = np.random.default_rng(7).uniform(0.0, 1.0, 1000)
+    for method in ("value", "deriv", "deriv2"):
+        assert np.array_equal(getattr(got, method)(rs),
+                              getattr(want, method)(rs))
+    assert np.array_equal(got.cuts, want.cuts)
+
+
 def test_family_pair_rejects_amplitudes_above_cap():
     # the extension depth is sized for u_max, so members above it are refused
     # with the same 1e-12 slack as the floor at u_ref
@@ -776,3 +794,87 @@ def test_scaled_pair_segments(raw_pair):
                        atol=1e-14)
     assert np.allclose(doubled.wronskian(rs), 4 * raw_pair.wronskian(rs),
                        atol=1e-14)
+
+
+# --- stacked evaluation -----------------------------------------------------
+
+# (epsilon0, delta0, u) of the dynamics benchmark's profile pool
+POOL_PROFILES = [(0.05, 0.0005, 0.05), (0.04, 0.0005, 0.04),
+                 (0.06, 0.0005, 0.06), (0.05, 0.0004, 0.045),
+                 (0.045, 0.0005, 0.045), (0.055, 0.0005, 0.055)]
+
+
+def _evaluate_groups(model, smooth_pair, cap_pair):
+    """[(name, pair, profiles)]: the profiles evaluated together, and the
+    pair whose radii they are evaluated on."""
+    family = model.family
+    lo, hi = (family.pair(u) for u in (model.defaults.u_ref, 0.15))
+    groups = [("readme", smooth_pair, [smooth_pair.h1, smooth_pair.h2]),
+              ("cap", cap_pair, [cap_pair.h1, cap_pair.h2]),
+              ("family", lo, [lo.h1, lo.h2, hi.h2, family.A, family.B])]
+    for e0, d0, u in POOL_PROFILES:
+        p = prof.build_mollified_path(
+            prof.TwistParams(epsilon0=e0, delta0=d0, u=u))
+        groups.append((f"pool {e0} {d0} {u}", p, [p.h1, p.h2]))
+    return groups
+
+
+def _evaluate_radii(pair, profiles):
+    """{name: radii} of every radius set `evaluate` must take."""
+    knots = pair.knots()
+    nodes = np.concatenate([
+        gl_panel_nodes(knots[:-1], knots[1:], order)[0].ravel()
+        for order in (12, 20)])
+    bps = np.unique(np.concatenate([p.breakpoints for p in profiles]))
+    return {"contact": prof.contact_radii(pair, 2048),
+            "nodes": nodes,
+            "breakpoints": bps, "breakpoints reversed": bps[::-1].copy(),
+            "outside": np.array([-0.3, -1e-9, pair.epsilon + 1e-9,
+                                 pair.epsilon + 0.5, -0.3]),
+            "one": np.array([0.0101]), "empty": np.empty(0)}
+
+
+def test_evaluate_matches_each_profile_bit_for_bit(model, smooth_pair,
+                                                   cap_pair):
+    # all orders of every profile of a group in one call, on each radius set
+    methods = ("value", "deriv", "deriv2")
+    for name, pair, profiles in _evaluate_groups(model, smooth_pair,
+                                                 cap_pair):
+        terms = [(p, order) for p in profiles for order in range(3)]
+        for radii_name, rs in _evaluate_radii(pair, profiles).items():
+            got = prof.evaluate(terms, rs)
+            assert len(got) == len(terms)
+            for (p, order), g in zip(terms, got):
+                want = getattr(p, methods[order])(rs)
+                assert g.shape == want.shape, (name, radii_name)
+                assert np.array_equal(g, want), (name, radii_name, order)
+    # the certificate's node array is unsorted: it takes the scatter path
+    nodes = _evaluate_radii(smooth_pair, [smooth_pair.h1])["nodes"]
+    assert np.any(np.diff(nodes) < 0.0)
+
+
+def test_evaluate_stacks_series_of_different_lengths():
+    # Chebyshev series of 1 to 41 terms on one span take one recurrence,
+    # each zero-padded at the top; every order is `chebval`'s float
+    rng = np.random.default_rng(11)
+    lo, hi = 0.2, 0.6
+    profiles = [prof.PiecewiseProfile(
+        [0.0, lo, hi, 1.0],
+        [prof.PolySegment(0.0, (1.0, 2.0)),
+         prof.ChebSegment(lo, hi, rng.standard_normal(size)),
+         prof.TrigSegment("sin", 0.5)]) for size in (1, 2, 3, 7, 24, 41)]
+    rs = np.concatenate([rng.uniform(0.0, 1.0, 500), [lo, hi]])
+    terms = [(p, order) for p in profiles for order in range(3)]
+    inside = (rs > lo) & (rs <= hi)
+    t = (2.0 * rs[inside] - (lo + hi)) / (hi - lo)
+    for (p, order), got in zip(terms, prof.evaluate(terms, rs)):
+        seg = p.segments[1]
+        coeffs = (seg.coeffs, seg._d1, seg._d2)[order]
+        assert np.array_equal(got[inside], chebval(t, coeffs))
+        assert np.array_equal(
+            got, getattr(p, ("value", "deriv", "deriv2")[order])(rs))
+
+
+def test_evaluate_needs_one_dimensional_radii(smooth_pair):
+    with pytest.raises(ValueError, match="1-D"):
+        prof.evaluate([(smooth_pair.h1, 0)], np.zeros((2, 2)))
