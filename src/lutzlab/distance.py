@@ -2,10 +2,11 @@
 
 The distance itself is an infimum over embeddings and is not computable;
 everything here is a certified one-sided bound.  Lower bounds come from
-the volume and lowest-action monotonicity laws; upper bounds from
-conformal factors, the two-leg scaling-plus-deformation path (whose
-deformation leg is controlled by the Gray-stability integral), and the
-explicit ellipsoid folding example.
+the volume and lowest-action monotonicity laws; upper bounds from the
+two-leg scaling-plus-deformation path (whose deformation leg is
+controlled by the Gray-stability integral) and from the ellipsoid-vs-ball
+example, whose conformal-factor (inclusion) and folding bounds are closed
+forms in the areas.
 
 The distance is symmetric, and so is every bound of a pair of members:
 `_legs` takes the volume channel, the action channel and the Gray leg
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DomainViolation, PreconditionFailed, SingularLocus
 from .numerics import adaptive_simpson, grid_sup
 from .family import FamilyModel, FormSpec, contact_sign, epsilon_bound
-from .profile import TWO_PI, TwistedPathFamily
+from .profile import TwistedPathFamily, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -118,60 +119,30 @@ def lower_bound(s1: FormSpec, s2: FormSpec) -> BoundCertificate:
 
 
 # ---------------------------------------------------------------------------
-# conformal factors
+# the ellipsoid-vs-ball example
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConformalSample:
-    """Positive samples of a conformal factor over a labelled grid."""
-    values: np.ndarray
-    grid: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        if self.values.size == 0:
-            raise ValueError("conformal sample must be nonempty")
-        if np.any(self.values <= 0.0):
-            raise ValueError("conformal factors must be positive")
-
-    def ratio(self, other: "ConformalSample") -> "ConformalSample":
-        if self.values.shape != other.values.shape or \
-                not np.allclose(self.grid, other.grid, atol=0.0):
-            raise ValueError("ratio needs samples over the same grid")
-        return ConformalSample(self.values / other.values, self.grid,
-                               label=f"({self.label})/({other.label})")
-
-
-def ub_conformal(f: ConformalSample) -> float:
-    """max(ln max f, -ln min f): the interleaving constant of the graphs."""
-    return max(math.log(float(np.max(f.values))),
-               -math.log(float(np.min(f.values))))
-
-
-def ellipsoid_conformal_factor(a: float, b: float,
-                               n_grid: int = 2001) -> ConformalSample:
-    """Factor relating the round sphere form to the ellipsoid-boundary form.
+def inclusion_bound(a1: float, a2: float, ball: float) -> float:
+    """max(ln max f, -ln min f) for the ratio f of the conformal factors of
+    the ellipsoid E(a1, a2) and the ball of area `ball`, in closed form.
 
     In moment coordinates (rho1, rho2) with rho1 + rho2 = 1/2 on the unit
     sphere, the pullback multiplies the base form by
-    1 / (2 pi (rho1/a + rho2/b)); sampled over a rho1-grid on [0, 1/2].
+    1 / (2 pi (rho1/a + rho2/b)), so f = 1 / (2 ball (rho1/a1 +
+    (1/2 - rho1)/a2)).  Its denominator is affine in rho1, so f is
+    monotone on [0, 1/2] and takes its extremes a2/ball and a1/ball at the
+    ends.
     """
-    if a <= 0.0 or b <= 0.0:
+    if min(a1, a2, ball) <= 0.0:
         raise ValueError("ellipsoid areas must be positive")
-    rho1 = np.linspace(0.0, 0.5, n_grid)
-    rho2 = 0.5 - rho1
-    f = 1.0 / (TWO_PI * (rho1 / a + rho2 / b))
-    return ConformalSample(f, rho1, label=f"E({a},{b})")
+    return max(math.log(max(a1, a2) / ball), -math.log(min(a1, a2) / ball))
 
 
 def folding_bounds(a1: float, a2: float, ball: float,
                    delta: float) -> tuple:
     """(inclusion_bound, folding_bound) for the ellipsoid-vs-ball pair.
 
-    The inclusion bound is the conformal-factor bound of the ratio sample.
+    The inclusion bound is `inclusion_bound`, the conformal-factor bound.
     The folding bound is ln(a2/ball - delta): the folded ellipsoid fits in
     the (a2/ball - delta)-scaled ball for every delta below a2/2 - a1.
     When that scale would undercut the plain capacity quotient
@@ -183,9 +154,7 @@ def folding_bounds(a1: float, a2: float, ball: float,
     if not (0.0 < delta < a2 / 2.0 - a1):
         raise PreconditionFailed(
             f"delta must lie in (0, {a2 / 2.0 - a1}); got {delta}")
-    f_e = ellipsoid_conformal_factor(a1, a2)
-    f_b = ellipsoid_conformal_factor(ball, ball)
-    inclusion = ub_conformal(f_e.ratio(f_b))
+    inclusion = inclusion_bound(a1, a2, ball)
     scale = max(a2 / ball - delta, (a2 - delta) / ball)
     return inclusion, math.log(scale)
 
@@ -212,8 +181,7 @@ class _GrayIntegrand:
     The two members at the leg's ends, which must differ, pin the affine
     data B = dh2/du and D_u = DA + u DB; the sup at each u is one vector
     expression on `profile.contact_radii(pair1, family.CONTACT_GRID)`,
-    refined by `numerics.grid_sup` with brackets evaluated segment by
-    segment.
+    refined by `numerics.grid_sup`.
 
     Building it checks the leg's premise on those same radii:
     `family.contact_sign` at both end members, which also hands back their
@@ -237,22 +205,13 @@ class _GrayIntegrand:
         self._DA = d1 - u1 * self._DB
 
     def _values(self, rs: np.ndarray, u: float) -> np.ndarray:
-        """|B h1' / D_u| on a bracket of radii.
-
-        Each profile is evaluated through its own segment when the bracket
-        lies inside that segment's span, else piecewise.
-        """
-        mid = float(rs[len(rs) // 2])
-
-        def local(prof):
-            seg, lo, hi = prof.segment_span(mid)
-            return seg if lo <= rs[0] and rs[-1] <= hi else prof
-        h1 = local(self.pair1.h1)
-        h2a, h2b = local(self.pair1.h2), local(self.pair2.h2)
-        h1v, h1p = h1.value(rs), h1.deriv(rs)
-        h2av, h2bv = h2a.value(rs), h2b.value(rs)
-        d1 = h1v * h2a.deriv(rs) - h1p * h2av
-        d2 = h1v * h2b.deriv(rs) - h1p * h2bv
+        """|B h1' / D_u| on a bracket of radii, from one stacked evaluation
+        (`profile.evaluate`) of h1, h1' and each end's h2 and h2'."""
+        h1v, h1p, h2av, h2ap, h2bv, h2bp = evaluate(
+            [(self.pair1.h1, 0), (self.pair1.h1, 1), (self.pair1.h2, 0),
+             (self.pair1.h2, 1), (self.pair2.h2, 0), (self.pair2.h2, 1)], rs)
+        d1 = h1v * h2ap - h1p * h2av
+        d2 = h1v * h2bp - h1p * h2bv
         b = (h2bv - h2av) / (self.u2 - self.u1)
         db = (d2 - d1) / (self.u2 - self.u1)
         den = (d1 - self.u1 * db) + u * db

@@ -23,17 +23,17 @@ radii: h1, h1' and each end's h2 and h2' on the contact radii, with B
 there too, and on the tube-volume nodes, which hold both Gauss-Legendre
 orders.  Every Chebyshev series of one window piece then takes one
 Clenshaw recurrence per set of radii.
-A member is then embedded in closed form from that certificate;
-`tube_volume` and `FormSpec.l_invariant` recompute it from scratch and
-serve as oracles.  The admissible region is b < eps_bound = min(ln A, ln B)
-together with the geometric floor l >= k^(1/n) * L0 (smaller targets need
-a thinner twist region, i.e. a smaller epsilon0) and the amplitude cap
-u <= U_CAP.
+A member is then embedded in closed form from that certificate, its
+compensator solved on bump moments that are Beta integrals
+(`CompensatorSpec.moments`); `tube_volume` and `FormSpec.l_invariant`
+recompute the member from scratch and serve as oracles.  The admissible
+region is b < eps_bound = min(ln A, ln B) together with the geometric
+floor l >= k^(1/n) * L0 (smaller targets need a thinner twist region,
+i.e. a smaller epsilon0) and the amplitude cap u <= U_CAP.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DomainViolation, InfeasibleCompensation, InvalidGeometry,
                      PreconditionFailed, QuadratureFailure, SingularLocus)
-from .numerics import gauss_legendre, gl_panel_nodes
+from .numerics import gl_panel_nodes
 from . import reeb
 from .profile import (TWO_PI, ProfilePair, TwistedPathFamily, TwistParams,
                       contact_radii, contact_report, evaluate)
@@ -127,15 +127,19 @@ class ParamDomain:
 # compensating bump
 # ---------------------------------------------------------------------------
 
-# Cells per side of the compensator's independent midpoint re-integration.
-_MIDPOINT_GRID = 400
-
-
 def _bump01(s: np.ndarray) -> np.ndarray:
     """C^2 bump on [0, 1] with unit peak: (4 s (1-s))^3."""
     s = np.asarray(s, dtype=float)
     inside = (s > 0.0) & (s < 1.0)
     return np.where(inside, (4.0 * s * (1.0 - s)) ** 3, 0.0)
+
+
+def _bump_integral(m: int) -> float:
+    """I(m) = int_0^1 (4 s (1-s))^m ds = 4^m (m!)^2 / (2m+1)!, the Beta
+    integral 4^m B(m+1, m+1), correctly rounded by the integer true
+    division.  By the symmetry s -> 1-s, int_0^1 2 s (4 s (1-s))^m ds is
+    I(m) as well."""
+    return 4 ** m * math.factorial(m) ** 2 / math.factorial(2 * m + 1)
 
 
 @dataclass(frozen=True)
@@ -162,83 +166,42 @@ class CompensatorSpec:
         return 4.0 * math.pi ** 2 * self.tube_radius ** 2
 
     def moments(self, n: int) -> list:
-        """M_j = int bump^j over the weighted box, j = 1..n."""
-        return list(_box_moments(self.theta_extent, self.r_extent, n))
+        """M_j = 2 pi int bump^j 2 r dr d(theta) over the box, j = 1..n,
+        in closed form: bump^j is (4 s (1-s))^(3j) in each variable, so
+        M_j = 2 pi theta_extent I(3j) r_extent^2 I(3j) (`_bump_integral`)."""
+        out = []
+        for j in range(1, n + 1):
+            i = _bump_integral(3 * j)
+            out.append(TWO_PI * (self.theta_extent * i)
+                       * (self.r_extent ** 2 * i))
+        return out
 
     def delta_volume(self, amplitude: float, n: int) -> float:
         """Volume change of the tube under the multiplier 1 + a*B, density
         scaling (1 + a*B)^n."""
         return _moment_sum(self.moments(n), amplitude)
 
-    def _midpoint_grid(self) -> tuple:
-        """(bump, 2 r cell) at the midpoints of a grid x grid cell box,
-        grid = _MIDPOINT_GRID, theta along rows and r along columns (the
-        weight is one row)."""
-        grid = _MIDPOINT_GRID
-        ths = (np.arange(grid) + 0.5) / grid * self.theta_extent
-        rs = (np.arange(grid) + 0.5) / grid * self.r_extent
-        cell = (self.theta_extent / grid) * (self.r_extent / grid)
-        return self.bump(ths[:, None], rs[None, :]), 2.0 * rs[None, :] * cell
-
-    def grid_moments(self, n: int) -> list:
-        """G_j = 2 pi sum bump^j 2 r cell on the midpoint grid, j = 1..n:
-        `_moment_sum` of them is the 2-d midpoint re-integration of the
-        volume change."""
-        b, weight = self._midpoint_grid()
-        out, bj = [], np.ones_like(b)
-        for _ in range(n):
-            bj = bj * b
-            out.append(float(TWO_PI * np.sum(bj * weight)))
-        return out
-
-
-@functools.lru_cache(maxsize=16)
-def _box_moments(theta_extent: float, r_extent: float, n: int) -> tuple:
-    """`CompensatorSpec.moments` by the 96-node Gauss-Legendre rule, once
-    per bump box and n."""
-    x, w = gauss_legendre(96)
-    st = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    bt = _bump01(st)
-    br = _bump01(st)
-    out = []
-    for j in range(1, n + 1):
-        mt = theta_extent * float(np.sum(wt * bt ** j))
-        mr = r_extent ** 2 * float(np.sum(wt * 2.0 * st * br ** j))
-        out.append(TWO_PI * mt * mr)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=16)
-def _binomials(n: int) -> tuple:
-    """((j, C(n, j)) for j = 1..n)."""
-    return tuple((j, math.comb(n, j)) for j in range(1, n + 1))
-
 
 def _moment_sum(mom, amplitude: float) -> float:
     """sum_j C(n, j) a^j M_j for the moments M_1..M_n, summed from 0 in
     order of j."""
+    n = len(mom)
     total = 0
-    for (j, c), m in zip(_binomials(len(mom)), mom):
-        total += c * amplitude ** j * m
+    for j, m in enumerate(mom, 1):
+        total += math.comb(n, j) * amplitude ** j * m
     return total
-
-
-@functools.lru_cache(maxsize=16)
-def _solve_moments(tube: CompensatorSpec, n: int) -> tuple:
-    """(tube.moments(n), tube.grid_moments(n)), computed once per bump
-    shape and n: every member of a model solves on the same two lists."""
-    return tuple(tube.moments(n)), tuple(tube.grid_moments(n))
 
 
 def compensator_solve(v0: float, tube: CompensatorSpec,
                       n: int = 2) -> CompensatorSpec:
     """Amplitude making the tube volume change equal exactly -v0.
 
-    Bisection on the closed-moment polynomial; infeasible when the needed
-    amplitude drives min(1 + nu) below one half.  The result records
-    min(1 + nu) and a residual from an independent re-integration, the
-    midpoint grid of `CompensatorSpec.grid_moments`.
+    Bisection on the moment polynomial of `CompensatorSpec.delta_volume`,
+    on the closed-form moments; infeasible when the needed amplitude
+    drives min(1 + nu) below one half.  The result records min(1 + nu)
+    and the residual |delta_volume(amplitude) + v0| on the same moments;
+    the midpoint-grid re-integration is a test oracle
+    (`tests/oracles.py`).
     """
     if v0 >= tube.tube_volume():
         raise InfeasibleCompensation(
@@ -249,7 +212,7 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
         return replace(tube, amplitude=0.0, target_delta_volume=0.0,
                        min_one_plus_nu=1.0, achieved_residual=0.0)
 
-    mom, grid_mom = _solve_moments(tube, n)
+    mom = tube.moments(n)
 
     def delta_volume(amplitude):
         return _moment_sum(mom, amplitude)
@@ -273,11 +236,6 @@ def compensator_solve(v0: float, tube: CompensatorSpec,
         if hi - lo < 1e-16 * max(1.0, abs(hi)):
             break
     amp = 0.5 * (lo + hi)
-    achieved = _moment_sum(grid_mom, amp)
-    resid = abs(achieved - target) / max(abs(target), 1e-30)
-    if resid > 1e-6:
-        raise QuadratureFailure(
-            f"compensator re-integration off by {resid:.3g} relative")
     min_nu = 1.0 + min(amp, 0.0)  # bump peak is exactly one
     return replace(tube, amplitude=amp, target_delta_volume=-target,
                    min_one_plus_nu=min_nu,
@@ -557,10 +515,10 @@ class FamilyModel:
 
         The member is read off the model's certificate, with no quadrature
         and no root search: its tube volume is interpolated between the end
-        volumes, the compensator is solved on bump moments computed once
-        per bump shape and n (`_solve_moments`), and the action
-        inequalities are checked on the member's own h2 at the shared
-        zeros r+ < r+' of h1, giving
+        volumes, the compensator is solved on closed-form bump moments
+        (`CompensatorSpec.moments`), and the action inequalities are
+        checked on the member's own h2 at the shared zeros r+ < r+' of h1,
+        giving
         l_recomputed = k^(1/n) 2 pi |h2_u(r+)| (1 + delta mu_-).
         """
         a, b = float(point[0]), float(point[1])

@@ -5,7 +5,9 @@ Gray-integral oracle `distance.gray_integral`.  The mollifier's
 convolutions and tube volumes use fixed-order Gauss-Legendre panels split
 at integrand kinks; the two routes cross-check each other in the test
 suite.  A tube volume (`family._integrate_profile_product`) takes order 20
-on every panel, guarded by order 12.
+on every panel, guarded by order 12.  The compensator's bump moments and
+the ellipsoid's conformal-factor bound are closed forms and take no
+quadrature.
 `grid_sup` is the one sup refiner: the Gray integrand and the smoothing
 bound both take a grid argmax and shrink a bracket around it.  It samples,
 so it does not enclose the sup between its samples.

@@ -883,15 +883,18 @@ def verify_smoothing_bound(pair_smoothed: ProfilePair, u: float) -> tuple:
     """Check sup |{-H1'}/D| <= 1/u over the mollified window.
 
     Returns (max_ratio, passed).  The sup is refined from h1's
-    `window_radii`.
+    `window_radii`, each set of radii taking one stacked evaluation
+    (`evaluate`) of h1, h1', h2 and h2'.
     """
     rs = window_radii(pair_smoothed.h1)
     if not len(rs):
         raise InvalidGeometry("pair carries no mollified window")
 
     def ratio(rs: np.ndarray) -> np.ndarray:
-        d = pair_smoothed.wronskian(rs)
-        return np.abs(-pair_smoothed.h1.deriv(rs) / d)
+        h1v, h1p, h2v, h2p = evaluate(
+            [(pair_smoothed.h1, 0), (pair_smoothed.h1, 1),
+             (pair_smoothed.h2, 0), (pair_smoothed.h2, 1)], rs)
+        return np.abs(-h1p / (h1v * h2p - h1p * h2v))
 
     _, max_ratio = grid_sup(ratio, rs, ratio(rs))
     return max_ratio, max_ratio <= 1.0 / u

@@ -5,9 +5,10 @@ in closed form or by an exact algorithm: the core-orbit index from the
 integrated linearised flow, the hyperbolic action from the return time of
 the integrated perturbed field, the Morse-Bott flag from a centred
 difference of the slope ratio, tube volumes by Monte-Carlo, the
-compensator's volume change on its own midpoint grid, and barcodes on a
-second family of random DG-algebras.  Of these, only the ODE oracle needs
-scipy.
+compensator's bump moments and volume change on a midpoint grid, the
+ellipsoid-vs-ball inclusion bound from sampled conformal factors, and
+barcodes on a second family of random DG-algebras.  Of these, only the ODE
+oracle needs scipy.
 """
 
 import math
@@ -16,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lutzlab import family as fam
 from lutzlab import persistence as ps
 from lutzlab import reeb
 from lutzlab.errors import InvalidGeometry
@@ -136,19 +136,59 @@ def tube_volume_montecarlo(pair, n_samples=2_000_000, seed=0):
     return float(4.0 * math.pi ** 2 * pair.epsilon * np.mean(d))
 
 
-def delta_volume_grid(spec, amplitude, n):
-    """2-d midpoint re-integration of a `CompensatorSpec`'s volume change
-    under the multiplier 1 + amplitude * bump, density (1 + a bump)^n, on
-    the package's g x g cell box, g = `family._MIDPOINT_GRID` (theta along
-    rows, r along columns)."""
-    g = fam._MIDPOINT_GRID
+# Cells per side of the compensator's midpoint re-integration.
+MIDPOINT_GRID = 400
+
+
+def _midpoint_grid(spec):
+    """(bump, 2 r cell) at the midpoints of a `CompensatorSpec`'s g x g
+    cell box, g = MIDPOINT_GRID, theta along rows and r along columns (the
+    weight is one row)."""
+    g = MIDPOINT_GRID
     ths = (np.arange(g) + 0.5) / g * spec.theta_extent
     rs = (np.arange(g) + 0.5) / g * spec.r_extent
     cell = (spec.theta_extent / g) * (spec.r_extent / g)
-    b = spec.bump(ths[:, None], rs[None, :])
-    weight = 2.0 * rs[None, :] * cell
+    return spec.bump(ths[:, None], rs[None, :]), 2.0 * rs[None, :] * cell
+
+
+def grid_moments(spec, n):
+    """G_j = 2 pi sum bump^j 2 r cell on the midpoint grid, j = 1..n: the
+    oracle of `CompensatorSpec.moments`, whose `family._moment_sum` is the
+    2-d midpoint re-integration of the volume change."""
+    b, weight = _midpoint_grid(spec)
+    out, bj = [], np.ones_like(b)
+    for _ in range(n):
+        bj = bj * b
+        out.append(float(TWO_PI * np.sum(bj * weight)))
+    return out
+
+
+def delta_volume_grid(spec, amplitude, n):
+    """2-d midpoint re-integration of a `CompensatorSpec`'s volume change
+    under the multiplier 1 + amplitude * bump, density (1 + a bump)^n,
+    summed cell by cell rather than through moments."""
+    b, weight = _midpoint_grid(spec)
     dens = (1.0 + amplitude * b) ** n - 1.0
     return float(TWO_PI * np.sum(dens * weight))
+
+
+# --- distance --------------------------------------------------------------
+
+def ellipsoid_factor_grid(a, b, n_grid=2001):
+    """The factor 1 / (2 pi (rho1/a + rho2/b)) relating the round sphere
+    form to the boundary form of the ellipsoid E(a, b), sampled on a
+    rho1-grid over [0, 1/2] with rho2 = 1/2 - rho1."""
+    rho1 = np.linspace(0.0, 0.5, n_grid)
+    return 1.0 / (TWO_PI * (rho1 / a + (0.5 - rho1) / b))
+
+
+def inclusion_bound_grid(a1, a2, ball, n_grid=2001):
+    """max(ln max f, -ln min f) of the sampled ratio f of the ellipsoid's
+    and the ball's conformal factors: the dense-grid oracle of
+    `distance.inclusion_bound`."""
+    f = ellipsoid_factor_grid(a1, a2, n_grid) / ellipsoid_factor_grid(
+        ball, ball, n_grid)
+    return max(math.log(float(np.max(f))), -math.log(float(np.min(f))))
 
 
 # --- persistence -----------------------------------------------------------

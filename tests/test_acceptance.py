@@ -118,14 +118,12 @@ def test_criterion_05_bilipschitz_sandwich(model):
 
 
 def test_criterion_06_ellipsoid_and_folding_bounds():
-    f_e = dist.ellipsoid_conformal_factor(1.0, 3.0)
-    f_b = dist.ellipsoid_conformal_factor(0.5, 0.5)
-    ub = dist.ub_conformal(f_e.ratio(f_b))
-    assert abs(ub - math.log(6.0)) <= 1e-9
     inclusion, folding = dist.folding_bounds(1.0, 3.0, 0.5, 0.4)
+    assert abs(inclusion - math.log(6.0)) <= 1e-9
     assert abs(folding - math.log(5.6)) <= 1e-12
     _report("criterion 6 (ellipsoid bounds)",
-            f"inclusion {ub:.12f} = ln 6, folding {folding:.12f} = ln 5.6")
+            f"inclusion {inclusion:.12f} = ln 6, "
+            f"folding {folding:.12f} = ln 5.6")
 
 
 def test_criterion_07_cz_consistency():

@@ -29,6 +29,17 @@ def test_fold_command(tmp_path, capsys):
     assert doc["folding_bound"] == pytest.approx(math.log(5.6), abs=1e-14)
 
 
+@pytest.mark.parametrize("areas", [("0", "3", "0.5"), ("1", "3", "-0.5")],
+                         ids=["a1_zero", "ball_negative"])
+def test_fold_non_positive_area_is_input_error(tmp_path, capsys, areas):
+    a1, a2, ball = areas
+    code, out = run(tmp_path, "distance", "fold", "--a1", a1, "--a2", a2,
+                    "--ball", ball, "--delta", "0.4")
+    assert code == 2
+    assert "ellipsoid areas must be positive" in capsys.readouterr().err
+    assert not (out / "folding.json").exists()
+
+
 def test_manifest_written(tmp_path):
     code, out = run(tmp_path, "distance", "gray", "--u-start", "0.04",
                     "--u-end", "0.06")

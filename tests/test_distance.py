@@ -11,66 +11,93 @@ from lutzlab import profile as prof
 from lutzlab.errors import InvalidGeometry, PreconditionFailed, SingularLocus
 from lutzlab.family import U_CAP, FamilyDefaults
 
+import oracles
 
-# --- conformal machinery -----------------------------------------------------
+
+# --- the conformal-factor (inclusion) bound ----------------------------------
 
 def test_ub_conformal_constant():
-    f = dist.ConformalSample(np.full(7, 3.0), np.arange(7))
-    assert dist.ub_conformal(f) == pytest.approx(math.log(3.0))
-    g = dist.ConformalSample(np.ones(7), np.arange(7))
-    assert dist.ub_conformal(g) == 0.0
+    # E(a, a) against a ball is a constant factor a / ball
+    assert dist.inclusion_bound(1.5, 1.5, 0.5) == pytest.approx(math.log(3.0))
+    assert dist.inclusion_bound(0.5, 0.5, 0.5) == 0.0
 
 
 def test_ub_conformal_asymmetric_range():
-    f = dist.ConformalSample(np.array([0.25, 1.0, 2.0]), np.arange(3))
-    # max(ln 2, -ln 0.25) = ln 4
-    assert dist.ub_conformal(f) == pytest.approx(math.log(4.0))
+    # the ratio runs over [0.25, 2]: max(ln 2, -ln 0.25) = ln 4
+    assert dist.inclusion_bound(0.25, 2.0, 1.0) == pytest.approx(
+        math.log(4.0))
+    assert oracles.inclusion_bound_grid(0.25, 2.0, 1.0) == pytest.approx(
+        math.log(4.0))
 
 
 def test_ub_conformal_values():
-    # max |ln f| over the samples
-    f = dist.ConformalSample(np.array([2.0, 4.0, 6.0]), np.arange(3))
-    assert dist.ub_conformal(f) == pytest.approx(math.log(6.0))
-    g = dist.ConformalSample(np.array([0.5, 1.0, 2.0]), np.arange(3))
-    assert dist.ub_conformal(g) == pytest.approx(math.log(2.0))
-    one = dist.ConformalSample(np.ones(3), np.arange(3))
-    assert dist.ub_conformal(one) == 0.0
+    # max |ln f| over the ratio's range, in either order of the axes
+    for a1, a2, ball, want in ((2.0, 6.0, 1.0, math.log(6.0)),
+                               (0.5, 2.0, 1.0, math.log(2.0)),
+                               (2.0, 0.5, 1.0, math.log(2.0)),
+                               (1.0, 1.0, 1.0, 0.0)):
+        assert dist.inclusion_bound(a1, a2, ball) == pytest.approx(want)
 
 
 def test_ub_equals_dcf_for_constants():
     # for a constant factor c the bound is d_cf = |ln c|, below and above 1
     for c in (0.3, 1.0, 5.0):
-        f = dist.ConformalSample(np.full(5, c), np.arange(5))
-        assert dist.ub_conformal(f) == pytest.approx(abs(math.log(c)))
+        assert dist.inclusion_bound(c, c, 1.0) == pytest.approx(
+            abs(math.log(c)))
 
 
 def test_conformal_sample_validation():
-    with pytest.raises(ValueError):
-        dist.ConformalSample(np.array([1.0, -2.0]), np.arange(2))
-    with pytest.raises(ValueError):
-        dist.ConformalSample(np.array([]), np.array([]))
+    for areas in ((1.0, -2.0, 1.0), (0.0, 3.0, 0.5), (1.0, 3.0, 0.0),
+                  (1.0, 3.0, -0.5)):
+        with pytest.raises(ValueError, match="positive"):
+            dist.inclusion_bound(*areas)
+    # folding's preconditions are checked before the areas
+    with pytest.raises(ValueError, match="positive"):
+        dist.folding_bounds(0.0, 3.0, 0.5, 0.4)
+    with pytest.raises(ValueError, match="positive"):
+        dist.folding_bounds(1.0, 3.0, -0.5, 0.4)
+    with pytest.raises(PreconditionFailed):
+        dist.folding_bounds(-1.0, -3.0, 0.5, 0.1)
 
 
 # --- ellipsoids and folding --------------------------------------------------
 
 def test_ellipsoid_factor_round_ball_constant():
-    f = dist.ellipsoid_conformal_factor(0.5, 0.5)
-    assert np.allclose(f.values, 1.0 / (2 * math.pi), atol=1e-15)
+    f = oracles.ellipsoid_factor_grid(0.5, 0.5)
+    assert np.allclose(f, 1.0 / (2 * math.pi), atol=1e-15)
+    assert dist.inclusion_bound(0.5, 0.5, 0.5) == 0.0
 
 
 def test_ellipsoid_factor_range():
-    f = dist.ellipsoid_conformal_factor(1.0, 3.0)
-    assert float(np.min(f.values)) == pytest.approx(1.0 / math.pi, rel=1e-12)
-    assert float(np.max(f.values)) == pytest.approx(3.0 / math.pi, rel=1e-12)
+    # the sampled factor takes its extremes a1/pi and a2/pi at the ends of
+    # [0, 1/2], where the closed form reads them
+    f = oracles.ellipsoid_factor_grid(1.0, 3.0)
+    assert float(np.min(f)) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    assert float(np.max(f)) == pytest.approx(3.0 / math.pi, rel=1e-12)
+    assert float(f[-1]) == float(np.min(f)) and float(f[0]) == float(np.max(f))
 
 
 def test_ellipsoid_ratio_ln6():
-    f_e = dist.ellipsoid_conformal_factor(1.0, 3.0)
-    f_b = dist.ellipsoid_conformal_factor(0.5, 0.5)
-    ratio = f_e.ratio(f_b)
-    assert float(np.min(ratio.values)) == pytest.approx(2.0, rel=1e-12)
-    assert float(np.max(ratio.values)) == pytest.approx(6.0, rel=1e-12)
-    assert dist.ub_conformal(ratio) == pytest.approx(math.log(6.0), abs=1e-9)
+    ratio = (oracles.ellipsoid_factor_grid(1.0, 3.0)
+             / oracles.ellipsoid_factor_grid(0.5, 0.5))
+    assert float(np.min(ratio)) == pytest.approx(2.0, rel=1e-12)
+    assert float(np.max(ratio)) == pytest.approx(6.0, rel=1e-12)
+    assert dist.inclusion_bound(1.0, 3.0, 0.5) == pytest.approx(
+        math.log(6.0), abs=1e-9)
+
+
+def test_inclusion_bound_matches_the_grid_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a1 = float(rng.uniform(0.05, 5.0))
+        a2 = float(rng.uniform(2.0 * a1, 10.0 * a1))
+        ball = float(rng.uniform(0.05, 5.0))
+        want = oracles.inclusion_bound_grid(a1, a2, ball)
+        assert dist.inclusion_bound(a1, a2, ball) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+        inclusion, _ = dist.folding_bounds(a1, a2, ball,
+                                           0.5 * (a2 / 2.0 - a1))
+        assert inclusion == dist.inclusion_bound(a1, a2, ball)
 
 
 def test_folding_bounds_values():
@@ -133,8 +160,9 @@ def test_gray_du_affine(gray_family):
 
 
 def test_gray_values_straddling_breakpoints(gray_family):
-    # brackets across h2's joint at 1/2 and the h1/h2 joint at 3/4 take the
-    # piecewise route for the profiles whose segment does not cover them
+    # brackets across h2's joint at 1/2 and the h1/h2 joint at 3/4 are split
+    # at each profile's breakpoints inside the one stacked evaluation, which
+    # is bit for bit the per-profile route
     integrand = dist._GrayIntegrand(gray_family, 0.04, 0.06)
     p1, p2 = integrand.pair1, integrand.pair2
     du = integrand.u2 - integrand.u1
@@ -149,7 +177,7 @@ def test_gray_values_straddling_breakpoints(gray_family):
             den = (d1 - integrand.u1 * db) + u * db
             want = np.abs(b * p1.h1.deriv(rs) / den)
             got = integrand._values(rs, u)
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(got, want)
 
 
 def test_gray_zero_leg_needs_no_room_above(gray_family):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lutzlab.errors import (DomainViolation, InfeasibleCompensation,
                             InvalidGeometry, PreconditionFailed,
                             QuadratureFailure)
 from lutzlab.numerics import gl_panel_nodes
+from lutzlab.profile import TWO_PI
 
 import oracles
 
@@ -313,7 +315,7 @@ def test_compensator_small_removal():
     spec = fam.compensator_solve(0.01, tube)
     assert spec.amplitude < 0.0
     assert spec.min_one_plus_nu >= 0.5
-    # independent re-integration agrees to 1e-8 relative
+    # the midpoint-grid re-integration agrees to 1e-6 relative
     achieved = oracles.delta_volume_grid(spec, spec.amplitude, 2)
     assert abs(achieved + 0.01) / 0.01 < 1e-6
     assert spec.achieved_residual < 1e-8 * 0.01 + 1e-14
@@ -340,18 +342,17 @@ def test_compensator_computes_moments_once(monkeypatch):
     tube = comp_with_volume(0.2)
     for n in (2, 3):
         calls.clear()
-        fam._solve_moments.cache_clear()
         spec = fam.compensator_solve(0.01, tube, n=n)
         fam.compensator_solve(0.02, tube, n=n)
-        # held per bump shape and n: a second solve reuses them
-        assert calls == [n]
+        # once per solve, not once per bisection step
+        assert calls == [n, n]
         # the solve's moment sum is delta_volume's, bit for bit
         assert spec.achieved_residual == abs(
             tube.delta_volume(spec.amplitude, n) + 0.01)
 
 
 def test_moment_sum_is_the_binomial_sum():
-    # the cached binomials keep the product order and the sum from zero
+    # C(n, j) a^j M_j in this product order, summed from zero
     mom = fam.CompensatorSpec().moments(4)
     for n in (1, 2, 3, 4):
         for amp in (-0.37, 1e-3, 0.5, 3.0):
@@ -359,6 +360,30 @@ def test_moment_sum_is_the_binomial_sum():
             for j in range(1, n + 1):
                 want += math.comb(n, j) * amp ** j * mom[j - 1]
             assert fam._moment_sum(mom[:n], amp) == want
+
+
+def test_moments_are_the_beta_integrals():
+    # M_j = 2 pi theta_ext I(3j) r_ext^2 I(3j), I(m) = 4^m (m!)^2 / (2m+1)!,
+    # against the exact product of the float inputs
+    for tube in (fam.CompensatorSpec(), comp_with_volume(0.2)):
+        for n in range(2, 9):
+            for j, m in enumerate(tube.moments(n), 1):
+                k = 3 * j
+                beta = Fraction(4 ** k * math.factorial(k) ** 2,
+                                math.factorial(2 * k + 1))
+                exact = (Fraction(TWO_PI) * Fraction(tube.theta_extent)
+                         * Fraction(tube.r_extent) ** 2 * beta ** 2)
+                assert abs(Fraction(m) - exact) <= 2 * Fraction(
+                    math.ulp(float(exact)))
+
+
+def test_delta_volume_matches_the_midpoint_grid():
+    for tube in (fam.CompensatorSpec(), comp_with_volume(0.2)):
+        for n in (2, 3, 4):
+            for amp in (-0.4, -0.03, 0.01, 0.5, 2.0):
+                grid = oracles.delta_volume_grid(tube, amp, n)
+                assert tube.delta_volume(amp, n) == pytest.approx(
+                    grid, rel=1e-9, abs=0.0)
 
 
 def test_compensator_bump_support():
@@ -468,7 +493,8 @@ def _oracle_errors(model, spec):
     grid = oracles.delta_volume_grid(tube, amp, spec.n)
     return (abs(spec.tube_volume_normalized - volume) / volume,
             abs(spec.l_recomputed - spec.l_invariant()) / spec.l,
-            abs(fam._moment_sum(tube.grid_moments(spec.n), amp) - grid)
+            abs(fam._moment_sum(oracles.grid_moments(tube, spec.n), amp)
+                - grid)
             / max(abs(grid), 1e-300))
 
 
